@@ -89,14 +89,9 @@ def main(argv=None) -> int:
                                   f"(cover {row['cover_size']}, status {row['status']})")
         print(f"{name}: {status}", file=sys.stderr)
 
+    write_csv(args.out, REPORT_CSV_FIELDS, rows)
     if args.out:
-        write_csv(args.out, REPORT_CSV_FIELDS, rows)
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
-    else:
-        print(",".join(REPORT_CSV_FIELDS))
-        for row in rows:
-            print(",".join("" if row[f] in (None, "") else str(row[f])
-                           for f in REPORT_CSV_FIELDS))
     if args.json_out:
         docs = [r.to_json_dict() if r is not None else {"error": row["error"]}
                 for r, row in zip(reports, rows)]

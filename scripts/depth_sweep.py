@@ -22,11 +22,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from profitcover.instances import (  # noqa: E402
-    gen_erdos_renyi_connected,
-    gen_regular,
-    load_graph,
-)
+from profitcover.errors import DomainError, ParseError  # noqa: E402
+from profitcover.instances import load_graph, parse_gen  # noqa: E402
 from profitcover.metrics import (  # noqa: E402
     DEPTH_SWEEP_FIELDS,
     aggregate_mass_stats,
@@ -47,19 +44,6 @@ def parse_depths(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def parse_gen(text: str):
-    kind, _, rest = text.partition(":")
-    params = dict(item.split("=", 1) for item in rest.split(",") if item)
-    seed = int(params.get("seed", 0))
-    if kind == "er":
-        g = gen_erdos_renyi_connected(int(params["n"]), float(params["p"]), seed)
-    elif kind == "regular":
-        g = gen_regular(int(params["n"]), int(params["d"]), seed)
-    else:
-        raise SystemExit(f"unknown generator kind {kind!r} (use er or regular)")
-    return text, g
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--input", action="append", default=[],
@@ -77,7 +61,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="CSV path; stdout rows if omitted")
     args = parser.parse_args(argv)
 
-    instances = [parse_gen(spec) for spec in args.gen]
+    try:
+        instances = [parse_gen(spec) for spec in args.gen]
+    except (ParseError, DomainError) as err:
+        parser.error(str(err))
     for path in args.input:
         instances.append((Path(path).stem, load_graph(path)))
     if not instances:
@@ -102,14 +89,9 @@ def main(argv=None) -> int:
               f"expectation {sweep.points[0].expectation:.4f} -> "
               f"{sweep.points[-1].expectation:.4f}", file=sys.stderr)
 
+    write_csv(args.out, DEPTH_SWEEP_FIELDS, rows)
     if args.out:
-        write_csv(args.out, DEPTH_SWEEP_FIELDS, rows)
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
-    else:
-        print(",".join(DEPTH_SWEEP_FIELDS))
-        for row in rows:
-            print(",".join("" if row[f] is None else str(row[f])
-                           for f in DEPTH_SWEEP_FIELDS))
     print(canonical_json(aggregate_mass_stats(sweeps)), end="")
     return 0
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .errors import CapacityError, DomainError, InfeasibilityBug, ParseError
 from .graph import Graph
-from .instances import detect_format, gen_erdos_renyi_connected, gen_regular, load_graph
+from .instances import load_graph, parse_gen
 from .kernel import ALL_RULES
 from .metrics import canonical_json, write_csv
 from .pipeline import (
@@ -28,120 +29,115 @@ from .pipeline import (
     REPORT_CSV_FIELDS,
     SOLVERS,
     PipelineConfig,
-    error_csv_row,
     report_csv_row,
+    run_batch,
     run_pipeline,
 )
 
-GEN_KINDS = ("er", "regular")
+# job key -> (PipelineConfig field, accepted JSON type); run flags use the
+# same keys, and a key left out takes the PipelineConfig default
+CONFIG_KEYS = {
+    "problem": ("problem", str),
+    "solver": ("solver", str),
+    "layers": ("depth", int),
+    "shots": ("shots", int),
+    "seed": ("seed", int),
+    "rules": ("rules", (str, list)),
+    "skip_preprocess": ("skip_preprocess", bool),
+    "postprocess_rules": ("postprocess_rules", bool),
+    "max_qubits": ("max_qubits", int),
+    "reference_note": ("reference_note", str),
+}
+SOURCE_KEYS = ("input", "gen", "format", "name")
+JOB_KEYS = (*SOURCE_KEYS, *CONFIG_KEYS)
 
 
-def _parse_gen(text: str) -> tuple[str, dict]:
-    kind, _, rest = text.partition(":")
-    if kind not in GEN_KINDS:
-        raise ParseError(f"generator must be one of {GEN_KINDS}, got {kind!r}")
-    params: dict = {}
-    for item in filter(None, rest.split(",")):
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ParseError(f"generator parameter {item!r} is not key=value")
-        params[key] = value
-    try:
-        if kind == "er":
-            return kind, {"n": int(params["n"]), "p": float(params["p"]),
-                          "seed": int(params.get("seed", 0))}
-        return kind, {"n": int(params["n"]), "d": int(params["d"]),
-                      "seed": int(params.get("seed", 0))}
-    except KeyError as err:
-        raise ParseError(f"generator spec {text!r} is missing {err}") from None
-    except ValueError as err:
-        raise ParseError(f"generator spec {text!r}: {err}") from None
-
-
-def _load_instance(args) -> tuple[str, Graph]:
-    if args.input:
-        fmt = args.format if args.format != "auto" else detect_format(args.input)
-        name = args.name or str(args.input).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        return name, load_graph(args.input, fmt)
-    kind, params = _parse_gen(args.gen)
-    if kind == "er":
-        g = gen_erdos_renyi_connected(params["n"], params["p"], params["seed"])
-        name = args.name or f"er_n{params['n']}_p{params['p']}_s{params['seed']}"
-    else:
-        g = gen_regular(params["n"], params["d"], params["seed"])
-        name = args.name or f"reg_n{params['n']}_d{params['d']}_s{params['seed']}"
-    return name, g
-
-
-def _parse_rules(text: str) -> tuple[str, ...]:
-    rules = tuple(r.strip() for r in text.split(",") if r.strip())
+def _parse_rules(value: str | list) -> tuple[str, ...]:
+    """Rules from a comma-separated string (run) or a list (manifest)."""
+    items = value.split(",") if isinstance(value, str) else value
+    if not all(isinstance(r, str) for r in items):
+        raise ParseError(f"rules must be rule names, got {value!r}")
+    rules = tuple(r.strip() for r in items if r.strip())
     unknown = set(rules) - set(ALL_RULES)
     if unknown:
         raise ParseError(f"unknown rules {sorted(unknown)}; choose from {ALL_RULES}")
     return rules
 
 
+def _job(entry: dict, where: str) -> tuple[str, Graph, PipelineConfig]:
+    """(name, graph, config) from run flags or one manifest entry.
+
+    A key whose value is null counts as left out. Files are named by their
+    stem, generator specs by ``instances.parse_gen``.
+    """
+    entry = {key: value for key, value in entry.items() if value is not None}
+    unknown = sorted(set(entry) - set(JOB_KEYS))
+    if unknown:
+        raise ParseError(f"{where}: unknown keys {unknown}; choose from {list(JOB_KEYS)}")
+    if ("input" in entry) == ("gen" in entry):
+        raise ParseError(f"{where} needs exactly one of input/gen")
+    for key, value in entry.items():
+        want = CONFIG_KEYS[key][1] if key in CONFIG_KEYS else str
+        if not isinstance(value, want) or (want is int and isinstance(value, bool)):
+            raise ParseError(f"{where}: {key} has the wrong type: {value!r}")
+    if "input" in entry:
+        fmt = entry.get("format", "auto")
+        name = Path(entry["input"]).stem
+        g = load_graph(entry["input"], None if fmt == "auto" else fmt)
+    else:
+        name, g = parse_gen(entry["gen"])
+    fields = {CONFIG_KEYS[key][0]: value for key, value in entry.items() if key in CONFIG_KEYS}
+    if "rules" in fields:
+        fields["rules"] = _parse_rules(fields["rules"])
+    return entry.get("name", name), g, PipelineConfig(**fields)
+
+
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+    # flags default to None so that PipelineConfig supplies the defaults
     src = sub.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="path to a graph file")
     src.add_argument("--gen", help="synthetic spec, e.g. er:n=10,p=0.3,seed=1 "
                                    "or regular:n=10,d=3,seed=1")
-    sub.add_argument("--format", default="auto",
-                     choices=("auto", "edge_list", "dimacs", "matrix_market"))
+    sub.add_argument("--format", choices=("auto", "edge_list", "dimacs", "matrix_market"))
     sub.add_argument("--name", help="instance label for reports")
-    sub.add_argument("--problem", default="minvc", choices=PROBLEMS)
-    sub.add_argument("--solver", default="qaoa", choices=SOLVERS)
-    sub.add_argument("--layers", type=int, default=1, help="QAOA depth p")
-    sub.add_argument("--shots", type=int, default=100_000)
-    sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--rules", default=",".join(ALL_RULES),
-                     help="comma-separated reduction rules to enable")
-    sub.add_argument("--skip-preprocess", action="store_true")
-    sub.add_argument("--no-postprocess-rules", action="store_true",
+    sub.add_argument("--problem", choices=PROBLEMS)
+    sub.add_argument("--solver", choices=SOLVERS)
+    sub.add_argument("--layers", type=int, help="QAOA depth p")
+    sub.add_argument("--shots", type=int)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--rules", help="comma-separated reduction rules to enable")
+    sub.add_argument("--skip-preprocess", action="store_true", default=None)
+    sub.add_argument("--no-postprocess-rules", dest="postprocess_rules",
+                     action="store_false", default=None,
                      help="disable reduction rules inside refinement")
-    sub.add_argument("--max-qubits", type=int, default=25)
+    sub.add_argument("--max-qubits", type=int)
     sub.add_argument("--out", help="report path (.json or .csv); stdout if omitted")
     sub.add_argument("--emit-kernel", help="write the kernel dump JSON here")
     sub.add_argument("--emit-distribution",
                      help="write the sampled distribution JSON here")
 
 
-def _config_from_args(args) -> PipelineConfig:
-    return PipelineConfig(
-        problem=args.problem,
-        solver=args.solver,
-        depth=args.layers,
-        shots=args.shots,
-        seed=args.seed,
-        rules=_parse_rules(args.rules),
-        skip_preprocess=args.skip_preprocess,
-        postprocess_rules=not args.no_postprocess_rules,
-        max_qubits=args.max_qubits,
-    )
-
-
-def _write_report(report, out: str | None) -> None:
+def _write_text(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(report.canonical_json())
-    elif out.endswith(".csv"):
-        write_csv(out, REPORT_CSV_FIELDS, [report_csv_row(report)])
+        sys.stdout.write(text)
     else:
         with open(out, "w") as fh:
-            fh.write(report.canonical_json())
+            fh.write(text)
 
 
 def _cmd_run(args) -> int:
-    name, g = _load_instance(args)
-    config = _config_from_args(args)
+    flags = {key: value for key, value in vars(args).items() if key in JOB_KEYS}
+    name, g, config = _job(flags, "run")
     report = run_pipeline(g, config, name)
-    _write_report(report, args.out)
+    if args.out is not None and args.out.endswith(".csv"):
+        write_csv(args.out, REPORT_CSV_FIELDS, [report_csv_row(report)])
+    else:
+        _write_text(report.canonical_json(), args.out)
     if args.emit_kernel:
-        with open(args.emit_kernel, "w") as fh:
-            fh.write(canonical_json(report.kernel.to_json_dict()))
+        _write_text(canonical_json(report.kernel.to_json_dict()), args.emit_kernel)
     if args.emit_distribution:
         doc = report.sample_dist.to_json_dict() if report.sample_dist else None
-        with open(args.emit_distribution, "w") as fh:
-            fh.write(canonical_json({"distribution": doc}))
+        _write_text(canonical_json({"distribution": doc}), args.emit_distribution)
     timings = " ".join(f"{k}={v:.3f}s" for k, v in sorted(report.timings.items()))
     print(f"{name}: status={report.status} |Sol|={report.solution_size} "
           f"profit={report.cover_profit} {timings}", file=sys.stderr)
@@ -162,63 +158,27 @@ def _jobs_from_manifest(path: str) -> list[tuple[str, Graph, PipelineConfig]]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ParseError(f"manifest entry {i} is not an object")
-        if ("input" in entry) == ("gen" in entry):
-            raise ParseError(f"manifest entry {i} needs exactly one of input/gen")
-        if "input" in entry:
-            fmt = entry.get("format") or detect_format(entry["input"])
-            g = load_graph(entry["input"], fmt)
-            default_name = str(entry["input"]).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        else:
-            kind, params = _parse_gen(entry["gen"])
-            if kind == "er":
-                g = gen_erdos_renyi_connected(params["n"], params["p"], params["seed"])
-            else:
-                g = gen_regular(params["n"], params["d"], params["seed"])
-            default_name = entry["gen"]
-        name = entry.get("name", default_name)
-        config = PipelineConfig(
-            problem=entry.get("problem", "minvc"),
-            solver=entry.get("solver", "qaoa"),
-            depth=int(entry.get("layers", 1)),
-            shots=int(entry.get("shots", 100_000)),
-            seed=int(entry.get("seed", 1)),
-            rules=tuple(entry.get("rules", list(ALL_RULES))),
-            skip_preprocess=bool(entry.get("skip_preprocess", False)),
-            postprocess_rules=bool(entry.get("postprocess_rules", True)),
-            max_qubits=int(entry.get("max_qubits", 25)),
-            reference_note=entry.get("reference_note"),
-        )
-        jobs.append((name, g, config))
+        jobs.append(_job(entry, f"manifest entry {i}"))
     return jobs
 
 
 def _cmd_batch(args) -> int:
-    jobs = _jobs_from_manifest(args.manifest)
-    rows = []
-    reports = []
-    for name, g, config in jobs:
-        try:
-            report = run_pipeline(g, config, name)
-        except Exception as err:  # noqa: BLE001 - rows fail independently
-            rows.append(error_csv_row(name, config, err))
-            reports.append({"name": name, "error": f"{type(err).__name__}: {err}"})
-            print(f"{name}: FAILED {type(err).__name__}: {err}", file=sys.stderr)
-            continue
-        rows.append(report_csv_row(report))
-        reports.append(report.to_json_dict(with_timings=False))
-        print(f"{name}: status={report.status} |Sol|={report.solution_size}",
-              file=sys.stderr)
-    if args.out is None or args.out.endswith(".json"):
-        payload = canonical_json(reports)
-        if args.out is None:
-            sys.stdout.write(payload)
+    if args.out is not None and not args.out.endswith((".json", ".csv")):
+        raise ParseError("--out must end in .json or .csv")
+    reports, rows = run_batch(_jobs_from_manifest(args.manifest))
+    docs = []
+    for report, row in zip(reports, rows):
+        if report is None:
+            print(f"{row['name']}: FAILED {row['error']}", file=sys.stderr)
+            docs.append({"name": row["name"], "error": row["error"]})
         else:
-            with open(args.out, "w") as fh:
-                fh.write(payload)
-    elif args.out.endswith(".csv"):
+            print(f"{report.name}: status={report.status} |Sol|={report.solution_size}",
+                  file=sys.stderr)
+            docs.append(report.to_json_dict())
+    if args.out is not None and args.out.endswith(".csv"):
         write_csv(args.out, REPORT_CSV_FIELDS, rows)
     else:
-        raise ParseError("--out must end in .json or .csv")
+        _write_text(canonical_json(docs), args.out)
     return 0
 
 

@@ -81,10 +81,6 @@ class Graph:
         edges = [(u, v) for u, v in self.edges if u in keep_set and v in keep_set]
         return Graph(keep_set, edges)
 
-    def without_vertices(self, drop: Iterable[int]) -> "Graph":
-        drop_set = self.check_subset(drop)
-        return self.induced_subgraph(set(self.vertices) - drop_set)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -9,13 +9,14 @@ Generators cover the two synthetic families used throughout: connected
 Erdős–Rényi graphs (rejection sampling until connected) and d-regular
 graphs (pairing model with restart). Each call derives its own
 counter-based RNG stream from the seed, so results are reproducible and
-independent of call order.
+independent of call order. ``parse_gen`` is the one reader of the text
+specs (``er:n=10,p=0.3,seed=4``, ``regular:n=8,d=3``) that the command
+line, batch manifests and scripts accept.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,26 +26,6 @@ from .graph import Graph, is_connected
 
 _CONNECT_ATTEMPTS = 1000
 _PAIRING_ATTEMPTS = 2000
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Where a graph comes from: a file or one of the synthetic families."""
-
-    source: str  # "file" | "erdos_renyi" | "regular"
-    path: str | None = None
-    fmt: str | None = None
-    n: int = 0
-    p: float = 0.0
-    d: int = 0
-    seed: int = 0
-
-    def name(self) -> str:
-        if self.source == "file":
-            return Path(self.path).stem if self.path else "file"
-        if self.source == "erdos_renyi":
-            return f"er-n{self.n}-p{self.p}-s{self.seed}"
-        return f"reg-n{self.n}-d{self.d}-s{self.seed}"
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -241,16 +222,31 @@ def gen_regular(n: int, d: int, seed: int) -> Graph:
     raise DomainError(f"pairing model failed after {_PAIRING_ATTEMPTS} restarts")
 
 
-def realize(spec: InstanceSpec) -> tuple[Graph, tuple[str, ...]]:
-    """Materialize an InstanceSpec into (graph, original labels)."""
-    if spec.source == "file":
-        if not spec.path:
-            raise DomainError("file spec needs a path")
-        return load_graph_named(spec.path, spec.fmt)
-    if spec.source == "erdos_renyi":
-        g = gen_erdos_renyi_connected(spec.n, spec.p, spec.seed)
-    elif spec.source == "regular":
-        g = gen_regular(spec.n, spec.d, spec.seed)
-    else:
-        raise DomainError(f"unknown source {spec.source!r}")
-    return g, tuple(str(v) for v in g.vertices)
+GEN_KINDS = ("er", "regular")
+
+
+def parse_gen(text: str) -> tuple[str, Graph]:
+    """Default name and graph for a generator spec.
+
+    ``er:n=10,p=0.3,seed=4`` is named ``er_n10_p0.3_s4`` and
+    ``regular:n=8,d=3`` is named ``reg_n8_d3_s0``; the seed defaults to 0.
+    """
+    kind, _, rest = text.partition(":")
+    if kind not in GEN_KINDS:
+        raise ParseError(f"generator must be one of {GEN_KINDS}, got {kind!r}")
+    params: dict = {}
+    for item in filter(None, rest.split(",")):
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ParseError(f"generator parameter {item!r} is not key=value")
+        params[key] = value
+    try:
+        n, seed = int(params["n"]), int(params.get("seed", 0))
+        p_or_d = float(params["p"]) if kind == "er" else int(params["d"])
+    except KeyError as err:
+        raise ParseError(f"generator spec {text!r} is missing {err}") from None
+    except ValueError as err:
+        raise ParseError(f"generator spec {text!r}: {err}") from None
+    if kind == "er":
+        return f"er_n{n}_p{p_or_d}_s{seed}", gen_erdos_renyi_connected(n, p_or_d, seed)
+    return f"reg_n{n}_d{p_or_d}_s{seed}", gen_regular(n, p_or_d, seed)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,14 +153,6 @@ def summarize_exact(state: np.ndarray, ising: IsingModel,
                       profits[support], ising.n, len(ising.j4), opt_profit)
 
 
-def expected_cover_size(dist: SampleDistribution, ising: IsingModel,
-                        num_edges: int) -> float:
-    """num_edges minus the weighted average profit of the distribution."""
-    profits = -ising.energies_vector()
-    weights = dist.counts / dist.shots
-    return float(num_edges) - float(np.sum(weights * profits[dist.indices]))
-
-
 @dataclass(frozen=True)
 class DepthPoint:
     depth: int
@@ -225,11 +219,11 @@ def depth_sweep(ising: IsingModel, p_list, *, opt_profit: int | None = None,
 
 
 def write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
+    """Header plus one line per row, to ``path`` or, if it is None, to stdout."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def depth_sweep_rows(name: str, sweep: DepthSweep) -> list[dict]:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .graph import Graph, is_vertex_cover
+from .kernel import greedy_upper_bound
 
 EXHAUSTIVE_MAX = 20
 BRANCH_MAX = 60
@@ -43,19 +44,6 @@ def _exhaustive_min_cover(g: Graph) -> frozenset[int]:
     return frozenset(g.vertices[i] for i in range(n) if best >> i & 1)
 
 
-def _greedy_cover_size(adj: Adj) -> int:
-    adj = {v: set(nb) for v, nb in adj.items()}
-    size = 0
-    while True:
-        v = max(adj, key=lambda u: (len(adj[u]), -u), default=None)
-        if v is None or not adj[v]:
-            return size
-        for w in adj[v]:
-            adj[w].discard(v)
-        adj[v] = set()
-        size += 1
-
-
 def _matching_lower_bound(adj: Adj) -> int:
     used: set[int] = set()
     bound = 0
@@ -72,7 +60,13 @@ def _matching_lower_bound(adj: Adj) -> int:
 
 
 def _reduce_pendants(adj: Adj, cover: set[int]) -> None:
-    """Strip degree-0 vertices and resolve pendants (neighbor into cover)."""
+    """Strip degree-0 vertices and resolve pendants (neighbor into cover).
+
+    Kept apart from the kernel's pendant rule on purpose: that rule
+    resolves pendants in another order, which changes which of several
+    optimal covers branch and bound returns (see the reg50 case in
+    tests/test_golden.py).
+    """
     queue = sorted(adj)
     while queue:
         v = queue.pop()
@@ -146,7 +140,8 @@ def _solve(adj: Adj, cover: set[int], best_size: list[int], best_cover: set[int]
 
 def _branch_and_bound_min_cover(g: Graph) -> frozenset[int]:
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    best_size = [_greedy_cover_size(adj) + 1]
+    # any bound above the optimum gives the same first optimum in search order
+    best_size = [greedy_upper_bound(g)[0] + 1]
     best_cover: set[int] = set()
     _solve(adj, set(), best_size, best_cover)
     if not is_vertex_cover(g, best_cover):  # pragma: no cover - safety net

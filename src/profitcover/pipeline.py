@@ -231,15 +231,14 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
         residual_opt_profit = 0
     else:
         status = "solver"
-        if config.compute_reference and residual.n <= BRANCH_MAX:
-            ref = min_vertex_cover_exact(residual)
-            residual_opt_size = ref.opt_size
-            residual_opt_profit = ref.opt_profit
-
-        if config.solver == "exact":
+        # one oracle call serves as both the reference and the exact solver
+        if config.solver == "exact" or (config.compute_reference
+                                        and residual.n <= BRANCH_MAX):
             opt = min_vertex_cover_exact(residual)
             residual_opt_size = opt.opt_size
             residual_opt_profit = opt.opt_profit
+
+        if config.solver == "exact":
             refined = RefinedSolution(opt.opt_cover, opt.opt_profit,
                                       opt.opt_profit, ("exact",))
         else:
@@ -271,8 +270,8 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
             two_qubit = schedule.p * residual.m
             depth_proxy = schedule.p * edge_coloring_colors(residual)
 
-    solution = finalize(config.problem, work, kr, refined)
     full_cover = reconstruct(kr, refined.cover_reduced)
+    solution = finalize(config.problem, work, full_cover)
 
     if config.problem == "minvc":
         feasible = is_vertex_cover(g, solution)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .graph import Graph, is_vertex_cover, profit
-from .kernel import KernelResult, reconstruct, reduce
+from .kernel import reconstruct, reduce
 
 
 @dataclass(frozen=True)
@@ -110,15 +110,14 @@ def refine(g: Graph, subset, use_rules: bool = True) -> RefinedSolution:
     )
 
 
-def finalize(problem: str, original_g: Graph, kernel: KernelResult,
-             refined: RefinedSolution) -> frozenset[int]:
-    """Replay the cover to the original graph and invert if needed.
+def finalize(problem: str, original_g: Graph, full_cover: frozenset[int]) -> frozenset[int]:
+    """The solution a cover of the working graph stands for.
 
-    The cover semantics live on ``kernel.original`` (for cliques that is
-    the complement of the user's graph); independent sets and cliques
-    are its complement within the shared vertex set.
+    ``full_cover`` is the cover already replayed through the kernel
+    (``kernel.reconstruct``) onto the working graph, which for cliques is
+    the complement of the user's graph; independent sets and cliques are
+    its complement within the shared vertex set.
     """
-    full_cover = reconstruct(kernel, refined.cover_reduced)
     if problem == "minvc":
         return full_cover
     if problem in ("maxis", "maxcl"):

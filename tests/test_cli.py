@@ -1,13 +1,17 @@
 """Command-line interface: argument handling, outputs, exit codes."""
 
 import csv
+import importlib.util
+import io
 import json
+from pathlib import Path
 
 import pytest
 
 from profitcover.cli import main
 from profitcover.errors import ParseError
-from profitcover.cli import _parse_gen, _parse_rules
+from profitcover.cli import _parse_rules
+from profitcover.instances import gen_erdos_renyi_connected, gen_regular, parse_gen
 
 KARATE = "data/instances/karate.edges"
 
@@ -21,13 +25,13 @@ def run_cli(*argv):
 
 
 def test_parse_gen_er():
-    kind, params = _parse_gen("er:n=10,p=0.3,seed=4")
-    assert kind == "er" and params == {"n": 10, "p": 0.3, "seed": 4}
+    name, g = parse_gen("er:n=10,p=0.3,seed=4")
+    assert name == "er_n10_p0.3_s4" and g == gen_erdos_renyi_connected(10, 0.3, 4)
 
 
 def test_parse_gen_regular_default_seed():
-    kind, params = _parse_gen("regular:n=8,d=3")
-    assert kind == "regular" and params["seed"] == 0
+    name, g = parse_gen("regular:n=8,d=3")
+    assert name == "reg_n8_d3_s0" and g == gen_regular(8, 3, 0)
 
 
 @pytest.mark.parametrize("spec", [
@@ -38,7 +42,7 @@ def test_parse_gen_regular_default_seed():
 ])
 def test_parse_gen_errors(spec):
     with pytest.raises(ParseError):
-        _parse_gen(spec)
+        parse_gen(spec)
 
 
 def test_parse_rules():
@@ -205,3 +209,60 @@ def test_batch_bad_manifest(tmp_path, capsys):
 
 def test_batch_missing_manifest(capsys):
     assert run_cli("batch", "--manifest", "/no/such/manifest.json") == 2
+
+
+@pytest.mark.parametrize("bad", [
+    {"depth": 3},                    # unknown key (the flag is "layers")
+    {"layers": "x"},                 # not an integer
+    {"skip_preprocess": "false"},    # a string, not a boolean
+    {"rules": ["pr", "bogus"]},      # unknown rule
+], ids=["unknown-key", "layers-str", "skip-preprocess-str", "unknown-rule"])
+def test_batch_bad_entry_exits_2_before_any_job(tmp_path, capsys, bad):
+    manifest = _write_manifest(tmp_path, [
+        {"gen": "er:n=6,p=0.5,seed=1", "solver": "exact"},
+        {"gen": "er:n=6,p=0.5,seed=2", **bad},
+    ])
+    assert run_cli("batch", "--manifest", manifest) == 2
+    captured = capsys.readouterr()
+    assert "status=" not in captured.err and captured.out == ""
+
+
+def test_batch_bad_out_suffix_exits_2_before_any_job(tmp_path, capsys):
+    manifest = _write_manifest(tmp_path, [
+        {"gen": "er:n=6,p=0.5,seed=1", "solver": "exact"},
+    ])
+    out = tmp_path / "table.txt"
+    assert run_cli("batch", "--manifest", manifest, "--out", str(out)) == 2
+    assert "status=" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_batch_default_names_match_run(tmp_path, capsys):
+    manifest = _write_manifest(tmp_path, [
+        {"gen": "er:n=8,p=0.5,seed=1", "solver": "exact"},
+        {"input": KARATE, "solver": "exact"},
+    ])
+    assert run_cli("batch", "--manifest", manifest) == 0
+    names = [doc["name"] for doc in json.loads(capsys.readouterr().out)]
+    assert names == ["er_n8_p0.5_s1", "karate"]
+
+
+# ---------------------------------------------------------------------------
+# scripts
+
+
+def test_depth_sweep_stdout_is_well_formed_csv(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "depth_sweep.py"
+    spec = importlib.util.spec_from_file_location("depth_sweep", path)
+    depth_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(depth_sweep)
+    graph = tmp_path / "a,b.edges"  # a comma in the instance name
+    graph.write_text("0 1\n1 2\n2 0\n")
+    assert depth_sweep.main(["--gen", "er:n=6,p=0.5,seed=3", "--input", str(graph),
+                             "--depths", "0,1", "--skip-oracle"]) == 0
+    out = capsys.readouterr().out
+    table = list(csv.reader(io.StringIO(out[:out.index("{")])))  # JSON follows
+    header, rows = table[0], table[1:]
+    assert len(rows) == 4
+    assert all(len(row) == len(header) for row in rows)
+    assert [row[0] for row in rows] == ["er_n6_p0.5_s3"] * 2 + ["a,b"] * 2

@@ -14,7 +14,6 @@ from profitcover.metrics import (
     canonical_json,
     depth_sweep,
     depth_sweep_rows,
-    expected_cover_size,
     lex_min_index,
     summarize,
     summarize_exact,
@@ -61,7 +60,6 @@ def test_k2_uniform_mass_optimal(k2):
 def test_k2_uniform_expected_cover(k2):
     m = build_ising(k2)
     d = _uniform_exhaustive_dist(m)
-    assert expected_cover_size(d, m, k2.m) == 1.25
     assert summarize(d, m).expected_cover_size == 1.25
 
 
@@ -72,7 +70,7 @@ def test_uniform_expected_cover_analytic():
         m = build_ising(g)
         d = _uniform_exhaustive_dist(m)
         want = g.m / 4 + g.n / 2
-        assert expected_cover_size(d, m, g.m) == pytest.approx(want, abs=1e-12)
+        assert summarize(d, m).expected_cover_size == pytest.approx(want, abs=1e-12)
 
 
 def test_single_outcome_at_optimum():

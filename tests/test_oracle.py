@@ -12,6 +12,7 @@ from profitcover.graph import complement, is_vertex_cover
 from profitcover.oracle import (
     BRANCH_MAX,
     EXHAUSTIVE_MAX,
+    _branch_and_bound_min_cover,
     max_profit_exact,
     min_vertex_cover_exact,
 )
@@ -69,11 +70,12 @@ def test_exhaustive_matches_brute_force(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_branch_and_bound_matches_exhaustive(seed):
-    # sizes beyond EXHAUSTIVE_MAX route to branch and bound; validate it
-    # on sizes where brute force is still affordable
+    # min_vertex_cover_exact only routes sizes beyond EXHAUSTIVE_MAX to
+    # branch and bound, so call it directly where brute force is affordable
     g = random_gnp(12, 0.3, 1000 + seed)
-    res = min_vertex_cover_exact(g)
-    assert res.opt_size == brute_min_cover_size(g)
+    cover = _branch_and_bound_min_cover(g)
+    assert len(cover) == brute_min_cover_size(g)
+    assert is_vertex_cover(g, cover)
 
 
 def test_branch_and_bound_on_structured_midsize():

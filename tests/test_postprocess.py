@@ -12,7 +12,7 @@ from profitcover.graph import (
     is_vertex_cover,
     profit,
 )
-from profitcover.kernel import identity_kernel, reduce
+from profitcover.kernel import identity_kernel, reconstruct, reduce
 from profitcover.oracle import max_profit_exact
 from profitcover.postprocess import (
     finalize,
@@ -163,14 +163,14 @@ def test_refine_exact_input_gives_exact_cover(seed):
 def test_finalize_minvc_is_cover(c4):
     kr = identity_kernel(c4)
     r = refine(c4, {0, 2})
-    sol = finalize("minvc", c4, kr, r)
+    sol = finalize("minvc", c4, reconstruct(kr, r.cover_reduced))
     assert is_vertex_cover(c4, sol)
 
 
 def test_finalize_maxis_inverts(c4):
     kr = identity_kernel(c4)
     r = refine(c4, {0, 2})
-    sol = finalize("maxis", c4, kr, r)
+    sol = finalize("maxis", c4, reconstruct(kr, r.cover_reduced))
     assert sol == {1, 3}
     assert is_independent_set(c4, sol)
 
@@ -184,7 +184,7 @@ def test_finalize_maxcl_on_complemented_input():
     kr = reduce(work)
     assert kr.solved  # the complement is a short path, rules finish it
     r = refine(kr.reduced, frozenset(), use_rules=False)
-    sol = finalize("maxcl", work, kr, r)
+    sol = finalize("maxcl", work, reconstruct(kr, r.cover_reduced))
     assert is_clique(g, sol)
     assert len(sol) == 3  # the triangle
 
@@ -193,5 +193,6 @@ def test_finalize_replays_folds():
     g = cycle_graph(4)
     kr = reduce(g)
     assert kr.solved
-    sol = finalize("minvc", g, kr, refine(kr.reduced, frozenset(), use_rules=False))
+    r = refine(kr.reduced, frozenset(), use_rules=False)
+    sol = finalize("minvc", g, reconstruct(kr, r.cover_reduced))
     assert is_vertex_cover(g, sol) and len(sol) == 2
