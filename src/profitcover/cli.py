@@ -125,7 +125,13 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _check_out(out: str | None) -> None:
+    if out is not None and not out.endswith((".json", ".csv")):
+        raise ParseError("--out must end in .json or .csv")
+
+
 def _cmd_run(args) -> int:
+    _check_out(args.out)
     flags = {key: value for key, value in vars(args).items() if key in JOB_KEYS}
     name, g, config = _job(flags, "run")
     report = run_pipeline(g, config, name)
@@ -163,8 +169,7 @@ def _jobs_from_manifest(path: str) -> list[tuple[str, Graph, PipelineConfig]]:
 
 
 def _cmd_batch(args) -> int:
-    if args.out is not None and not args.out.endswith((".json", ".csv")):
-        raise ParseError("--out must end in .json or .csv")
+    _check_out(args.out)
     reports, rows = run_batch(_jobs_from_manifest(args.manifest))
     docs = []
     for report, row in zip(reports, rows):

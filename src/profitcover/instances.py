@@ -222,7 +222,8 @@ def gen_regular(n: int, d: int, seed: int) -> Graph:
     raise DomainError(f"pairing model failed after {_PAIRING_ATTEMPTS} restarts")
 
 
-GEN_KINDS = ("er", "regular")
+# generator kind -> the parameters its spec accepts
+GEN_KINDS = {"er": ("n", "p", "seed"), "regular": ("n", "d", "seed")}
 
 
 def parse_gen(text: str) -> tuple[str, Graph]:
@@ -233,13 +234,17 @@ def parse_gen(text: str) -> tuple[str, Graph]:
     """
     kind, _, rest = text.partition(":")
     if kind not in GEN_KINDS:
-        raise ParseError(f"generator must be one of {GEN_KINDS}, got {kind!r}")
+        raise ParseError(f"generator must be one of {tuple(GEN_KINDS)}, got {kind!r}")
     params: dict = {}
     for item in filter(None, rest.split(",")):
         key, sep, value = item.partition("=")
         if not sep:
             raise ParseError(f"generator parameter {item!r} is not key=value")
         params[key] = value
+    unknown = sorted(set(params) - set(GEN_KINDS[kind]))
+    if unknown:
+        raise ParseError(f"generator spec {text!r}: unknown parameters {unknown}; "
+                         f"{kind} takes {list(GEN_KINDS[kind])}")
     try:
         n, seed = int(params["n"]), int(params.get("seed", 0))
         p_or_d = float(params["p"]) if kind == "er" else int(params["d"])

@@ -120,16 +120,43 @@ class IsingModel:
     def energies_vector(self) -> np.ndarray:
         """Energies of all 2^n basis states, exactly -profit per state.
 
-        Computed as |S| - |covered edges| to avoid materializing a bit
-        matrix: popcount gives |S|, and each edge contributes one OR.
+        Built once per model and returned read-only on every call. The
+        energy is |S| - |covered edges|, filled in one bit at a time:
+        setting bit j of an index x < 2^j adds vertex j, which newly
+        covers its deg(j) edges except those to lower vertices already
+        in x, so
+
+            E[2^j + x] = E[x] + 1 - deg(j) + popcount(x & lower(j))
+
+        with lower(j) the bitmask of j's neighbours below position j.
+        That is O(2^n) work in total, whatever the number of edges.
         """
+        energies = self.__dict__.get("_energies")
+        if energies is None:
+            energies = self._build_energies()
+            energies.flags.writeable = False
+            object.__setattr__(self, "_energies", energies)
+        return energies
+
+    def _build_energies(self) -> np.ndarray:
         n = self.n
-        idx = np.arange(1 << n, dtype=np.uint64)
-        energy = np.bitwise_count(idx).astype(np.int64)
         pos = {v: j for j, v in enumerate(self.vertex_order)}
+        degree = [0] * n
+        lower = [0] * n
         for u, v in self.j4:
-            covered = ((idx >> np.uint64(pos[u])) | (idx >> np.uint64(pos[v]))) & np.uint64(1)
-            energy -= covered.astype(np.int64)
+            a, b = sorted((pos[u], pos[v]))
+            degree[a] += 1
+            degree[b] += 1
+            lower[b] |= 1 << a
+        energy = np.zeros(1 << n, dtype=np.int32)
+        idx = np.arange(1 << n >> 1, dtype=np.uint32)
+        for j in range(n):
+            half = 1 << j
+            upper = energy[half:2 * half]
+            np.add(energy[:half], 1 - degree[j], out=upper)
+            upper += np.bitwise_count(idx[:half] & lower[j])
+        # float64, not an integer dtype: reports print the negated vector,
+        # where a zero energy must stay the -0.0 profit they have always shown
         return energy.astype(np.float64)
 
     def to_json_dict(self) -> dict:

@@ -1,9 +1,35 @@
 """Exact statevector simulation of QAOA on the profit Hamiltonian.
 
+States are dense complex128 arrays indexed so that bit j of the array
+index is ``vertex_order[j]``.
+
 The cost layer is diagonal, so each basis amplitude picks up the phase
-exp(-i*gamma*E); the mixer applies RX rotations qubit by qubit through
-reshaped butterfly updates. States are dense complex128 arrays indexed
-so that bit j of the array index is ``vertex_order[j]``.
+exp(-i*gamma*E). Profit energies are integers spanning at most n+m+1
+values, so the phase is one small table exp(-i*gamma*level) gathered by
+each state's level index. The levels of an energy vector are computed
+once (see ``_phase_table``); the table entries equal exp(-i*gamma*E)
+bit for bit, so this is the same diagonal as the elementwise formula.
+
+The mixer applies RX(2*beta) to every qubit. It works on blocks of
+``MIXER_BLOCK`` qubits: viewing the state as a (2^n/2^k, 2^k) matrix
+whose columns are the k lowest qubits, one complex matmul by
+RX(2*beta)^{(x)k} applies the block, and writing the (2^k, 2^n/2^k)
+product row-major moves those k qubits to the top of the index. After
+ceil(n/k) passes every qubit has moved by n places in total and is back
+where it started, so the mixer reads and writes the state ceil(n/k)
+times instead of n times, and each pass is one BLAS call. Two buffers
+take turns as input and output; the result ends in the caller's array.
+
+The matmul goes through BLAS, so thread counts matter. Each output
+amplitude is one inner product of length 2^k; OpenBLAS splits a matmul
+across threads by blocks of the output and never splits that inner sum,
+so every amplitude comes from the same arithmetic whatever the thread
+count. The tests check this at n=18 under OPENBLAS_NUM_THREADS=1 and
+with the thread variables unset. The block size is k = 3. On a 2-core
+machine with OPENBLAS_NUM_THREADS=2, k = 4 made every mixer call at
+n=12 take 24 ms instead of 0.3 ms (a threaded 16x16 product waiting for
+its second thread), and k = 5 showed 32 ms outliers; k = 3 showed
+neither. At n=18-20 k = 4 or 5 would save up to a third of the mixer.
 
 Training is layerwise: angles of layers 1..k-1 stay frozen (their state
 is cached as a prefix), and (gamma_k, beta_k) is optimized by
@@ -18,6 +44,7 @@ cumulative distribution with a counter-based Philox generator.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +54,9 @@ from .errors import CapacityError, DomainError, TrainingError
 from .model import IsingModel, bitstring_of_index
 
 MAX_QUBITS = 25
+
+# qubits per mixer pass; see the module docstring for why 3
+MIXER_BLOCK = 3
 
 # Restart grid for the per-layer search, covering the gamma period [0, pi)
 # and the beta period [0, pi/2) at their quarter points.
@@ -112,25 +142,82 @@ def uniform_state(n: int) -> np.ndarray:
     return state
 
 
+# (weak reference to an energy vector, its phase table) for the last
+# read-only vector seen; IsingModel.energies_vector hands out one per model.
+# The entry goes when the vector does, so it never holds a dead model's table.
+_last_table: tuple[weakref.ref, tuple[float, float, np.ndarray]] | None = None
+
+
+def _forget_table(ref: weakref.ref) -> None:
+    global _last_table
+    if _last_table is not None and _last_table[0] is ref:
+        _last_table = None
+
+
+def _phase_table(energies: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(lowest energy, highest energy, level of each basis state).
+
+    The level of a state is E - lowest, an index into the phase table, in
+    the narrowest unsigned dtype that holds it. It is remembered for a
+    read-only vector, which cannot change between calls, so a training run
+    computes it once instead of once per call.
+    """
+    global _last_table
+    if _last_table is not None and _last_table[0]() is energies:
+        return _last_table[1]
+    lo, hi = float(np.min(energies)), float(np.max(energies))
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DomainError("energies must be finite")
+    if hi - lo >= energies.size:
+        raise DomainError(
+            f"energies span {hi - lo:g}, more levels than the {energies.size} states")
+    shifted = energies - lo
+    levels = shifted.astype(np.min_scalar_type(int(hi - lo)))
+    if not np.array_equal(levels, shifted):
+        raise DomainError("energies must be integers for the phase table")
+    table = (lo, hi, levels)
+    if not energies.flags.writeable:
+        _last_table = (weakref.ref(energies, _forget_table), table)
+    return table
+
+
 def apply_phase(state: np.ndarray, energies: np.ndarray, gamma: float) -> np.ndarray:
     """Diagonal cost layer; returns a new array."""
     if gamma == 0.0:
         return state.copy()
-    return state * np.exp(-1j * gamma * energies)
+    lo, hi, levels = _phase_table(energies)
+    # state first and into a new array: numpy's complex multiply rounds
+    # differently with the operands swapped or written in place
+    return state * np.exp(-1j * gamma * np.arange(lo, hi + 1.0)).take(levels)
+
+
+def _rx_power(c: float, s: float, k: int) -> np.ndarray:
+    """RX(2*beta) on each of k qubits, as one 2^k x 2^k matrix."""
+    rx = np.array([[c, -1j * s], [-1j * s, c]])
+    gate = rx
+    for _ in range(k - 1):
+        gate = np.kron(rx, gate)
+    return gate
 
 
 def apply_mixer(state: np.ndarray, n: int, beta: float) -> np.ndarray:
-    """RX(2*beta) on every qubit, in place."""
+    """RX(2*beta) on every qubit, in place, MIXER_BLOCK qubits per pass."""
+    if state.shape != (1 << n,):
+        # the passes rotate the index by n bits, so n must be the whole state
+        raise DomainError(f"mixer needs a state of 2^{n} amplitudes, got {state.shape}")
     c = np.cos(beta)
     s = np.sin(beta)
     if s == 0.0 and c == 1.0:
         return state
-    for q in range(n):
-        st = state.reshape(-1, 2, 1 << q)
-        a = st[:, 0, :].copy()
-        b = st[:, 1, :]
-        st[:, 0, :] = c * a - 1j * s * b
-        st[:, 1, :] = c * b - 1j * s * a
+    block = _rx_power(c, s, MIXER_BLOCK)
+    src, dst = state, np.empty_like(state)
+    for q in range(0, n, MIXER_BLOCK):
+        k = min(MIXER_BLOCK, n - q)
+        gate = block if k == MIXER_BLOCK else _rx_power(c, s, k)
+        np.matmul(gate, src.reshape(-1, 1 << k).T, out=dst.reshape(1 << k, -1))
+        src, dst = dst, src
+    if src is not state:
+        np.copyto(state, src)
     return state
 
 
@@ -212,6 +299,9 @@ def sample_state(state: np.ndarray, vertex_order: tuple[int, ...], shots: int,
         raise DomainError("shots must be positive")
     cdf = np.cumsum(probabilities(state))
     draws = _rng(seed).random(shots)
+    # sorted draws map to the same indices, but the searches walk the
+    # cdf in order instead of missing cache at random
+    draws.sort()
     picks = np.searchsorted(cdf, draws, side="right")
     np.clip(picks, 0, len(cdf) - 1, out=picks)
     indices, counts = np.unique(picks, return_counts=True)

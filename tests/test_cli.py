@@ -146,6 +146,26 @@ def test_exit_2_on_unknown_rule(capsys):
                    "--rules", "pr,bogus") == 2
 
 
+# a misspelt seed and a parameter the regular generator does not take
+UNKNOWN_GEN_PARAMS = [("er:n=8,p=0.5,sede=4", "sede"), ("regular:n=8,d=3,p=0.5", "'p'")]
+
+
+@pytest.mark.parametrize("spec,key", UNKNOWN_GEN_PARAMS)
+def test_exit_2_on_unknown_gen_parameter(capsys, spec, key):
+    assert run_cli("run", "--gen", spec, "--solver", "exact") == 2
+    captured = capsys.readouterr()
+    assert key in captured.err and "status=" not in captured.err
+    assert captured.out == ""
+
+
+def test_run_bad_out_suffix_exits_2_before_the_job(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert run_cli("run", "--gen", "er:n=8,p=0.5,seed=1", "--solver", "exact",
+                   "--out", str(out)) == 2
+    assert "--out must end in .json or .csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # batch subcommand
 
@@ -225,6 +245,18 @@ def test_batch_bad_entry_exits_2_before_any_job(tmp_path, capsys, bad):
     assert run_cli("batch", "--manifest", manifest) == 2
     captured = capsys.readouterr()
     assert "status=" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("spec,key", UNKNOWN_GEN_PARAMS)
+def test_batch_unknown_gen_parameter_exits_2_before_any_job(tmp_path, capsys, spec, key):
+    manifest = _write_manifest(tmp_path, [
+        {"gen": "er:n=6,p=0.5,seed=1", "solver": "exact"},
+        {"gen": spec, "solver": "exact"},
+    ])
+    assert run_cli("batch", "--manifest", manifest) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err and "status=" not in captured.err
+    assert captured.out == ""
 
 
 def test_batch_bad_out_suffix_exits_2_before_any_job(tmp_path, capsys):

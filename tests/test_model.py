@@ -167,6 +167,34 @@ def test_energies_vector_matches_scalar(seed):
         assert vec[idx] == m.energy(subset_of_index(idx, m.vertex_order))
 
 
+def _edge_loop_energies(m):
+    """|S| - |covered edges| one edge at a time, the O(m 2^n) reference."""
+    idx = np.arange(1 << m.n, dtype=np.uint64)
+    energy = np.bitwise_count(idx).astype(np.int64)
+    pos = {v: j for j, v in enumerate(m.vertex_order)}
+    for u, v in m.j4:
+        covered = ((idx >> np.uint64(pos[u])) | (idx >> np.uint64(pos[v]))) & np.uint64(1)
+        energy -= covered.astype(np.int64)
+    return energy.astype(np.float64)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_energies_vector_matches_edge_loop(seed):
+    g = random_gnp(1 + seed % 14, 0.2 + 0.03 * seed, 2100 + seed)
+    m = build_ising(g)
+    # bytes, not values: == cannot tell +0.0 from -0.0
+    assert m.energies_vector().tobytes() == _edge_loop_energies(m).tobytes()
+
+
+def test_energies_vector_is_built_once_and_read_only():
+    m = build_ising(random_gnp(9, 0.5, 2200))
+    vec = m.energies_vector()
+    assert m.energies_vector() is vec
+    assert vec.dtype == np.float64 and not vec.flags.writeable
+    with pytest.raises(ValueError):
+        vec[0] = 1.0
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_min_energy_is_cover_minus_edges(seed):
     g = random_gnp(4 + seed % 6, 0.5, 1500 + seed)

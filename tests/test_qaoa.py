@@ -6,6 +6,9 @@ the grid's own resolution.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from profitcover import qaoa
 from profitcover.errors import CapacityError, DomainError
+from profitcover.instances import gen_regular
 from profitcover.model import build_ising, subset_of_index
 from profitcover.qaoa import (
     AngleSchedule,
@@ -96,12 +101,15 @@ def test_capacity_error_names_count():
 def test_energy_vector_length_checked():
     with pytest.raises(DomainError):
         evolve_energies(np.zeros(7), 3, AngleSchedule((), ()))
+    with pytest.raises(DomainError):
+        apply_mixer(uniform_state(4), 3, 0.4)
 
 
 def test_mixer_against_dense_matrix():
     """apply_mixer must equal the Kronecker power of the RX(2*beta) gate."""
     rng = np.random.default_rng(42)
-    for n in (1, 2, 3):
+    # n > 3 spans several MIXER_BLOCK=3 passes, n = 4, 5, 7, 8 a short last one
+    for n in range(1, 10):
         beta = 0.3123
         c, s = np.cos(beta), np.sin(beta)
         rx = np.array([[c, -1j * s], [-1j * s, c]])
@@ -120,6 +128,83 @@ def test_phase_is_diagonal():
     out = apply_phase(state, energies, 0.7)
     np.testing.assert_allclose(np.abs(out), np.abs(state), atol=1e-15)
     np.testing.assert_allclose(out, state * np.exp(-1j * 0.7 * energies), atol=0)
+
+
+def test_phase_table_bit_equal_to_exp():
+    """The lookup-table phase is the elementwise exp formula, bit for bit."""
+    m = build_ising(random_gnp(10, 0.4, 77))
+    energies = m.energies_vector()
+    rng = np.random.default_rng(7)
+    state = rng.standard_normal(1 << 10) + 1j * rng.standard_normal(1 << 10)
+    gammas = list(rng.uniform(-3 * np.pi, 3 * np.pi, 16)) + [-0.5, 2 * np.pi + 0.1, 7.0, -9.5]
+    for gamma in gammas:
+        want = (state * np.exp(-1j * gamma * energies)).tobytes()
+        assert apply_phase(state, energies, gamma).tobytes() == want
+        # a writable copy takes the path that rebuilds the levels per call
+        assert apply_phase(state, energies.copy(), gamma).tobytes() == want
+
+
+@pytest.mark.parametrize("energies", [
+    np.array([0.0, 1.0, 0.5, 2.0]),
+    np.array([0.0, 1.0, np.nan, 2.0]),
+    np.array([0.0, 1.0, 1e9, 2.0]),
+], ids=["half-integer", "nan", "range-wider-than-state"])
+def test_phase_rejects_energies_without_a_table(energies):
+    with pytest.raises(DomainError):
+        apply_phase(uniform_state(2), energies, 0.7)
+
+
+def _butterfly_mixer(state, n, beta):
+    """The qubit-by-qubit RX mixer the block mixer replaced, as a reference."""
+    c = np.cos(beta)
+    s = np.sin(beta)
+    if s == 0.0 and c == 1.0:
+        return state
+    for q in range(n):
+        st = state.reshape(-1, 2, 1 << q)
+        a = st[:, 0, :].copy()
+        b = st[:, 1, :]
+        st[:, 0, :] = c * a - 1j * s * b
+        st[:, 1, :] = c * b - 1j * s * a
+    return state
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_training_matches_butterfly_mixer(seed, monkeypatch):
+    m = build_ising(random_gnp(8 + seed, 0.45, 2300 + seed))
+    schedule, log = train_layerwise(m, 2)
+    monkeypatch.setattr(qaoa, "apply_mixer", _butterfly_mixer)
+    ref_schedule, ref_log = train_layerwise(m, 2)
+    np.testing.assert_allclose(schedule.gammas, ref_schedule.gammas, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(schedule.betas, ref_schedule.betas, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(log.expectations, ref_log.expectations, rtol=0, atol=1e-9)
+
+
+MIXER_HASH_SCRIPT = """
+import hashlib, numpy as np
+from profitcover.qaoa import apply_mixer
+n = 18
+rng = np.random.default_rng(18)
+state = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+state /= np.sqrt(np.sum(state.real ** 2 + state.imag ** 2))  # no BLAS
+digest = hashlib.sha256()
+for beta in (0.3123, 1.1, -0.7):
+    digest.update(apply_mixer(state.copy(), n, beta).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_mixer_bytes_independent_of_blas_threads():
+    """One BLAS thread or the default count: the same n=18 mixer bytes."""
+    digests = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", MIXER_HASH_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +290,19 @@ def test_sample_chi_square_uniform():
     observed[d.indices] = d.counts
     res = stats.chisquare(observed)
     assert res.pvalue > 0.001
+
+
+def test_sample_counts_match_unsorted_inversion():
+    """Sorting the draws first leaves every draw on the same basis state."""
+    m = build_ising(gen_regular(12, 3, 4))
+    state = evolve(m, AngleSchedule((0.6,), (0.35,)))
+    d = sample_state(state, m.vertex_order, shots=200_000, seed=21)
+    cdf = np.cumsum(probabilities(state))
+    draws = np.random.Generator(np.random.Philox(key=21)).random(200_000)
+    picks = np.clip(np.searchsorted(cdf, draws, side="right"), 0, len(cdf) - 1)
+    indices, counts = np.unique(picks, return_counts=True)
+    np.testing.assert_array_equal(d.indices, indices)
+    np.testing.assert_array_equal(d.counts, counts)
 
 
 def test_sample_requires_positive_shots(k2):
