@@ -97,6 +97,8 @@ def _parse_dimacs(text: str, path) -> tuple[int, list[tuple[int, int]]]:
                 n = int(parts[2])
             except ValueError:
                 raise ParseError("bad vertex count in problem line", path, lineno)
+            if n < 0:
+                raise ParseError(f"negative vertex count {n} in problem line", path, lineno)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line before problem line", path, lineno)
@@ -130,11 +132,13 @@ def _parse_matrix_market(text: str, path) -> tuple[int, list[tuple[int, int]]]:
                 rows, cols = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError("bad size line", path, lineno)
+            if rows < 0 or cols < 0:
+                raise ParseError(f"negative size {rows} x {cols} in size line", path, lineno)
             dims = max(rows, cols)
         else:
             try:
                 u, v = int(parts[0]), int(parts[1])
-            except ValueError:
+            except (IndexError, ValueError):
                 raise ParseError("malformed entry", path, lineno)
             if not (1 <= u <= dims and 1 <= v <= dims):
                 raise ParseError(f"entry ({u},{v}) out of range", path, lineno)
@@ -148,9 +152,11 @@ def load_graph_named(path: str | Path, fmt: str | None = None) -> tuple[Graph, t
     """Load a graph plus the original-label table (index -> source label)."""
     fmt = fmt or detect_format(path)
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ParseError(f"cannot read file: {err}", str(path)) from err
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not UTF-8 text: {err}", str(path)) from None
     if fmt == "edge_list":
         labels, raw = _parse_edge_list(text, str(path))
         n = len(labels)

@@ -44,16 +44,21 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _bit_reversed(indices: np.ndarray, n: int) -> np.ndarray:
-    rev = np.zeros_like(indices)
-    for j in range(n):
-        rev |= ((indices >> j) & 1) << (n - 1 - j)
-    return rev
-
-
 def lex_min_index(indices: np.ndarray, n: int) -> int:
-    """Index whose display bitstring is lexicographically smallest."""
-    return int(indices[np.argmin(_bit_reversed(indices, n))])
+    """Index whose display bitstring is lexicographically smallest.
+
+    Display position j is bit j, so the candidates narrow from bit 0 up:
+    at each bit those with a 0 there are kept, if there are any, until
+    one candidate is left.
+    """
+    candidates = indices
+    for j in range(n):
+        if candidates.size <= 1:
+            break
+        zeros = candidates[(candidates & (1 << j)) == 0]
+        if zeros.size:
+            candidates = zeros
+    return int(candidates[0])
 
 
 @dataclass(frozen=True)
@@ -97,13 +102,14 @@ class DistributionSummary:
 def _summarize(kind: str, shots: int | None, indices: np.ndarray,
                weights: np.ndarray, profits: np.ndarray, n: int,
                m_edges: int, opt_profit: int | None) -> DistributionSummary:
+    """Summary of a distribution over the sorted, unique basis ``indices``."""
     if indices.size == 0:
         raise DomainError("empty distribution")
     best_profit = float(np.max(profits))
     best_idx = lex_min_index(indices[profits == best_profit], n)
     top_w = np.max(weights)
     likely_idx = lex_min_index(indices[weights == top_w], n)
-    likely_profit = float(profits[np.flatnonzero(indices == likely_idx)[0]])
+    likely_profit = float(profits[np.searchsorted(indices, likely_idx)])
     mean_profit = float(np.sum(weights * profits))
 
     alpha = mass_opt = mass_90 = mass_80 = None
@@ -137,20 +143,21 @@ def _summarize(kind: str, shots: int | None, indices: np.ndarray,
 def summarize(dist: SampleDistribution, ising: IsingModel,
               opt_profit: int | None = None) -> DistributionSummary:
     """Summary of a sampled (finite-shot) distribution."""
-    profits = -ising.energies_vector()
+    # negate only the gathered energies; a zero energy still gives -0.0
+    profits = -ising.energies_vector()[dist.indices]
     weights = dist.counts / dist.shots
     return _summarize("sampled", dist.shots, dist.indices, weights,
-                      profits[dist.indices], ising.n, len(ising.j4), opt_profit)
+                      profits, ising.n, len(ising.j4), opt_profit)
 
 
 def summarize_exact(state: np.ndarray, ising: IsingModel,
                     opt_profit: int | None = None) -> DistributionSummary:
     """Summary of the exact statevector distribution (support = prob > 0)."""
-    profits = -ising.energies_vector()
     probs = probabilities(state)
     support = np.flatnonzero(probs > 0.0)
     return _summarize("exact", None, support, probs[support],
-                      profits[support], ising.n, len(ising.j4), opt_profit)
+                      -ising.energies_vector()[support], ising.n, len(ising.j4),
+                      opt_profit)
 
 
 @dataclass(frozen=True)

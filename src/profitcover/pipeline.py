@@ -185,9 +185,9 @@ class PipelineReport:
         return canonical_json(self.to_json_dict(with_timings=False))
 
 
-def _best_sampled_subset(dist, profits: np.ndarray,
+def _best_sampled_subset(dist, energies: np.ndarray,
                          vertex_order: tuple[int, ...]) -> frozenset[int]:
-    seen_profits = profits[dist.indices]
+    seen_profits = -energies[dist.indices]
     best = np.max(seen_profits)
     idx = lex_min_index(dist.indices[seen_profits == best], len(vertex_order))
     return subset_of_index(idx, vertex_order)
@@ -245,7 +245,6 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
             check_width(residual.n, config.max_qubits)
             ising = build_ising(residual)
             energies = ising.energies_vector()
-            profits = -energies
             t = time.perf_counter()
             if config.solver == "qaoa" and config.depth > 0:
                 schedule, train_log = train_layerwise(
@@ -264,7 +263,7 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
             timings["sample_s"] = time.perf_counter() - t
             sampled_summary = summarize(dist, ising, residual_opt_profit)
             exact_summary = summarize_exact(state, ising, residual_opt_profit)
-            raw = _best_sampled_subset(dist, profits, ising.vertex_order)
+            raw = _best_sampled_subset(dist, energies, ising.vertex_order)
             refined = refine(residual, raw, use_rules=config.postprocess_rules)
             check_refined(residual, raw, refined)
             two_qubit = schedule.p * residual.m

@@ -36,6 +36,13 @@ is cached as a prefix), and (gamma_k, beta_k) is optimized by
 Nelder-Mead restarted from a small fixed grid plus the warm start
 (0, 0). The zero pair is also evaluated directly; since gamma=beta=0 is
 an exact no-op, the best expectation can never get worse as depth grows.
+Layer 1 needs no statevector: at depth 1, <Z_u> and <Z_u Z_v> have
+closed forms local to the neighbourhoods of u and v (Ozaeta, van Dam
+and McMahon, arXiv:2012.03421), so ``depth1_objective`` evaluates <H>
+in O(n+m) instead of O(2^n). Layers 2 and up evaluate one phase and
+one mixer pass on the prefix state. Each layer's recorded expectation
+is that of the statevector after the trained layer, whichever objective
+trained it.
 
 Expectations use elementwise multiply plus np.sum (never a BLAS dot),
 keeping values bit-identical across thread counts. Sampling inverts the
@@ -321,12 +328,65 @@ def sample(ising: IsingModel, schedule: AngleSchedule, shots: int, seed: int,
     return sample_state(state, ising.vertex_order, shots, seed, schedule)
 
 
+def depth1_objective(ising: IsingModel):
+    """<H> after one QAOA layer in closed form, as ``(gamma, beta) -> float``.
+
+    With the phase exp(-i*g*H), the mixer RX(2*b) and bit 1 read as
+    z = -1, a model H = offset + sum_u h_u z_u + 1/4 sum_uv z_u z_v has,
+    for c = cos(g/2), d_u the degree of u and t_uv the number of common
+    neighbours of u and v,
+
+        <Z_u> = sin(2b) sin(2g h_u) c^d_u
+        <Z_u Z_v> = 1/2 sin(4b) sin(g/2) [cos(2g h_u) c^(d_u-1)
+                                          + cos(2g h_v) c^(d_v-1)]
+                    - 1/2 sin(2b)^2 c^(d_u+d_v-2-2t_uv)
+                      [cos(2g(h_u+h_v)) cos(g)^t_uv - cos(2g(h_u-h_v))]
+
+    The degrees, fields, edge endpoints and common-neighbour counts are
+    computed here once, so each call is O(n+m). Every coupling must be
+    1/4, as ``build_ising`` makes them; any other raises DomainError.
+    """
+    other = sorted({c for c in ising.j4.values() if c != 1})
+    if other:
+        raise DomainError(f"closed-form depth 1 needs every 4*J_uv = 1, got {other}")
+    pos = {v: j for j, v in enumerate(ising.vertex_order)}
+    nbrs: list[set[int]] = [set() for _ in range(ising.n)]
+    for u, v in ising.j4:
+        nbrs[pos[u]].add(pos[v])
+        nbrs[pos[v]].add(pos[u])
+    degree = np.array([len(nb) for nb in nbrs], dtype=np.int64)
+    field = np.array([ising.h4[v] for v in ising.vertex_order], dtype=np.float64) / 4.0
+    a = np.array([pos[u] for u, _ in ising.j4], dtype=np.intp)
+    b = np.array([pos[v] for _, v in ising.j4], dtype=np.intp)
+    common = np.array([len(nbrs[i] & nbrs[j]) for i, j in zip(a, b)], dtype=np.int64)
+    # neighbours of each endpoint besides the other endpoint, and the
+    # neighbours of exactly one endpoint
+    rest_a, rest_b = degree[a] - 1, degree[b] - 1
+    one_side = rest_a + rest_b - 2 * common
+    h_sum, h_diff = field[a] + field[b], field[a] - field[b]
+    offset = ising.offset
+
+    def value(gamma: float, beta: float) -> float:
+        c = np.cos(gamma / 2)
+        z = np.sin(2 * beta) * np.sin(2 * gamma * field) * c ** degree
+        cos_field = np.cos(2 * gamma * field)
+        zz = (0.5 * np.sin(4 * beta) * np.sin(gamma / 2)
+              * (cos_field[a] * c ** rest_a + cos_field[b] * c ** rest_b)
+              - 0.5 * np.sin(2 * beta) ** 2 * c ** one_side
+              * (np.cos(2 * gamma * h_sum) * np.cos(gamma) ** common
+                 - np.cos(2 * gamma * h_diff)))
+        return float(offset + np.sum(field * z) + 0.25 * np.sum(zz))
+
+    return value
+
+
 def train_layerwise(ising: IsingModel, p: int, *, maxfev: int = 40,
                     max_qubits: int = MAX_QUBITS) -> tuple[AngleSchedule, TrainLog]:
     """Greedy depth-by-depth angle optimization with a no-op fallback.
 
-    Layer k sees the frozen prefix state of layers 1..k-1, so each
-    objective call costs one phase and one mixer pass regardless of k.
+    Layer 1 is trained on the closed form of ``depth1_objective``. Layer
+    k >= 2 sees the frozen prefix state of layers 1..k-1, so each of its
+    objective calls costs one phase and one mixer pass regardless of k.
     """
     if p < 0:
         raise DomainError("depth must be non-negative")
@@ -346,11 +406,12 @@ def train_layerwise(ising: IsingModel, p: int, *, maxfev: int = 40,
         return expectation(state, energies)
 
     for layer in range(1, p + 1):
+        objective = depth1_objective(ising) if layer == 1 else layer_value
         evals = 1
-        candidates = [((0.0, 0.0), layer_value(0.0, 0.0))]
+        candidates = [((0.0, 0.0), objective(0.0, 0.0))]
         for start in ((0.0, 0.0),) + FIXED_STARTS:
             res = minimize(
-                lambda x: layer_value(x[0], x[1]),
+                lambda x: objective(x[0], x[1]),
                 np.asarray(start, dtype=np.float64),
                 method="Nelder-Mead",
                 options={"maxfev": maxfev, "xatol": 1e-6, "fatol": 1e-12},

@@ -135,6 +135,27 @@ def test_exit_2_on_malformed_file(tmp_path, capsys):
     assert run_cli("run", "--input", str(f)) == 2
 
 
+def test_exit_2_on_non_utf8_file(tmp_path, capsys):
+    f = tmp_path / "bad.edges"
+    f.write_bytes(b"\xff\xfe\x00\x01")
+    assert run_cli("run", "--input", str(f)) == 2
+    captured = capsys.readouterr()
+    assert "UTF-8" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("name,text", [
+    ("neg.col", "p edge -3 0\n"),
+    ("neg.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n-2 -2 0\n"),
+])
+def test_exit_2_on_negative_vertex_count(tmp_path, capsys, name, text):
+    f = tmp_path / name
+    f.write_text(text)
+    assert run_cli("run", "--input", str(f)) == 2
+    captured = capsys.readouterr()
+    assert f"{name}:" in captured.err and "negative" in captured.err
+    assert captured.out == ""
+
+
 def test_exit_3_on_capacity(capsys):
     code = run_cli("run", "--gen", "er:n=28,p=0.2,seed=1",
                    "--skip-preprocess")

@@ -1,11 +1,14 @@
 """File parsers and the two synthetic graph families."""
 
 import itertools
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from profitcover.errors import DomainError, ParseError
-from profitcover.graph import is_connected
+from profitcover.graph import Graph, is_connected
 from profitcover.instances import (
     detect_format,
     gen_erdos_renyi_connected,
@@ -133,6 +136,93 @@ def test_format_override(tmp_path):
     f.write_text("p edge 2 1\ne 1 2\n")
     g = load_graph(f, fmt="dimacs")
     assert (g.n, g.m) == (2, 1)
+
+
+def test_non_utf8_file_is_parse_error(tmp_path):
+    f = tmp_path / "g.edges"
+    f.write_bytes(b"\xff\xfe\x00\x01")
+    with pytest.raises(ParseError, match="UTF-8"):
+        load_graph_named(f)
+
+
+@pytest.mark.parametrize("name,text,line", [
+    ("g.col", "c negative\np edge -3 0\n", 2),
+    ("g.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n-2 -2 0\n", 2),
+    ("g.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n3 -1 0\n", 2),
+])
+def test_negative_vertex_count_is_parse_error(tmp_path, name, text, line):
+    f = tmp_path / name
+    f.write_text(text)
+    with pytest.raises(ParseError, match="negative") as exc:
+        load_graph(f)
+    assert exc.value.line == line
+
+
+def test_matrix_market_one_token_entry(tmp_path):
+    f = tmp_path / "g.mtx"
+    f.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 1\n2\n")
+    with pytest.raises(ParseError) as exc:
+        load_graph(f)
+    assert exc.value.line == 3
+
+
+# ---------------------------------------------------------------------------
+# loader fuzzing: any input loads or raises ParseError/DomainError
+
+FORMATS = {"edge_list": "g.edges", "dimacs": "g.col", "matrix_market": "g.mtx"}
+
+# a run of 5 or more digits could declare a huge vertex count and allocate
+# a huge graph; the inputs stay below 10^4 vertices
+_LONG_NUMBER = re.compile(r"\d{5,}")
+
+_TOKENS = st.one_of(
+    st.integers(-5, 3000).map(str),
+    st.sampled_from(["p", "e", "c", "edge", "col", "%", "#", "%%MatrixMarket",
+                     "matrix", "coordinate", "0", "-0", "1.5", "1e3", "nan", "x"]),
+    st.text(max_size=3),
+)
+_LINES = st.lists(st.lists(_TOKENS, max_size=5).map(" ".join), max_size=12)
+_TEXTS = st.one_of(_LINES.map("\n".join), st.text(max_size=80))
+
+# headers that get a text past each parser's first checks
+_PRELUDES = {
+    "edge_list": ("", "# comment"),
+    "dimacs": ("", "c comment", "p edge 6 4"),
+    "matrix_market": ("", "%%MatrixMarket matrix coordinate pattern symmetric",
+                      "%%MatrixMarket matrix coordinate pattern symmetric\n6 6 4"),
+}
+
+
+def _load_or_reject(path, fmt):
+    try:
+        g, names = load_graph_named(path, fmt)
+    except (ParseError, DomainError):
+        return
+    assert isinstance(g, Graph) and g.n == len(names) >= 1
+
+
+@pytest.mark.filterwarnings("ignore:.*dropped")
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(FORMATS)), st.integers(0, 2),
+       _TEXTS.filter(lambda text: not _LONG_NUMBER.search(text)))
+def test_loaders_accept_or_reject_any_text(tmp_path, fmt, prelude, text):
+    head = _PRELUDES[fmt][prelude % len(_PRELUDES[fmt])]
+    f = tmp_path / FORMATS[fmt]
+    f.write_text(f"{head}\n{text}" if head else text, encoding="utf-8")
+    _load_or_reject(f, fmt)
+
+
+@pytest.mark.filterwarnings("ignore:.*dropped")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(FORMATS)),
+       st.binary(max_size=120).filter(
+           lambda raw: not _LONG_NUMBER.search(raw.decode("utf-8", "ignore"))))
+def test_loaders_accept_or_reject_any_bytes(tmp_path, fmt, raw):
+    f = tmp_path / FORMATS[fmt]
+    f.write_bytes(raw)
+    _load_or_reject(f, fmt)
 
 
 # ---------------------------------------------------------------------------

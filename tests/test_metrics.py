@@ -122,6 +122,26 @@ def test_lex_min_index_bit_reversal():
     assert lex_min_index(idxs, 3) == 4
 
 
+def _lex_min_by_bit_reversal(indices, n):
+    """The bit-reversal pick that the narrowing replaced, as a reference."""
+    rev = np.zeros_like(indices)
+    for j in range(n):
+        rev |= ((indices >> j) & 1) << (n - 1 - j)
+    return int(indices[np.argmin(rev)])
+
+
+def test_lex_min_index_matches_bit_reversal():
+    rng = np.random.default_rng(119)
+    for n in range(1, 13):
+        full = np.arange(1 << n, dtype=np.int64)
+        sets = [full, full[::-1].copy(), full[-1:], full[:1]]
+        for _ in range(40):
+            size = int(rng.integers(1, (1 << n) + 1))
+            sets.append(rng.choice(full, size, replace=False))
+        for indices in sets:
+            assert lex_min_index(indices, n) == _lex_min_by_bit_reversal(indices, n)
+
+
 def test_threshold_is_integer_exact():
     """A profit of exactly 0.9*opt counts toward mass_90.
 

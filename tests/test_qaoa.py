@@ -15,16 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import minimize
 
 from profitcover import qaoa
 from profitcover.errors import CapacityError, DomainError
 from profitcover.instances import gen_regular
-from profitcover.model import build_ising, subset_of_index
+from profitcover.graph import Graph
+from profitcover.model import IsingModel, build_ising, subset_of_index
 from profitcover.qaoa import (
+    FIXED_STARTS,
     AngleSchedule,
     apply_mixer,
     apply_phase,
     check_width,
+    depth1_objective,
     evolve,
     evolve_energies,
     expectation,
@@ -36,7 +40,7 @@ from profitcover.qaoa import (
     uniform_state,
 )
 
-from conftest import complete_graph, cycle_graph, random_gnp
+from conftest import complete_graph, cycle_graph, random_gnp, star_graph
 
 
 def _rand_schedule(p, seed):
@@ -405,6 +409,101 @@ def test_train_deterministic(k3):
     s1, _ = train_layerwise(m, 2)
     s2, _ = train_layerwise(m, 2)
     assert s1 == s2
+
+
+# ---------------------------------------------------------------------------
+# closed-form depth 1
+
+
+def _closed_form_family():
+    """200 seeded graphs: ER (triangles included), cycles, stars, and
+    graphs with an isolated vertex and sparse labels."""
+    graphs = [random_gnp(2 + k % 11, (0.3, 0.6, 0.9)[k % 3], 4100 + k)
+              for k in range(170)]
+    graphs += [cycle_graph(n) for n in range(3, 13)]
+    graphs += [star_graph(leaves) for leaves in range(1, 11)]
+    for k in range(10):
+        g = random_gnp(3 + k % 8, 0.6, 4300 + k)
+        labels = [7 * v + 3 for v in g.vertices] + [1000]  # 1000 is isolated
+        graphs.append(Graph(labels, [(7 * u + 3, 7 * v + 3) for u, v in g.edges]))
+    return graphs
+
+
+def test_depth1_closed_form_matches_statevector():
+    rng = np.random.default_rng(2012_03421)
+    graphs = _closed_form_family()
+    assert len(graphs) == 200
+    for k, g in enumerate(graphs):
+        m = build_ising(g)
+        value = depth1_objective(m)
+        angles = [(0.0, 0.0), (-0.5, 7.0), (7.5, -1.2)]
+        angles += [tuple(rng.uniform(-3 * np.pi, 3 * np.pi, 2)) for _ in range(3)]
+        for gamma, beta in angles:
+            ref = expectation_value(m, AngleSchedule((gamma,), (beta,)))
+            assert abs(value(gamma, beta) - ref) <= 1e-12, (k, gamma, beta)
+
+
+def _statevector_layer1(m):
+    """Layer-1 training on the statevector objective the closed form replaced."""
+    energies = m.energies_vector()
+    prefix = uniform_state(m.n)
+
+    def layer_value(gamma, beta):
+        state = apply_phase(prefix, energies, gamma)
+        apply_mixer(state, m.n, beta)
+        return expectation(state, energies)
+
+    evals = 1
+    candidates = [((0.0, 0.0), layer_value(0.0, 0.0))]
+    for start in ((0.0, 0.0),) + FIXED_STARTS:
+        res = minimize(
+            lambda x: layer_value(x[0], x[1]),
+            np.asarray(start, dtype=np.float64),
+            method="Nelder-Mead",
+            options={"maxfev": 40, "xatol": 1e-6, "fatol": 1e-12},
+        )
+        evals += int(res.nfev)
+        candidates.append(((float(res.x[0]), float(res.x[1])), float(res.fun)))
+    (gamma, beta), _ = min(candidates, key=lambda c: c[1])
+    return gamma, beta, evals
+
+
+@pytest.mark.parametrize("g", [
+    random_gnp(9, 0.45, 4400), random_gnp(10, 0.6, 4401), cycle_graph(8),
+    gen_regular(12, 3, 4402), star_graph(6),
+], ids=["er9", "er10", "c8", "r3-12", "star6"])
+def test_layer1_training_matches_statevector_objective(g):
+    m = build_ising(g)
+    schedule, log = train_layerwise(m, 1)
+    gamma, beta, evals = _statevector_layer1(m)
+    assert schedule.gammas[0] == pytest.approx(gamma, abs=1e-9)
+    assert schedule.betas[0] == pytest.approx(beta, abs=1e-9)
+    assert log.layers[0].n_evals == evals
+    # the recorded expectation is still the statevector's
+    assert log.expectations[0] == expectation_value(m, schedule)
+
+
+def test_layer1_training_runs_one_mixer(monkeypatch):
+    calls = []
+
+    def counting_mixer(state, n, beta):
+        calls.append(beta)
+        return apply_mixer(state, n, beta)
+
+    monkeypatch.setattr(qaoa, "apply_mixer", counting_mixer)
+    _, log = train_layerwise(build_ising(gen_regular(12, 3, 4403)), 1)
+    assert log.total_evals > 100
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("coupling", [2, -1, 0])
+def test_depth1_rejects_couplings_other_than_a_quarter(coupling):
+    m = build_ising(cycle_graph(5))
+    other = IsingModel(m.vertex_order, m.h4, {e: coupling for e in m.j4}, m.const4)
+    with pytest.raises(DomainError, match="4\\*J_uv"):
+        depth1_objective(other)
+    with pytest.raises(DomainError):
+        train_layerwise(other, 1)
 
 
 @settings(max_examples=25, deadline=None)
