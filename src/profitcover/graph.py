@@ -52,13 +52,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._adj
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self._adj.get(u)
-        return nb is not None and v in nb
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         try:
             return self._adj[v]

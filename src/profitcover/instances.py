@@ -3,7 +3,9 @@
 File formats: whitespace edge lists (# comments), DIMACS (p/e lines,
 1-based) and Matrix Market symmetric patterns (1-based). Loaded graphs are
 relabelled to dense 0..n-1 indices; the original labels are returned
-alongside so reports can translate back.
+alongside so reports can translate back. A DIMACS or MatrixMarket header
+may declare at most ``MAX_DECLARED_VERTICES`` vertices, so a tiny file
+cannot ask for a graph that fills memory.
 
 Generators cover the two synthetic families used throughout: connected
 Erdős–Rényi graphs (rejection sampling until connected) and d-regular
@@ -26,6 +28,9 @@ from .graph import Graph, is_connected
 
 _CONNECT_ATTEMPTS = 1000
 _PAIRING_ATTEMPTS = 2000
+# largest vertex count a DIMACS or MatrixMarket header may declare: a graph
+# costs about 0.9 KiB per vertex, so this caps a loaded file near 90 MiB
+MAX_DECLARED_VERTICES = 100_000
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -99,6 +104,9 @@ def _parse_dimacs(text: str, path) -> tuple[int, list[tuple[int, int]]]:
                 raise ParseError("bad vertex count in problem line", path, lineno)
             if n < 0:
                 raise ParseError(f"negative vertex count {n} in problem line", path, lineno)
+            if n > MAX_DECLARED_VERTICES:
+                raise ParseError(f"vertex count {n} in problem line is above the limit"
+                                 f" of {MAX_DECLARED_VERTICES}", path, lineno)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line before problem line", path, lineno)
@@ -135,6 +143,9 @@ def _parse_matrix_market(text: str, path) -> tuple[int, list[tuple[int, int]]]:
             if rows < 0 or cols < 0:
                 raise ParseError(f"negative size {rows} x {cols} in size line", path, lineno)
             dims = max(rows, cols)
+            if dims > MAX_DECLARED_VERTICES:
+                raise ParseError(f"size {rows} x {cols} in size line is above the limit"
+                                 f" of {MAX_DECLARED_VERTICES} vertices", path, lineno)
         else:
             try:
                 u, v = int(parts[0]), int(parts[1])

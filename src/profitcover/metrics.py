@@ -32,7 +32,7 @@ from .qaoa import (
     TrainLog,
     apply_mixer,
     apply_phase,
-    expectation,
+    check_probabilities,
     probabilities,
     train_layerwise,
     uniform_state,
@@ -150,10 +150,11 @@ def summarize(dist: SampleDistribution, ising: IsingModel,
                       profits, ising.n, len(ising.j4), opt_profit)
 
 
-def summarize_exact(state: np.ndarray, ising: IsingModel,
+def summarize_exact(probs: np.ndarray, ising: IsingModel,
                     opt_profit: int | None = None) -> DistributionSummary:
-    """Summary of the exact statevector distribution (support = prob > 0)."""
-    probs = probabilities(state)
+    """Summary of the exact distribution ``probs = probabilities(state)``
+    of a statevector (support = prob > 0)."""
+    check_probabilities(probs)
     support = np.flatnonzero(probs > 0.0)
     return _summarize("exact", None, support, probs[support],
                       -ising.energies_vector()[support], ising.n, len(ising.j4),
@@ -193,8 +194,7 @@ class DepthSweep:
 
 
 def depth_sweep(ising: IsingModel, p_list, *, opt_profit: int | None = None,
-                maxfev: int = 40, max_qubits: int = MAX_QUBITS,
-                trainer=train_layerwise) -> DepthSweep:
+                maxfev: int = 40, max_qubits: int = MAX_QUBITS) -> DepthSweep:
     """Train once to max(p_list) and report exact metrics at those depths.
 
     Depth d reuses the trained prefix (gamma_1..d, beta_1..d), so the
@@ -205,23 +205,27 @@ def depth_sweep(ising: IsingModel, p_list, *, opt_profit: int | None = None,
     if not depths or depths[0] < 0:
         raise DomainError("depth list must contain non-negative depths")
     p_max = depths[-1]
-    schedule, log = trainer(ising, p_max, maxfev=maxfev, max_qubits=max_qubits)
+    schedule, log, _ = train_layerwise(ising, p_max, maxfev=maxfev,
+                                       max_qubits=max_qubits)
     energies = ising.energies_vector()
     n = ising.n
+
+    def point(d, gamma, beta, state):
+        probs = probabilities(state)
+        # the same sum as qaoa.expectation, from the same probabilities
+        return DepthPoint(d, gamma, beta, float(np.sum(probs * energies)),
+                          summarize_exact(probs, ising, opt_profit))
+
     state = uniform_state(n)
     points = []
     if 0 in depths:
-        points.append(DepthPoint(
-            0, None, None, expectation(state, energies),
-            summarize_exact(state, ising, opt_profit)))
+        points.append(point(0, None, None, state))
     for d in range(1, p_max + 1):
         gamma, beta = schedule.gammas[d - 1], schedule.betas[d - 1]
         state = apply_phase(state, energies, gamma)
         apply_mixer(state, n, beta)
         if d in depths:
-            points.append(DepthPoint(
-                d, gamma, beta, expectation(state, energies),
-                summarize_exact(state, ising, opt_profit)))
+            points.append(point(d, gamma, beta, state))
     return DepthSweep(schedule, log, tuple(points))
 
 

@@ -66,8 +66,19 @@ def _reduce_pendants(adj: Adj, cover: set[int]) -> None:
     resolves pendants in another order, which changes which of several
     optimal covers branch and bound returns (see the reg50 case in
     tests/test_golden.py).
+
+    The queue starts with the vertices of degree 0 or 1 only. A vertex
+    whose degree drops is pushed when it drops, and the stack drains
+    everything pushed on top before the next initial entry, so an initial
+    entry of degree 2 or more would be a no-op when popped; leaving them
+    out keeps the processing order. That order follows the iteration
+    order of the neighbour sets (``for x in adj[w]``), which depends on
+    CPython's set layout, so which optimum is returned depends on how
+    each set was built: ``_solve`` copies every set per node, and
+    reusing the parent's sets instead returns other covers of the same
+    size on some graphs.
     """
-    queue = sorted(adj)
+    queue = sorted(v for v, nb in adj.items() if len(nb) <= 1)
     while queue:
         v = queue.pop()
         nb = adj.get(v)

@@ -43,9 +43,10 @@ from .qaoa import (
     SampleDistribution,
     TrainLog,
     check_width,
-    evolve_energies,
+    probabilities,
     sample_state,
     train_layerwise,
+    uniform_state,
 )
 
 PROBLEMS = ("minvc", "maxis", "maxcl")
@@ -247,22 +248,23 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
             energies = ising.energies_vector()
             t = time.perf_counter()
             if config.solver == "qaoa" and config.depth > 0:
-                schedule, train_log = train_layerwise(
+                # training ends on the trained state; it is not evolved again
+                schedule, train_log, state = train_layerwise(
                     ising, config.depth, maxfev=config.maxfev,
                     max_qubits=config.max_qubits)
             else:
                 schedule = AngleSchedule((), ())
                 train_log = TrainLog(())
+                state = uniform_state(ising.n)
             timings["train_s"] = time.perf_counter() - t
 
-            state = evolve_energies(energies, ising.n, schedule,
-                                    max_qubits=config.max_qubits)
             t = time.perf_counter()
-            dist = sample_state(state, ising.vertex_order, config.shots,
+            probs = probabilities(state)
+            dist = sample_state(probs, ising.vertex_order, config.shots,
                                 config.seed, schedule)
             timings["sample_s"] = time.perf_counter() - t
             sampled_summary = summarize(dist, ising, residual_opt_profit)
-            exact_summary = summarize_exact(state, ising, residual_opt_profit)
+            exact_summary = summarize_exact(probs, ising, residual_opt_profit)
             raw = _best_sampled_subset(dist, energies, ising.vertex_order)
             refined = refine(residual, raw, use_rules=config.postprocess_rules)
             check_refined(residual, raw, refined)

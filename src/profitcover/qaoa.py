@@ -19,6 +19,12 @@ ceil(n/k) passes every qubit has moved by n places in total and is back
 where it started, so the mixer reads and writes the state ceil(n/k)
 times instead of n times, and each pass is one BLAS call. Two buffers
 take turns as input and output; the result ends in the caller's array.
+The block itself is built by indexing, not by np.kron: entry (r, q) of
+RX(2*beta)^{(x)k} is the product of the 2x2 entries RX[r_j, q_j] over
+the bits j of r and q, and ``_rx_power`` gathers those entries with
+index arrays computed once per k and multiplies them in kron's order,
+so the block has the same bytes as the kron product at a fraction of
+its cost.
 
 The matmul goes through BLAS, so thread counts matter. Each output
 amplitude is one inner product of length 2^k; OpenBLAS splits a matmul
@@ -42,11 +48,15 @@ and McMahon, arXiv:2012.03421), so ``depth1_objective`` evaluates <H>
 in O(n+m) instead of O(2^n). Layers 2 and up evaluate one phase and
 one mixer pass on the prefix state. Each layer's recorded expectation
 is that of the statevector after the trained layer, whichever objective
-trained it.
+trained it. Training returns that final prefix state with the angles,
+and it is the state a pipeline run samples and summarizes, so the
+trained circuit is evolved once per run.
 
 Expectations use elementwise multiply plus np.sum (never a BLAS dot),
 keeping values bit-identical across thread counts. Sampling inverts the
-cumulative distribution with a counter-based Philox generator.
+cumulative distribution of the probability vector with a counter-based
+Philox generator; callers compute ``probabilities(state)`` once and hand
+the same vector to sampling and to the exact summary.
 """
 
 from __future__ import annotations
@@ -198,12 +208,33 @@ def apply_phase(state: np.ndarray, energies: np.ndarray, gamma: float) -> np.nda
     return state * np.exp(-1j * gamma * np.arange(lo, hi + 1.0)).take(levels)
 
 
+def _block_picks(k: int) -> np.ndarray:
+    """(k, 2^k, 2^k) array: entry [j, r, q] is the entry of the flattened
+    2x2 RX that bit j of row r and column q selects, 2*r_j + q_j."""
+    idx = np.arange(1 << k)
+    bit = np.arange(k)[:, None, None]
+    picks = 2 * (idx[:, None] >> bit & 1) + (idx[None, :] >> bit & 1)
+    picks.flags.writeable = False
+    return picks
+
+
+# indexed by k, for every block width a mixer pass uses
+_BLOCK_PICKS = tuple(_block_picks(k) for k in range(MIXER_BLOCK + 1))
+
+
 def _rx_power(c: float, s: float, k: int) -> np.ndarray:
-    """RX(2*beta) on each of k qubits, as one 2^k x 2^k matrix."""
-    rx = np.array([[c, -1j * s], [-1j * s, c]])
-    gate = rx
-    for _ in range(k - 1):
-        gate = np.kron(rx, gate)
+    """RX(2*beta) on each of k <= MIXER_BLOCK qubits, as one 2^k x 2^k matrix.
+
+    Entry (r, q) is the product over bits j of RX[r_j, q_j], multiplied
+    from bit 0 up with each new factor on the left, which is the order
+    and operand order of k-1 nested np.kron(rx, gate) calls, so the
+    bytes are the same.
+    """
+    picks = _BLOCK_PICKS[k]
+    rx = np.array([[c, -1j * s], [-1j * s, c]]).ravel()
+    gate = rx[picks[0]]
+    for j in range(1, k):
+        gate = rx[picks[j]] * gate
     return gate
 
 
@@ -274,9 +305,6 @@ class SampleDistribution:
     counts: np.ndarray  # matching positive counts, int64
     schedule: AngleSchedule | None = None
 
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.shots
-
     def subsets(self):
         n = len(self.vertex_order)
         for idx in self.indices:
@@ -299,12 +327,21 @@ class SampleDistribution:
         }
 
 
-def sample_state(state: np.ndarray, vertex_order: tuple[int, ...], shots: int,
+def check_probabilities(probs: np.ndarray) -> None:
+    """Reject a complex array where a probability vector belongs."""
+    if np.iscomplexobj(probs):
+        raise DomainError("expected probabilities, got a complex state; "
+                          "pass probabilities(state)")
+
+
+def sample_state(probs: np.ndarray, vertex_order: tuple[int, ...], shots: int,
                  seed: int, schedule: AngleSchedule | None = None) -> SampleDistribution:
-    """Draw measurement outcomes by inverting the cumulative distribution."""
+    """Draw measurement outcomes from the probability vector ``probs`` of
+    a state by inverting its cumulative distribution."""
+    check_probabilities(probs)
     if shots <= 0:
         raise DomainError("shots must be positive")
-    cdf = np.cumsum(probabilities(state))
+    cdf = np.cumsum(probs)
     draws = _rng(seed).random(shots)
     # sorted draws map to the same indices, but the searches walk the
     # cdf in order instead of missing cache at random
@@ -324,8 +361,8 @@ def sample_state(state: np.ndarray, vertex_order: tuple[int, ...], shots: int,
 
 def sample(ising: IsingModel, schedule: AngleSchedule, shots: int, seed: int,
            max_qubits: int = MAX_QUBITS) -> SampleDistribution:
-    state = evolve(ising, schedule, max_qubits)
-    return sample_state(state, ising.vertex_order, shots, seed, schedule)
+    probs = probabilities(evolve(ising, schedule, max_qubits))
+    return sample_state(probs, ising.vertex_order, shots, seed, schedule)
 
 
 def depth1_objective(ising: IsingModel):
@@ -381,12 +418,16 @@ def depth1_objective(ising: IsingModel):
 
 
 def train_layerwise(ising: IsingModel, p: int, *, maxfev: int = 40,
-                    max_qubits: int = MAX_QUBITS) -> tuple[AngleSchedule, TrainLog]:
+                    max_qubits: int = MAX_QUBITS,
+                    ) -> tuple[AngleSchedule, TrainLog, np.ndarray]:
     """Greedy depth-by-depth angle optimization with a no-op fallback.
 
     Layer 1 is trained on the closed form of ``depth1_objective``. Layer
     k >= 2 sees the frozen prefix state of layers 1..k-1, so each of its
     objective calls costs one phase and one mixer pass regardless of k.
+    Returns the schedule, the log and the state after all p trained
+    layers (the uniform state when p is 0), which has the same bytes as
+    ``evolve_energies`` on the returned schedule.
     """
     if p < 0:
         raise DomainError("depth must be non-negative")
@@ -426,4 +467,4 @@ def train_layerwise(ising: IsingModel, p: int, *, maxfev: int = 40,
         gammas.append(gamma)
         betas.append(beta)
         records.append(LayerRecord(layer, gamma, beta, expectation(prefix, energies), evals))
-    return AngleSchedule(tuple(gammas), tuple(betas)), TrainLog(tuple(records))
+    return AngleSchedule(tuple(gammas), tuple(betas)), TrainLog(tuple(records)), prefix

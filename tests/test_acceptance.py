@@ -51,7 +51,8 @@ from profitcover.model import build_ising
 from profitcover.oracle import max_profit_exact, min_vertex_cover_exact
 from profitcover.pipeline import PipelineConfig, run_pipeline
 from profitcover.postprocess import refine
-from profitcover.qaoa import AngleSchedule, evolve, expectation_value, sample, train_layerwise, uniform_state
+from profitcover.qaoa import (AngleSchedule, evolve, expectation_value, probabilities, sample,
+                              train_layerwise, uniform_state)
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data" / "instances"
 FETCH_HINT = "download it with scripts/fetch_instances.py"
@@ -372,7 +373,7 @@ def test_criterion_7_metrics_sanity():
     failures = []
 
     k2 = build_ising(complete_graph(2))
-    s = summarize_exact(uniform_state(2), k2, 0)
+    s = summarize_exact(probabilities(uniform_state(2)), k2, 0)
     EMITTED_SUMMARIES.append(s)
     if s.mass_optimal != 0.75:
         failures.append(f"K2 uniform mass_optimal {s.mass_optimal!r} != 0.75")
@@ -383,8 +384,8 @@ def test_criterion_7_metrics_sanity():
         g = gen_erdos_renyi_connected(n, p, seed)
         ising = build_ising(g)
         _, opt = max_profit_exact(g)
-        schedule, _ = train_layerwise(ising, 2)
-        exact = summarize_exact(evolve(ising, schedule), ising, opt)
+        schedule, _, _ = train_layerwise(ising, 2)
+        exact = summarize_exact(probabilities(evolve(ising, schedule)), ising, opt)
         sampled = summarize(sample(ising, schedule, 10**6, seed=77), ising, opt)
         EMITTED_SUMMARIES.extend((exact, sampled))
         for fieldname in compared:

@@ -156,6 +156,20 @@ def test_exit_2_on_negative_vertex_count(tmp_path, capsys, name, text):
     assert captured.out == ""
 
 
+# one vertex above the cap, so a missing cap costs one 10^5-vertex graph
+@pytest.mark.parametrize("name,text", [
+    ("huge.col", "p edge 100001 0\n"),
+    ("huge.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n100001 100001 0\n"),
+])
+def test_exit_2_on_vertex_count_above_the_cap(tmp_path, capsys, name, text):
+    f = tmp_path / name
+    f.write_text(text)
+    assert run_cli("run", "--input", str(f)) == 2
+    captured = capsys.readouterr()
+    assert f"{name}:" in captured.err and "above the limit" in captured.err
+    assert captured.out == ""
+
+
 def test_exit_3_on_capacity(capsys):
     code = run_cli("run", "--gen", "er:n=28,p=0.2,seed=1",
                    "--skip-preprocess")

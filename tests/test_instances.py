@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from profitcover.errors import DomainError, ParseError
 from profitcover.graph import Graph, is_connected
+from profitcover import instances
 from profitcover.instances import (
     detect_format,
     gen_erdos_renyi_connected,
@@ -156,6 +158,46 @@ def test_negative_vertex_count_is_parse_error(tmp_path, name, text, line):
     with pytest.raises(ParseError, match="negative") as exc:
         load_graph(f)
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("name,text", [
+    ("g.col", "p edge 100000000 0\n"),
+    ("g.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n100000000 100000000 0\n"),
+    ("g.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n3 100001 0\n"),
+])
+def test_declared_vertex_count_above_the_cap_is_parse_error(tmp_path, name, text):
+    # the parser alone allocates nothing per vertex, so a missing cap fails
+    # here instead of building a graph of 10^8 vertices below
+    parse = instances._parse_dimacs if name.endswith(".col") else instances._parse_matrix_market
+    with pytest.raises(ParseError, match="above the limit"):
+        parse(text, name)
+    f = tmp_path / name
+    f.write_text(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="above the limit") as exc:
+            load_graph(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.line == text.count("\n")
+    assert peak < 1 << 20  # rejected before a vertex is allocated
+
+
+@pytest.mark.parametrize("name,header", [
+    ("g.col", "p edge {} 1\n"),
+    ("g.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n{} {} 1\n"),
+])
+def test_declared_vertex_count_at_the_cap_loads(tmp_path, monkeypatch, name, header):
+    # a small cap, so the boundary is checked without a 10^5-vertex graph
+    monkeypatch.setattr(instances, "MAX_DECLARED_VERTICES", 6)
+    edge = "e 1 6\n" if name == "g.col" else "1 6\n"
+    f = tmp_path / name
+    f.write_text(header.format(6, 6) + edge)
+    assert load_graph(f).n == 6
+    f.write_text(header.format(7, 7) + edge)
+    with pytest.raises(ParseError, match="above the limit of 6"):
+        load_graph(f)
 
 
 def test_matrix_market_one_token_entry(tmp_path):

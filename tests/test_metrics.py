@@ -24,6 +24,7 @@ from profitcover.oracle import max_profit_exact
 from profitcover.qaoa import (
     AngleSchedule,
     SampleDistribution,
+    probabilities,
     sample,
     uniform_state,
 )
@@ -195,10 +196,11 @@ def test_sampled_close_to_exact_at_many_shots():
     m = build_ising(g)
     _, opt = max_profit_exact(g)
     state = uniform_state(m.n)
-    exact = summarize_exact(state, m, opt)
+    exact = summarize_exact(probabilities(state), m, opt)
     from profitcover.qaoa import sample_state
 
-    sampled = summarize(sample_state(state, m.vertex_order, 1_000_000, 7), m, opt)
+    sampled = summarize(sample_state(probabilities(state), m.vertex_order, 1_000_000, 7),
+                        m, opt)
     assert sampled.mass_optimal == pytest.approx(exact.mass_optimal, abs=0.01)
     assert sampled.mass_90 == pytest.approx(exact.mass_90, abs=0.01)
     assert sampled.mass_80 == pytest.approx(exact.mass_80, abs=0.01)
@@ -206,9 +208,15 @@ def test_sampled_close_to_exact_at_many_shots():
         exact.weighted_average_profit, abs=0.05)
 
 
+def test_exact_summary_rejects_a_state(k3):
+    m = build_ising(k3)
+    with pytest.raises(DomainError, match="probabilities"):
+        summarize_exact(uniform_state(3), m, opt_profit=1)
+
+
 def test_exact_summary_kind_and_shots(k3):
     m = build_ising(k3)
-    s = summarize_exact(uniform_state(3), m, opt_profit=1)
+    s = summarize_exact(probabilities(uniform_state(3)), m, opt_profit=1)
     assert s.kind == "exact" and s.shots is None
     assert s.n_distinct == 8
     # profit 1 is attained by all three singletons and all three pairs
@@ -243,7 +251,7 @@ def test_depth_sweep_p0_is_uniform():
     assert len(sweep.points) == 1
     pt = sweep.points[0]
     assert pt.depth == 0 and pt.gamma is None
-    uniform = summarize_exact(uniform_state(m.n), m, opt)
+    uniform = summarize_exact(probabilities(uniform_state(m.n)), m, opt)
     assert pt.summary.mass_optimal == uniform.mass_optimal
     assert pt.expectation == pytest.approx(m.offset, abs=1e-12)
 

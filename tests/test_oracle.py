@@ -7,6 +7,7 @@ package oracle uses.
 
 import pytest
 
+from profitcover import oracle
 from profitcover.errors import CapacityError
 from profitcover.graph import complement, is_vertex_cover
 from profitcover.oracle import (
@@ -149,3 +150,35 @@ def test_deterministic_results():
     a = min_vertex_cover_exact(g)
     b = min_vertex_cover_exact(g)
     assert a.opt_cover == b.opt_cover and a.opt_size == b.opt_size
+
+
+def _reduce_pendants_from_every_vertex(adj, cover):
+    """The pendant reduction with the queue started from every vertex."""
+    queue = sorted(adj)
+    while queue:
+        v = queue.pop()
+        nb = adj.get(v)
+        if nb is None:
+            continue
+        if not nb:
+            del adj[v]
+        elif len(nb) == 1:
+            w = next(iter(nb))
+            for x in adj[w]:
+                if x != v:
+                    adj[x].discard(w)
+                    queue.append(x)
+            del adj[w]
+            del adj[v]
+            cover.add(w)
+
+
+def test_pendant_queue_of_low_degree_vertices_keeps_the_covers(monkeypatch):
+    """Starting the queue from degree <= 1 vertices returns the same
+    cover, not just one of the same size, on sparse graphs past the
+    exhaustive range, where branch and bound and its pendant reduction run."""
+    graphs = [random_gnp(21 + seed % 24, (1.5 + seed % 5) / (21 + seed % 24), 4800 + seed)
+              for seed in range(60)]
+    covers = [min_vertex_cover_exact(g).opt_cover for g in graphs]
+    monkeypatch.setattr(oracle, "_reduce_pendants", _reduce_pendants_from_every_vertex)
+    assert covers == [min_vertex_cover_exact(g).opt_cover for g in graphs]

@@ -12,6 +12,7 @@ from profitcover.graph import (
     is_independent_set,
     is_vertex_cover,
 )
+from profitcover import metrics, pipeline, qaoa
 from profitcover.instances import load_graph
 from profitcover.pipeline import (
     REPORT_CSV_FIELDS,
@@ -257,3 +258,41 @@ def test_reference_cover_size_consistency():
         report = run_pipeline(g, PipelineConfig(problem="minvc", solver="exact"))
         assert report.reference_cover_size == brute_min_cover_size(g)
         assert report.cover_size == report.reference_cover_size
+
+
+@pytest.mark.parametrize("solver,depth", [("qaoa", 2), ("qaoa", 0), ("random", 0)])
+def test_run_pipeline_evolves_once_and_squares_once(monkeypatch, solver, depth):
+    """The trained state is sampled as training left it, and its
+    probabilities are computed once for sampling and the exact summary."""
+    calls = {"evolve": 0, "probabilities": 0}
+    training = [False]
+    evolve_energies, probabilities = qaoa.evolve_energies, qaoa.probabilities
+    train_layerwise = pipeline.train_layerwise
+
+    def counting_evolve(*args, **kwargs):
+        calls["evolve"] += 1
+        return evolve_energies(*args, **kwargs)
+
+    def counting_probabilities(state):
+        # training squares its own states for the expectations; those
+        # calls are not the ones counted here
+        if not training[0]:
+            calls["probabilities"] += 1
+        return probabilities(state)
+
+    def flagged_train(*args, **kwargs):
+        training[0] = True
+        try:
+            return train_layerwise(*args, **kwargs)
+        finally:
+            training[0] = False
+
+    for module in (qaoa, metrics, pipeline):
+        monkeypatch.setattr(module, "evolve_energies", counting_evolve, raising=False)
+        monkeypatch.setattr(module, "probabilities", counting_probabilities)
+    monkeypatch.setattr(pipeline, "train_layerwise", flagged_train)
+    config = PipelineConfig(solver=solver, depth=depth, shots=500, seed=3,
+                            skip_preprocess=True)
+    report = run_pipeline(cycle_graph(7), config)
+    assert report.status == "solver" and report.exact_summary is not None
+    assert calls == {"evolve": 0, "probabilities": 1}

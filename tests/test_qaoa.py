@@ -176,9 +176,9 @@ def _butterfly_mixer(state, n, beta):
 @pytest.mark.parametrize("seed", range(3))
 def test_training_matches_butterfly_mixer(seed, monkeypatch):
     m = build_ising(random_gnp(8 + seed, 0.45, 2300 + seed))
-    schedule, log = train_layerwise(m, 2)
+    schedule, log, _ = train_layerwise(m, 2)
     monkeypatch.setattr(qaoa, "apply_mixer", _butterfly_mixer)
-    ref_schedule, ref_log = train_layerwise(m, 2)
+    ref_schedule, ref_log, _ = train_layerwise(m, 2)
     np.testing.assert_allclose(schedule.gammas, ref_schedule.gammas, rtol=0, atol=1e-9)
     np.testing.assert_allclose(schedule.betas, ref_schedule.betas, rtol=0, atol=1e-9)
     np.testing.assert_allclose(log.expectations, ref_log.expectations, rtol=0, atol=1e-9)
@@ -289,7 +289,7 @@ def test_sample_uniform_k2_quarter(k2):
 def test_sample_chi_square_uniform():
     n = 6
     state = uniform_state(n)
-    d = sample_state(state, tuple(range(n)), shots=100_000, seed=9)
+    d = sample_state(probabilities(state), tuple(range(n)), shots=100_000, seed=9)
     observed = np.zeros(1 << n)
     observed[d.indices] = d.counts
     res = stats.chisquare(observed)
@@ -300,7 +300,7 @@ def test_sample_counts_match_unsorted_inversion():
     """Sorting the draws first leaves every draw on the same basis state."""
     m = build_ising(gen_regular(12, 3, 4))
     state = evolve(m, AngleSchedule((0.6,), (0.35,)))
-    d = sample_state(state, m.vertex_order, shots=200_000, seed=21)
+    d = sample_state(probabilities(state), m.vertex_order, shots=200_000, seed=21)
     cdf = np.cumsum(probabilities(state))
     draws = np.random.Generator(np.random.Philox(key=21)).random(200_000)
     picks = np.clip(np.searchsorted(cdf, draws, side="right"), 0, len(cdf) - 1)
@@ -348,7 +348,7 @@ def _grid_best(m, steps=64):
 
 def test_train_p1_k2_beats_uniform(k2):
     m = build_ising(k2)
-    schedule, log = train_layerwise(m, 1)
+    schedule, log, _ = train_layerwise(m, 1)
     val = expectation_value(m, schedule)
     assert val < 0.25  # strictly below the p=0 value (= offset)
     assert val <= _grid_best(m) + 1e-6
@@ -356,7 +356,7 @@ def test_train_p1_k2_beats_uniform(k2):
 
 def test_train_p1_k3_beats_uniform(k3):
     m = build_ising(k3)
-    schedule, _ = train_layerwise(m, 1)
+    schedule, _, _ = train_layerwise(m, 1)
     val = expectation_value(m, schedule)
     assert val < m.offset == -0.75
     assert val <= _grid_best(m) + 1e-6
@@ -364,7 +364,7 @@ def test_train_p1_k3_beats_uniform(k3):
 
 def test_train_depth0_is_empty(k3):
     m = build_ising(k3)
-    schedule, log = train_layerwise(m, 0)
+    schedule, log, _ = train_layerwise(m, 0)
     assert schedule.p == 0 and log.layers == ()
 
 
@@ -372,7 +372,7 @@ def test_train_depth0_is_empty(k3):
 def test_train_monotone_in_depth(seed):
     g = random_gnp(6 + seed % 4, 0.45, 1900 + seed)
     m = build_ising(g)
-    schedule, log = train_layerwise(m, 5)
+    schedule, log, _ = train_layerwise(m, 5)
     exps = log.expectations
     assert all(b <= a + 1e-9 for a, b in zip(exps, exps[1:]))
     assert exps[0] < m.offset  # layer 1 strictly improves on uniform
@@ -381,7 +381,7 @@ def test_train_monotone_in_depth(seed):
 def test_train_log_matches_final_state():
     g = cycle_graph(7)
     m = build_ising(g)
-    schedule, log = train_layerwise(m, 3)
+    schedule, log, _ = train_layerwise(m, 3)
     for depth in range(1, 4):
         val = expectation_value(m, schedule.truncated(depth))
         assert val == pytest.approx(log.expectations[depth - 1], abs=1e-12)
@@ -391,7 +391,7 @@ def test_warm_start_identity_layer():
     """Appending a (0,0) layer reproduces the previous depth exactly."""
     g = random_gnp(7, 0.5, 71)
     m = build_ising(g)
-    schedule, log = train_layerwise(m, 2)
+    schedule, log, _ = train_layerwise(m, 2)
     padded = AngleSchedule(schedule.gammas[:1] + (0.0,), schedule.betas[:1] + (0.0,))
     assert expectation_value(m, padded) == expectation_value(m, schedule.truncated(1))
 
@@ -406,8 +406,8 @@ def test_train_rejects_bad_args(k2):
 
 def test_train_deterministic(k3):
     m = build_ising(k3)
-    s1, _ = train_layerwise(m, 2)
-    s2, _ = train_layerwise(m, 2)
+    s1, _, _ = train_layerwise(m, 2)
+    s2, _, _ = train_layerwise(m, 2)
     assert s1 == s2
 
 
@@ -474,7 +474,7 @@ def _statevector_layer1(m):
 ], ids=["er9", "er10", "c8", "r3-12", "star6"])
 def test_layer1_training_matches_statevector_objective(g):
     m = build_ising(g)
-    schedule, log = train_layerwise(m, 1)
+    schedule, log, _ = train_layerwise(m, 1)
     gamma, beta, evals = _statevector_layer1(m)
     assert schedule.gammas[0] == pytest.approx(gamma, abs=1e-9)
     assert schedule.betas[0] == pytest.approx(beta, abs=1e-9)
@@ -491,7 +491,7 @@ def test_layer1_training_runs_one_mixer(monkeypatch):
         return apply_mixer(state, n, beta)
 
     monkeypatch.setattr(qaoa, "apply_mixer", counting_mixer)
-    _, log = train_layerwise(build_ising(gen_regular(12, 3, 4403)), 1)
+    _, log, _ = train_layerwise(build_ising(gen_regular(12, 3, 4403)), 1)
     assert log.total_evals > 100
     assert len(calls) <= 1
 
@@ -519,3 +519,51 @@ def test_norm_and_offset_properties(n, seed, p):
     energies = m.energies_vector()
     val = expectation(state, energies)
     assert energies.min() - 1e-9 <= val <= energies.max() + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# mixer block, trained state and probability inputs
+
+
+def _kron_rx_power(c, s, k):
+    """The mixer block as nested np.kron products, as it was first built."""
+    rx = np.array([[c, -1j * s], [-1j * s, c]])
+    gate = rx
+    for _ in range(k - 1):
+        gate = np.kron(rx, gate)
+    return gate
+
+
+def test_rx_power_matches_kron_bytes():
+    rng = np.random.default_rng(4600)
+    betas = np.concatenate([
+        rng.uniform(-4 * np.pi, 4 * np.pi, 1000),  # negative and above 2*pi
+        [0.0, -0.0, np.pi, -np.pi, np.pi / 2, 2 * np.pi, 1e-300, -1e-300, 50.0],
+    ])
+    pairs = [(np.cos(b), np.sin(b)) for b in betas]
+    # s = 0 and c = 0 exactly, which no float beta gives for c
+    pairs += [(1.0, 0.0), (-1.0, 0.0), (1.0, -0.0), (0.0, 1.0), (0.0, -1.0), (-0.0, 1.0)]
+    for k in (1, 2, 3):
+        for c, s in pairs:
+            got, ref = qaoa._rx_power(c, s, k), _kron_rx_power(c, s, k)
+            assert got.dtype == ref.dtype and got.shape == ref.shape == (1 << k, 1 << k)
+            assert got.tobytes() == ref.tobytes(), (k, c, s)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_trained_state_is_the_evolved_schedule(n):
+    """n mod 3 = 0, 1 and 2, so the short last mixer pass is covered."""
+    m = build_ising(random_gnp(n, 0.4, 4700 + n))
+    energies = m.energies_vector()
+    for p in range(5):
+        schedule, log, state = train_layerwise(m, p)
+        assert schedule.p == p == len(log.layers)
+        assert state.tobytes() == evolve_energies(energies, m.n, schedule).tobytes()
+
+
+def test_sample_state_rejects_a_state():
+    state = uniform_state(3)
+    with pytest.raises(DomainError, match="probabilities"):
+        sample_state(state, tuple(range(3)), shots=10, seed=1)
+    d = sample_state(probabilities(state), tuple(range(3)), shots=10, seed=1)
+    assert int(d.counts.sum()) == 10
