@@ -37,11 +37,16 @@ from profitcover.oracle import BRANCH_MAX, max_profit_exact  # noqa: E402
 
 
 def parse_depths(text: str) -> list[int]:
-    """Depth list from a spec like "0-8" or "0,2,4,8"."""
-    if "-" in text:
+    """Depth list from a spec like "0-8" or "0,2,4,8"; ValueError if the
+    spec is malformed or names no depth or a negative one."""
+    if "," in text or "-" not in text:
+        depths = [int(tok) for tok in text.split(",") if tok]
+    else:
         lo, hi = text.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+        depths = list(range(int(lo), int(hi) + 1))
+    if not depths or min(depths) < 0:
+        raise ValueError("no depth, or a negative one")
+    return depths
 
 
 def main(argv=None) -> int:
@@ -62,14 +67,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        depths = parse_depths(args.depths)
+    except ValueError as err:
+        parser.error(f"--depths {args.depths!r}: {err}; "
+                     f"give a range like 0-8 or a list like 0,2,4,8")
+    try:
         instances = [parse_gen(spec) for spec in args.gen]
+        instances += [(Path(path).stem, load_graph(path)) for path in args.input]
     except (ParseError, DomainError) as err:
         parser.error(str(err))
-    for path in args.input:
-        instances.append((Path(path).stem, load_graph(path)))
     if not instances:
         parser.error("give at least one --gen or --input")
-    depths = parse_depths(args.depths)
 
     rows, sweeps = [], []
     for name, g in instances:

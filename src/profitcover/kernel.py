@@ -146,6 +146,17 @@ def _apply_degree2(adj: Adj, cover: set[int], folds: list[FoldRecord],
         count += 1
 
 
+def _replay_folds(cover: set[int], folds) -> None:
+    """Undo folds in reverse, in place: a merged vertex in the cover
+    expands to its pair, otherwise the folded degree-2 vertex joins."""
+    for rec in reversed(folds):
+        if rec.merged_into in cover:
+            cover.discard(rec.merged_into)
+            cover.update(rec.merged_pair)
+        else:
+            cover.add(rec.folded_vertex)
+
+
 def _greedy_bound(adj: Adj, counter: int) -> tuple[int, frozenset[int]]:
     """Greedy cover: exact moves (pendant/degree-2) plus max-degree picks."""
     adj = {v: set(nb) for v, nb in adj.items()}
@@ -163,12 +174,7 @@ def _greedy_bound(adj: Adj, counter: int) -> tuple[int, frozenset[int]]:
         pick = max(adj, key=lambda v: (len(adj[v]), -v))
         _remove_vertex(adj, pick)
         cover.add(pick)
-    for rec in reversed(folds):
-        if rec.merged_into in cover:
-            cover.discard(rec.merged_into)
-            cover.update(rec.merged_pair)
-        else:
-            cover.add(rec.folded_vertex)
+    _replay_folds(cover, folds)
     return len(cover), frozenset(cover)
 
 
@@ -344,28 +350,17 @@ def reduce(g: Graph, enabled_rules: tuple[str, ...] = ALL_RULES) -> KernelResult
     )
 
 
-def identity_kernel(g: Graph) -> KernelResult:
-    """KernelResult that performs no reduction (skip-preprocess mode)."""
-    return KernelResult(g, g, frozenset(), frozenset(), (), {r: 0 for r in ALL_RULES})
-
-
 def reconstruct(kernel: KernelResult, cover_on_reduced) -> frozenset[int]:
     """Turn a cover of the reduced graph into a cover of the original graph.
 
-    Folds replay in reverse: a merged vertex in the cover expands to its
-    pair, otherwise the folded degree-2 vertex joins. The committed set is
+    Folds replay in reverse (``_replay_folds``). The committed set is
     unioned in before replay so nested folds resolve consistently.
     """
     cover = kernel.reduced.check_subset(cover_on_reduced)
     if not is_vertex_cover(kernel.reduced, cover):
         raise DomainError("input is not a vertex cover of the reduced graph")
     full = set(cover) | set(kernel.committed)
-    for rec in reversed(kernel.folds):
-        if rec.merged_into in full:
-            full.discard(rec.merged_into)
-            full.update(rec.merged_pair)
-        else:
-            full.add(rec.folded_vertex)
+    _replay_folds(full, kernel.folds)
     result = frozenset(full)
     if not is_vertex_cover(kernel.original, result):  # pragma: no cover - safety net
         raise InfeasibilityBug("fold replay produced a non-cover")

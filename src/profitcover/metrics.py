@@ -222,7 +222,7 @@ def depth_sweep(ising: IsingModel, p_list, *, opt_profit: int | None = None,
         points.append(point(0, None, None, state))
     for d in range(1, p_max + 1):
         gamma, beta = schedule.gammas[d - 1], schedule.betas[d - 1]
-        state = apply_phase(state, energies, gamma)
+        state = apply_phase(state, ising, gamma)
         apply_mixer(state, n, beta)
         if d in depths:
             points.append(point(d, gamma, beta, state))

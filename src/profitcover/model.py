@@ -138,6 +138,25 @@ class IsingModel:
             object.__setattr__(self, "_energies", energies)
         return energies
 
+    def phase_levels(self) -> tuple[float, float, np.ndarray]:
+        """(lowest energy, highest energy, level of each basis state).
+
+        The level of a state is E - lowest, an index into a phase table
+        of the hi - lo + 1 distinct energies, in the narrowest unsigned
+        dtype that holds it. Energies are integers by construction, so
+        the levels are exact. Built once per model from
+        ``energies_vector`` and returned read-only on every call.
+        """
+        levels = self.__dict__.get("_phase_levels")
+        if levels is None:
+            energies = self.energies_vector()
+            lo, hi = float(np.min(energies)), float(np.max(energies))
+            shifted = (energies - lo).astype(np.min_scalar_type(int(hi - lo)))
+            shifted.flags.writeable = False
+            levels = (lo, hi, shifted)
+            object.__setattr__(self, "_phase_levels", levels)
+        return levels
+
     def _build_energies(self) -> np.ndarray:
         n = self.n
         pos = {v: j for j, v in enumerate(self.vertex_order)}

@@ -22,19 +22,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, InfeasibilityBug
 from .graph import Graph, complement, is_clique, is_independent_set, is_vertex_cover, profit
-from .kernel import ALL_RULES, KernelResult, identity_kernel, reconstruct, reduce
+from .kernel import ALL_RULES, KernelResult, reconstruct, reduce
 from .metrics import (
     DistributionSummary,
     canonical_json,
-    lex_min_index,
     summarize,
     summarize_exact,
 )
-from .model import build_ising, subset_of_index
+from .model import build_ising, index_of_bitstring, subset_of_index
 from .oracle import BRANCH_MAX, min_vertex_cover_exact
 from .postprocess import RefinedSolution, check_refined, finalize, refine
 from .qaoa import (
@@ -186,14 +183,6 @@ class PipelineReport:
         return canonical_json(self.to_json_dict(with_timings=False))
 
 
-def _best_sampled_subset(dist, energies: np.ndarray,
-                         vertex_order: tuple[int, ...]) -> frozenset[int]:
-    seen_profits = -energies[dist.indices]
-    best = np.max(seen_profits)
-    idx = lex_min_index(dist.indices[seen_profits == best], len(vertex_order))
-    return subset_of_index(idx, vertex_order)
-
-
 def _alpha_solution(problem: str, size: int, reference: int | None) -> float | None:
     """Best/Opt on solution sizes; for covers the ratio is inverted so
     that 1.0 always means optimal and values below 1.0 mean worse."""
@@ -211,10 +200,7 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
     work = complement(g) if config.problem == "maxcl" else g
 
     t = time.perf_counter()
-    if config.skip_preprocess:
-        kr = identity_kernel(work)
-    else:
-        kr = reduce(work, config.rules)
+    kr = reduce(work, () if config.skip_preprocess else config.rules)
     timings["reduce_s"] = time.perf_counter() - t
 
     residual = kr.reduced
@@ -245,7 +231,6 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
         else:
             check_width(residual.n, config.max_qubits)
             ising = build_ising(residual)
-            energies = ising.energies_vector()
             t = time.perf_counter()
             if config.solver == "qaoa" and config.depth > 0:
                 # training ends on the trained state; it is not evolved again
@@ -265,7 +250,8 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
             timings["sample_s"] = time.perf_counter() - t
             sampled_summary = summarize(dist, ising, residual_opt_profit)
             exact_summary = summarize_exact(probs, ising, residual_opt_profit)
-            raw = _best_sampled_subset(dist, energies, ising.vertex_order)
+            raw = subset_of_index(index_of_bitstring(sampled_summary.best_bitstring),
+                                  ising.vertex_order)
             refined = refine(residual, raw, use_rules=config.postprocess_rules)
             check_refined(residual, raw, refined)
             two_qubit = schedule.p * residual.m

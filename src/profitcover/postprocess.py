@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .graph import Graph, is_vertex_cover, profit
+from .graph import Graph, is_vertex_cover, profit, uncovered_edges
 from .kernel import reconstruct, reduce
 
 
@@ -81,7 +81,7 @@ def refine(g: Graph, subset, use_rules: bool = True) -> RefinedSolution:
     base = set(g.check_subset(subset))
     profit_before = profit(g, base)
     steps: list[str] = []
-    uncovered = [(u, v) for u, v in g.edges if u not in base and v not in base]
+    uncovered = uncovered_edges(g, base)
     if uncovered and use_rules:
         residual_vertices = {v for e in uncovered for v in e}
         residual = Graph(residual_vertices, uncovered)

@@ -6,9 +6,11 @@ index is ``vertex_order[j]``.
 The cost layer is diagonal, so each basis amplitude picks up the phase
 exp(-i*gamma*E). Profit energies are integers spanning at most n+m+1
 values, so the phase is one small table exp(-i*gamma*level) gathered by
-each state's level index. The levels of an energy vector are computed
-once (see ``_phase_table``); the table entries equal exp(-i*gamma*E)
-bit for bit, so this is the same diagonal as the elementwise formula.
+each state's level index. The levels belong to the model: each
+``IsingModel`` builds them once from its energy vector
+(``IsingModel.phase_levels``), and ``apply_phase`` takes the model, not
+an energy array. The table entries equal exp(-i*gamma*E) bit for bit,
+so this is the same diagonal as the elementwise formula.
 
 The mixer applies RX(2*beta) to every qubit. It works on blocks of
 ``MIXER_BLOCK`` qubits: viewing the state as a (2^n/2^k, 2^k) matrix
@@ -61,7 +63,6 @@ the same vector to sampling and to the exact summary.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,50 +160,11 @@ def uniform_state(n: int) -> np.ndarray:
     return state
 
 
-# (weak reference to an energy vector, its phase table) for the last
-# read-only vector seen; IsingModel.energies_vector hands out one per model.
-# The entry goes when the vector does, so it never holds a dead model's table.
-_last_table: tuple[weakref.ref, tuple[float, float, np.ndarray]] | None = None
-
-
-def _forget_table(ref: weakref.ref) -> None:
-    global _last_table
-    if _last_table is not None and _last_table[0] is ref:
-        _last_table = None
-
-
-def _phase_table(energies: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """(lowest energy, highest energy, level of each basis state).
-
-    The level of a state is E - lowest, an index into the phase table, in
-    the narrowest unsigned dtype that holds it. It is remembered for a
-    read-only vector, which cannot change between calls, so a training run
-    computes it once instead of once per call.
-    """
-    global _last_table
-    if _last_table is not None and _last_table[0]() is energies:
-        return _last_table[1]
-    lo, hi = float(np.min(energies)), float(np.max(energies))
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise DomainError("energies must be finite")
-    if hi - lo >= energies.size:
-        raise DomainError(
-            f"energies span {hi - lo:g}, more levels than the {energies.size} states")
-    shifted = energies - lo
-    levels = shifted.astype(np.min_scalar_type(int(hi - lo)))
-    if not np.array_equal(levels, shifted):
-        raise DomainError("energies must be integers for the phase table")
-    table = (lo, hi, levels)
-    if not energies.flags.writeable:
-        _last_table = (weakref.ref(energies, _forget_table), table)
-    return table
-
-
-def apply_phase(state: np.ndarray, energies: np.ndarray, gamma: float) -> np.ndarray:
-    """Diagonal cost layer; returns a new array."""
+def apply_phase(state: np.ndarray, ising: IsingModel, gamma: float) -> np.ndarray:
+    """Diagonal cost layer of ``ising``; returns a new array."""
     if gamma == 0.0:
         return state.copy()
-    lo, hi, levels = _phase_table(energies)
+    lo, hi, levels = ising.phase_levels()
     # state first and into a new array: numpy's complex multiply rounds
     # differently with the operands swapped or written in place
     return state * np.exp(-1j * gamma * np.arange(lo, hi + 1.0)).take(levels)
@@ -259,22 +221,16 @@ def apply_mixer(state: np.ndarray, n: int, beta: float) -> np.ndarray:
     return state
 
 
-def evolve_energies(energies: np.ndarray, n: int, schedule: AngleSchedule,
-                    max_qubits: int = MAX_QUBITS) -> np.ndarray:
-    """Statevector after the full alternating sequence, from |+...+>."""
-    check_width(n, max_qubits)
-    if energies.shape != (1 << n,):
-        raise DomainError("energy vector length must be 2^n")
-    state = uniform_state(n)
-    for gamma, beta in zip(schedule.gammas, schedule.betas):
-        state = apply_phase(state, energies, gamma)
-        apply_mixer(state, n, beta)
-    return state
-
-
 def evolve(ising: IsingModel, schedule: AngleSchedule,
            max_qubits: int = MAX_QUBITS) -> np.ndarray:
-    return evolve_energies(ising.energies_vector(), ising.n, schedule, max_qubits)
+    """Statevector after the full alternating sequence, from |+...+>."""
+    n = ising.n
+    check_width(n, max_qubits)
+    state = uniform_state(n)
+    for gamma, beta in zip(schedule.gammas, schedule.betas):
+        state = apply_phase(state, ising, gamma)
+        apply_mixer(state, n, beta)
+    return state
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:
@@ -289,9 +245,7 @@ def expectation(state: np.ndarray, energies: np.ndarray) -> float:
 def expectation_value(ising: IsingModel, schedule: AngleSchedule,
                       max_qubits: int = MAX_QUBITS) -> float:
     """<H> of the evolved state; at p=0 this is exactly the offset."""
-    energies = ising.energies_vector()
-    return expectation(evolve_energies(energies, ising.n, schedule, max_qubits),
-                       energies)
+    return expectation(evolve(ising, schedule, max_qubits), ising.energies_vector())
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,7 +381,7 @@ def train_layerwise(ising: IsingModel, p: int, *, maxfev: int = 40,
     objective calls costs one phase and one mixer pass regardless of k.
     Returns the schedule, the log and the state after all p trained
     layers (the uniform state when p is 0), which has the same bytes as
-    ``evolve_energies`` on the returned schedule.
+    ``evolve`` on the returned schedule.
     """
     if p < 0:
         raise DomainError("depth must be non-negative")
@@ -442,7 +396,7 @@ def train_layerwise(ising: IsingModel, p: int, *, maxfev: int = 40,
     records: list[LayerRecord] = []
 
     def layer_value(gamma: float, beta: float) -> float:
-        state = apply_phase(prefix, energies, gamma)
+        state = apply_phase(prefix, ising, gamma)
         apply_mixer(state, n, beta)
         return expectation(state, energies)
 
@@ -462,7 +416,7 @@ def train_layerwise(ising: IsingModel, p: int, *, maxfev: int = 40,
         (gamma, beta), value = min(candidates, key=lambda c: c[1])
         if not np.isfinite(value):
             raise TrainingError(f"layer {layer} expectation is not finite")
-        prefix = apply_phase(prefix, energies, gamma)
+        prefix = apply_phase(prefix, ising, gamma)
         apply_mixer(prefix, n, beta)
         gammas.append(gamma)
         betas.append(beta)

@@ -318,11 +318,16 @@ def test_batch_default_names_match_run(tmp_path, capsys):
 # scripts
 
 
-def test_depth_sweep_stdout_is_well_formed_csv(tmp_path, capsys):
+def _load_depth_sweep():
     path = Path(__file__).resolve().parents[1] / "scripts" / "depth_sweep.py"
     spec = importlib.util.spec_from_file_location("depth_sweep", path)
     depth_sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(depth_sweep)
+    return depth_sweep
+
+
+def test_depth_sweep_stdout_is_well_formed_csv(tmp_path, capsys):
+    depth_sweep = _load_depth_sweep()
     graph = tmp_path / "a,b.edges"  # a comma in the instance name
     graph.write_text("0 1\n1 2\n2 0\n")
     assert depth_sweep.main(["--gen", "er:n=6,p=0.5,seed=3", "--input", str(graph),
@@ -333,3 +338,20 @@ def test_depth_sweep_stdout_is_well_formed_csv(tmp_path, capsys):
     assert len(rows) == 4
     assert all(len(row) == len(header) for row in rows)
     assert [row[0] for row in rows] == ["er_n6_p0.5_s3"] * 2 + ["a,b"] * 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--depths", "3-1"],
+    ["--depths", "a"],
+    ["--depths", "2-"],
+    ["--depths", "0,-2"],
+    ["--input", "no-such-graph.edges"],
+], ids=["empty-range", "not-a-number", "open-range", "negative-in-list", "missing-input"])
+def test_depth_sweep_bad_input_exits_2(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    depth_sweep = _load_depth_sweep()
+    with pytest.raises(SystemExit) as exc:
+        depth_sweep.main(["--gen", "er:n=6,p=0.5,seed=3", "--skip-oracle"] + args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err

@@ -18,7 +18,6 @@ from profitcover.graph import Graph, is_vertex_cover
 from profitcover.kernel import (
     ALL_RULES,
     greedy_upper_bound,
-    identity_kernel,
     reconstruct,
     reduce,
     rule_degree2,
@@ -273,7 +272,7 @@ def test_reduce_fixed_point_idempotent():
 
 def test_identity_kernel_passthrough():
     g = cycle_graph(5)
-    kr = identity_kernel(g)
+    kr = reduce(g, ())
     assert kr.reduced == g and kr.v_safe == frozenset() and kr.folds == ()
     cover = reconstruct(kr, {0, 2, 4})
     assert cover == {0, 2, 4}

@@ -195,6 +195,21 @@ def test_energies_vector_is_built_once_and_read_only():
         vec[0] = 1.0
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_phase_levels_are_built_once_and_exact(seed):
+    m = build_ising(random_gnp(6 + seed, 0.3 + 0.2 * seed, 2250 + seed))
+    table = m.phase_levels()
+    assert m.phase_levels() is table
+    lo, hi, levels = table
+    energies = m.energies_vector()
+    assert (lo, hi) == (energies.min(), energies.max())
+    assert levels.dtype == np.min_scalar_type(int(hi - lo)) and levels.dtype.kind == "u"
+    assert not levels.flags.writeable
+    with pytest.raises(ValueError):
+        levels[0] = 0
+    assert np.array_equal(levels + lo, energies)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_min_energy_is_cover_minus_edges(seed):
     g = random_gnp(4 + seed % 6, 0.5, 1500 + seed)

@@ -266,12 +266,12 @@ def test_run_pipeline_evolves_once_and_squares_once(monkeypatch, solver, depth):
     probabilities are computed once for sampling and the exact summary."""
     calls = {"evolve": 0, "probabilities": 0}
     training = [False]
-    evolve_energies, probabilities = qaoa.evolve_energies, qaoa.probabilities
+    evolve, probabilities = qaoa.evolve, qaoa.probabilities
     train_layerwise = pipeline.train_layerwise
 
     def counting_evolve(*args, **kwargs):
         calls["evolve"] += 1
-        return evolve_energies(*args, **kwargs)
+        return evolve(*args, **kwargs)
 
     def counting_probabilities(state):
         # training squares its own states for the expectations; those
@@ -288,7 +288,7 @@ def test_run_pipeline_evolves_once_and_squares_once(monkeypatch, solver, depth):
             training[0] = False
 
     for module in (qaoa, metrics, pipeline):
-        monkeypatch.setattr(module, "evolve_energies", counting_evolve, raising=False)
+        monkeypatch.setattr(module, "evolve", counting_evolve, raising=False)
         monkeypatch.setattr(module, "probabilities", counting_probabilities)
     monkeypatch.setattr(pipeline, "train_layerwise", flagged_train)
     config = PipelineConfig(solver=solver, depth=depth, shots=500, seed=3,

@@ -12,7 +12,7 @@ from profitcover.graph import (
     is_vertex_cover,
     profit,
 )
-from profitcover.kernel import identity_kernel, reconstruct, reduce
+from profitcover.kernel import reconstruct, reduce
 from profitcover.oracle import max_profit_exact
 from profitcover.postprocess import (
     finalize,
@@ -161,14 +161,14 @@ def test_refine_exact_input_gives_exact_cover(seed):
 
 
 def test_finalize_minvc_is_cover(c4):
-    kr = identity_kernel(c4)
+    kr = reduce(c4, ())
     r = refine(c4, {0, 2})
     sol = finalize("minvc", c4, reconstruct(kr, r.cover_reduced))
     assert is_vertex_cover(c4, sol)
 
 
 def test_finalize_maxis_inverts(c4):
-    kr = identity_kernel(c4)
+    kr = reduce(c4, ())
     r = refine(c4, {0, 2})
     sol = finalize("maxis", c4, reconstruct(kr, r.cover_reduced))
     assert sol == {1, 3}

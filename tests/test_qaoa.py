@@ -30,7 +30,6 @@ from profitcover.qaoa import (
     check_width,
     depth1_objective,
     evolve,
-    evolve_energies,
     expectation,
     expectation_value,
     probabilities,
@@ -104,8 +103,6 @@ def test_capacity_error_names_count():
 
 def test_energy_vector_length_checked():
     with pytest.raises(DomainError):
-        evolve_energies(np.zeros(7), 3, AngleSchedule((), ()))
-    with pytest.raises(DomainError):
         apply_mixer(uniform_state(4), 3, 0.4)
 
 
@@ -127,9 +124,10 @@ def test_mixer_against_dense_matrix():
 
 
 def test_phase_is_diagonal():
-    energies = np.array([0.0, 1.0, -1.0, 2.0])
-    state = uniform_state(2)
-    out = apply_phase(state, energies, 0.7)
+    m = build_ising(Graph(range(3), [(0, 1), (1, 2)]))
+    energies = m.energies_vector()
+    state = uniform_state(3)
+    out = apply_phase(state, m, 0.7)
     np.testing.assert_allclose(np.abs(out), np.abs(state), atol=1e-15)
     np.testing.assert_allclose(out, state * np.exp(-1j * 0.7 * energies), atol=0)
 
@@ -143,19 +141,19 @@ def test_phase_table_bit_equal_to_exp():
     gammas = list(rng.uniform(-3 * np.pi, 3 * np.pi, 16)) + [-0.5, 2 * np.pi + 0.1, 7.0, -9.5]
     for gamma in gammas:
         want = (state * np.exp(-1j * gamma * energies)).tobytes()
-        assert apply_phase(state, energies, gamma).tobytes() == want
-        # a writable copy takes the path that rebuilds the levels per call
-        assert apply_phase(state, energies.copy(), gamma).tobytes() == want
+        assert apply_phase(state, m, gamma).tobytes() == want
 
 
-@pytest.mark.parametrize("energies", [
-    np.array([0.0, 1.0, 0.5, 2.0]),
-    np.array([0.0, 1.0, np.nan, 2.0]),
-    np.array([0.0, 1.0, 1e9, 2.0]),
-], ids=["half-integer", "nan", "range-wider-than-state"])
-def test_phase_rejects_energies_without_a_table(energies):
-    with pytest.raises(DomainError):
-        apply_phase(uniform_state(2), energies, 0.7)
+def test_phase_of_interleaved_models_is_bit_equal_to_exp():
+    """Two live models each phase by their own levels, call after call."""
+    a = build_ising(random_gnp(9, 0.4, 78))
+    b = build_ising(cycle_graph(9))
+    rng = np.random.default_rng(8)
+    state = rng.standard_normal(1 << 9) + 1j * rng.standard_normal(1 << 9)
+    for gamma in rng.uniform(-3 * np.pi, 3 * np.pi, 8):
+        for m in (a, b, a):
+            want = (state * np.exp(-1j * gamma * m.energies_vector())).tobytes()
+            assert apply_phase(state, m, gamma).tobytes() == want
 
 
 def _butterfly_mixer(state, n, beta):
@@ -341,7 +339,7 @@ def _grid_best(m, steps=64):
     best = np.inf
     for gamma in np.linspace(0, np.pi, steps, endpoint=False):
         for beta in np.linspace(0, np.pi / 2, steps, endpoint=False):
-            state = evolve_energies(energies, m.n, AngleSchedule((gamma,), (beta,)))
+            state = evolve(m, AngleSchedule((gamma,), (beta,)))
             best = min(best, expectation(state, energies))
     return best
 
@@ -449,7 +447,7 @@ def _statevector_layer1(m):
     prefix = uniform_state(m.n)
 
     def layer_value(gamma, beta):
-        state = apply_phase(prefix, energies, gamma)
+        state = apply_phase(prefix, m, gamma)
         apply_mixer(state, m.n, beta)
         return expectation(state, energies)
 
@@ -554,11 +552,10 @@ def test_rx_power_matches_kron_bytes():
 def test_trained_state_is_the_evolved_schedule(n):
     """n mod 3 = 0, 1 and 2, so the short last mixer pass is covered."""
     m = build_ising(random_gnp(n, 0.4, 4700 + n))
-    energies = m.energies_vector()
     for p in range(5):
         schedule, log, state = train_layerwise(m, p)
         assert schedule.p == p == len(log.layers)
-        assert state.tobytes() == evolve_energies(energies, m.n, schedule).tobytes()
+        assert state.tobytes() == evolve(m, schedule).tobytes()
 
 
 def test_sample_state_rejects_a_state():
