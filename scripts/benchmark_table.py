@@ -27,6 +27,7 @@ from profitcover.metrics import canonical_json, write_csv  # noqa: E402
 from profitcover.pipeline import (  # noqa: E402
     REPORT_CSV_FIELDS,
     PipelineConfig,
+    batch_documents,
     run_batch,
 )
 
@@ -93,9 +94,7 @@ def main(argv=None) -> int:
     if args.out:
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     if args.json_out:
-        docs = [r.to_json_dict() if r is not None else {"error": row["error"]}
-                for r, row in zip(reports, rows)]
-        Path(args.json_out).write_text(canonical_json(docs))
+        Path(args.json_out).write_text(canonical_json(batch_documents(reports, rows)))
         print(f"wrote full reports to {args.json_out}", file=sys.stderr)
     return 0 if all(r is not None for r in reports) else 1
 

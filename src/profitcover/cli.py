@@ -29,6 +29,7 @@ from .pipeline import (
     REPORT_CSV_FIELDS,
     SOLVERS,
     PipelineConfig,
+    batch_documents,
     report_csv_row,
     run_batch,
     run_pipeline,
@@ -171,19 +172,16 @@ def _jobs_from_manifest(path: str) -> list[tuple[str, Graph, PipelineConfig]]:
 def _cmd_batch(args) -> int:
     _check_out(args.out)
     reports, rows = run_batch(_jobs_from_manifest(args.manifest))
-    docs = []
     for report, row in zip(reports, rows):
         if report is None:
             print(f"{row['name']}: FAILED {row['error']}", file=sys.stderr)
-            docs.append({"name": row["name"], "error": row["error"]})
         else:
             print(f"{report.name}: status={report.status} |Sol|={report.solution_size}",
                   file=sys.stderr)
-            docs.append(report.to_json_dict())
     if args.out is not None and args.out.endswith(".csv"):
         write_csv(args.out, REPORT_CSV_FIELDS, rows)
     else:
-        _write_text(canonical_json(docs), args.out)
+        _write_text(canonical_json(batch_documents(reports, rows)), args.out)
     return 0
 
 

@@ -30,4 +30,6 @@ class TrainingError(RuntimeError):
 
 
 class InfeasibilityBug(AssertionError):
-    """A solution failed its feasibility re-check; indicates a pipeline bug."""
+    """An internal result failed its re-check (an infeasible solution, a
+    refinement that breaks its contract, a non-cover from the oracle);
+    indicates a bug, not bad input."""

@@ -19,7 +19,7 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .qaoa import (
     MAX_QUBITS,
     AngleSchedule,
     SampleDistribution,
-    TrainLog,
     apply_mixer,
     apply_phase,
     check_probabilities,
@@ -80,23 +79,7 @@ class DistributionSummary:
     mass_80: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "shots": self.shots,
-            "n_distinct": self.n_distinct,
-            "best_bitstring": self.best_bitstring,
-            "best_profit": self.best_profit,
-            "most_likely_bitstring": self.most_likely_bitstring,
-            "most_likely_profit": self.most_likely_profit,
-            "most_likely_probability": self.most_likely_probability,
-            "weighted_average_profit": self.weighted_average_profit,
-            "expected_cover_size": self.expected_cover_size,
-            "opt_profit": self.opt_profit,
-            "approx_ratio_best": self.approx_ratio_best,
-            "mass_optimal": self.mass_optimal,
-            "mass_90": self.mass_90,
-            "mass_80": self.mass_80,
-        }
+        return asdict(self)
 
 
 def _summarize(kind: str, shots: int | None, indices: np.ndarray,
@@ -169,28 +152,11 @@ class DepthPoint:
     expectation: float
     summary: DistributionSummary
 
-    def to_json_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "expectation": self.expectation,
-            "summary": self.summary.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class DepthSweep:
     schedule: AngleSchedule
-    log: TrainLog
     points: tuple[DepthPoint, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schedule": self.schedule.to_json_dict(),
-            "train_log": self.log.to_json_dict(),
-            "points": [pt.to_json_dict() for pt in self.points],
-        }
 
 
 def depth_sweep(ising: IsingModel, p_list, *, opt_profit: int | None = None,
@@ -205,8 +171,8 @@ def depth_sweep(ising: IsingModel, p_list, *, opt_profit: int | None = None,
     if not depths or depths[0] < 0:
         raise DomainError("depth list must contain non-negative depths")
     p_max = depths[-1]
-    schedule, log, _ = train_layerwise(ising, p_max, maxfev=maxfev,
-                                       max_qubits=max_qubits)
+    schedule, _, _ = train_layerwise(ising, p_max, maxfev=maxfev,
+                                     max_qubits=max_qubits)
     energies = ising.energies_vector()
     n = ising.n
 
@@ -226,7 +192,7 @@ def depth_sweep(ising: IsingModel, p_list, *, opt_profit: int | None = None,
         apply_mixer(state, n, beta)
         if d in depths:
             points.append(point(d, gamma, beta, state))
-    return DepthSweep(schedule, log, tuple(points))
+    return DepthSweep(schedule, tuple(points))
 
 
 def write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
@@ -237,33 +203,22 @@ def write_csv(path, fieldnames: list[str], rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+_POINT_COLUMNS = ("depth", "gamma", "beta", "expectation")
+_SUMMARY_COLUMNS = (
+    "best_profit", "weighted_average_profit", "expected_cover_size",
+    "approx_ratio_best", "mass_optimal", "mass_90", "mass_80",
+)
+DEPTH_SWEEP_FIELDS = ["instance", *_POINT_COLUMNS, *_SUMMARY_COLUMNS]
+
+
 def depth_sweep_rows(name: str, sweep: DepthSweep) -> list[dict]:
     """Flatten a sweep into CSV-friendly records."""
-    rows = []
-    for pt in sweep.points:
-        s = pt.summary
-        rows.append({
-            "instance": name,
-            "depth": pt.depth,
-            "gamma": pt.gamma,
-            "beta": pt.beta,
-            "expectation": pt.expectation,
-            "best_profit": s.best_profit,
-            "weighted_average_profit": s.weighted_average_profit,
-            "expected_cover_size": s.expected_cover_size,
-            "approx_ratio_best": s.approx_ratio_best,
-            "mass_optimal": s.mass_optimal,
-            "mass_90": s.mass_90,
-            "mass_80": s.mass_80,
-        })
-    return rows
-
-
-DEPTH_SWEEP_FIELDS = [
-    "instance", "depth", "gamma", "beta", "expectation", "best_profit",
-    "weighted_average_profit", "expected_cover_size", "approx_ratio_best",
-    "mass_optimal", "mass_90", "mass_80",
-]
+    return [
+        {"instance": name,
+         **{key: getattr(pt, key) for key in _POINT_COLUMNS},
+         **{key: getattr(pt.summary, key) for key in _SUMMARY_COLUMNS}}
+        for pt in sweep.points
+    ]
 
 
 def aggregate_mass_stats(sweeps: list[DepthSweep]) -> dict:

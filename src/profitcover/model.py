@@ -178,14 +178,6 @@ class IsingModel:
         # where a zero energy must stay the -0.0 profit they have always shown
         return energy.astype(np.float64)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertex_order": list(self.vertex_order),
-            "h": {str(v): c / 4.0 for v, c in sorted(self.h4.items())},
-            "j": [[u, v, c / 4.0] for (u, v), c in sorted(self.j4.items())],
-            "offset": self.offset,
-        }
-
 
 def build_qubo(g: Graph) -> Qubo:
     if g.n == 0:

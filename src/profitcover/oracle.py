@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, InfeasibilityBug
 from .graph import Graph, is_vertex_cover
 from .kernel import greedy_upper_bound
 
@@ -156,7 +156,7 @@ def _branch_and_bound_min_cover(g: Graph) -> frozenset[int]:
     best_cover: set[int] = set()
     _solve(adj, set(), best_size, best_cover)
     if not is_vertex_cover(g, best_cover):  # pragma: no cover - safety net
-        raise AssertionError("branch and bound returned a non-cover")
+        raise InfeasibilityBug("branch and bound returned a non-cover")
     return frozenset(best_cover)
 
 

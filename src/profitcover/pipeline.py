@@ -20,7 +20,7 @@ timings live in a separate section that canonical output omits.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import DomainError, InfeasibilityBug
 from .graph import Graph, complement, is_clique, is_independent_set, is_vertex_cover, profit
@@ -43,7 +43,6 @@ from .qaoa import (
     probabilities,
     sample_state,
     train_layerwise,
-    uniform_state,
 )
 
 PROBLEMS = ("minvc", "maxis", "maxcl")
@@ -76,20 +75,7 @@ class PipelineConfig:
             raise DomainError("shots must be positive")
 
     def to_json_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "solver": self.solver,
-            "depth": self.depth,
-            "shots": self.shots,
-            "seed": self.seed,
-            "rules": list(self.rules),
-            "skip_preprocess": self.skip_preprocess,
-            "postprocess_rules": self.postprocess_rules,
-            "maxfev": self.maxfev,
-            "max_qubits": self.max_qubits,
-            "compute_reference": self.compute_reference,
-            "reference_note": self.reference_note,
-        }
+        return asdict(self)
 
 
 def edge_coloring_colors(g: Graph) -> int:
@@ -218,6 +204,9 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
         residual_opt_profit = 0
     else:
         status = "solver"
+        if config.solver != "exact":
+            # before the oracle, which a too-wide run would otherwise wait for
+            check_width(residual.n, config.max_qubits)
         # one oracle call serves as both the reference and the exact solver
         if config.solver == "exact" or (config.compute_reference
                                         and residual.n <= BRANCH_MAX):
@@ -229,24 +218,19 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
             refined = RefinedSolution(opt.opt_cover, opt.opt_profit,
                                       opt.opt_profit, ("exact",))
         else:
-            check_width(residual.n, config.max_qubits)
             ising = build_ising(residual)
             t = time.perf_counter()
-            if config.solver == "qaoa" and config.depth > 0:
-                # training ends on the trained state; it is not evolved again
-                schedule, train_log, state = train_layerwise(
-                    ising, config.depth, maxfev=config.maxfev,
-                    max_qubits=config.max_qubits)
-            else:
-                schedule = AngleSchedule((), ())
-                train_log = TrainLog(())
-                state = uniform_state(ising.n)
+            # training ends on the trained state; it is not evolved again.
+            # Depth 0, and the random solver, give the uniform state.
+            schedule, train_log, state = train_layerwise(
+                ising, config.depth if config.solver == "qaoa" else 0,
+                maxfev=config.maxfev, max_qubits=config.max_qubits)
             timings["train_s"] = time.perf_counter() - t
 
             t = time.perf_counter()
             probs = probabilities(state)
             dist = sample_state(probs, ising.vertex_order, config.shots,
-                                config.seed, schedule)
+                                config.seed)
             timings["sample_s"] = time.perf_counter() - t
             sampled_summary = summarize(dist, ising, residual_opt_profit)
             exact_summary = summarize_exact(probs, ising, residual_opt_profit)
@@ -381,3 +365,12 @@ def run_batch(jobs: list[tuple[str, Graph, PipelineConfig]],
         reports.append(report)
         rows.append(report_csv_row(report))
     return reports, rows
+
+
+def batch_documents(reports: list[PipelineReport | None],
+                    rows: list[dict]) -> list[dict]:
+    """The JSON document of each ``run_batch`` job: its report, or for a
+    failed job its name and error."""
+    return [report.to_json_dict() if report is not None
+            else {"name": row["name"], "error": row["error"]}
+            for report, row in zip(reports, rows)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, InfeasibilityBug
 from .graph import Graph, is_vertex_cover, profit, uncovered_edges
 from .kernel import reconstruct, reduce
 
@@ -126,11 +126,12 @@ def finalize(problem: str, original_g: Graph, full_cover: frozenset[int]) -> fro
 
 
 def check_refined(g: Graph, subset, refined: RefinedSolution) -> None:
-    """Assert the refine contract; used by tests and the pipeline."""
+    """Check the refine contract after the pipeline's refinement of
+    ``subset``; a breach is a bug in refinement, not bad input."""
     cover = refined.cover_reduced
     if not is_vertex_cover(g, cover):
-        raise DomainError("refined set is not a vertex cover")
+        raise InfeasibilityBug("refined set is not a vertex cover")
     if profit(g, cover) < profit(g, subset):
-        raise DomainError("refinement lost profit")
+        raise InfeasibilityBug("refinement lost profit")
     if len(cover) > g.m - profit(g, subset):
-        raise DomainError("refined cover exceeds the profit bound")
+        raise InfeasibilityBug("refined cover exceeds the profit bound")

@@ -63,7 +63,7 @@ the same vector to sampling and to the exact summary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -129,16 +129,7 @@ class TrainLog:
 
     def to_json_dict(self) -> dict:
         return {
-            "layers": [
-                {
-                    "layer": rec.layer,
-                    "gamma": rec.gamma,
-                    "beta": rec.beta,
-                    "expectation": rec.expectation,
-                    "n_evals": rec.n_evals,
-                }
-                for rec in self.layers
-            ],
+            "layers": [asdict(rec) for rec in self.layers],
             "total_evals": self.total_evals,
         }
 
@@ -257,27 +248,14 @@ class SampleDistribution:
     seed: int
     indices: np.ndarray  # sorted unique basis-state indices, int64
     counts: np.ndarray  # matching positive counts, int64
-    schedule: AngleSchedule | None = None
-
-    def subsets(self):
-        n = len(self.vertex_order)
-        for idx in self.indices:
-            yield frozenset(
-                self.vertex_order[j] for j in range(n) if int(idx) >> j & 1
-            )
-
-    def bitstring_counts(self) -> dict[str, int]:
-        n = len(self.vertex_order)
-        return {
-            bitstring_of_index(int(i), n): int(c)
-            for i, c in zip(self.indices, self.counts)
-        }
 
     def to_json_dict(self) -> dict:
+        n = len(self.vertex_order)
         return {
             "shots": self.shots,
             "seed": self.seed,
-            "counts": self.bitstring_counts(),
+            "counts": {bitstring_of_index(int(i), n): int(c)
+                       for i, c in zip(self.indices, self.counts)},
         }
 
 
@@ -289,7 +267,7 @@ def check_probabilities(probs: np.ndarray) -> None:
 
 
 def sample_state(probs: np.ndarray, vertex_order: tuple[int, ...], shots: int,
-                 seed: int, schedule: AngleSchedule | None = None) -> SampleDistribution:
+                 seed: int) -> SampleDistribution:
     """Draw measurement outcomes from the probability vector ``probs`` of
     a state by inverting its cumulative distribution."""
     check_probabilities(probs)
@@ -309,14 +287,13 @@ def sample_state(probs: np.ndarray, vertex_order: tuple[int, ...], shots: int,
         seed=seed,
         indices=indices.astype(np.int64),
         counts=counts.astype(np.int64),
-        schedule=schedule,
     )
 
 
 def sample(ising: IsingModel, schedule: AngleSchedule, shots: int, seed: int,
            max_qubits: int = MAX_QUBITS) -> SampleDistribution:
     probs = probabilities(evolve(ising, schedule, max_qubits))
-    return sample_state(probs, ising.vertex_order, shots, seed, schedule)
+    return sample_state(probs, ising.vertex_order, shots, seed)
 
 
 def depth1_objective(ising: IsingModel):

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from profitcover import oracle, pipeline
 from profitcover.cli import main
 from profitcover.errors import ParseError
 from profitcover.cli import _parse_rules
 from profitcover.instances import gen_erdos_renyi_connected, gen_regular, parse_gen
+from profitcover.postprocess import RefinedSolution
 
 KARATE = "data/instances/karate.edges"
 
@@ -176,6 +178,20 @@ def test_exit_3_on_capacity(capsys):
     assert code == 3
 
 
+def test_exit_4_on_a_broken_refinement(monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "refine",
+                        lambda g, subset, use_rules: RefinedSolution(frozenset(), 0, 0, ()))
+    assert run_cli("run", "--gen", "regular:n=8,d=3,seed=1", "--solver", "random") == 4
+    assert "infeasibility bug" in capsys.readouterr().err
+
+
+def test_exit_4_on_a_non_cover_from_the_oracle(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_solve", lambda *args: None)
+    assert run_cli("run", "--gen", "regular:n=22,d=3,seed=1", "--solver", "exact",
+                   "--skip-preprocess") == 4
+    assert "infeasibility bug" in capsys.readouterr().err
+
+
 def test_exit_2_on_unknown_rule(capsys):
     assert run_cli("run", "--gen", "er:n=6,p=0.5,seed=1",
                    "--rules", "pr,bogus") == 2
@@ -318,16 +334,29 @@ def test_batch_default_names_match_run(tmp_path, capsys):
 # scripts
 
 
-def _load_depth_sweep():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "depth_sweep.py"
-    spec = importlib.util.spec_from_file_location("depth_sweep", path)
-    depth_sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(depth_sweep)
-    return depth_sweep
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_table_json_names_failed_jobs(tmp_path, capsys):
+    """The script's --json documents are the batch command's."""
+    benchmark_table = _load_script("benchmark_table")
+    out = tmp_path / "t.json"
+    assert benchmark_table.main(["--synthetic", "1", "--solver", "random", "--shots", "100",
+                                 "--max-qubits", "1", "--out", str(tmp_path / "t.csv"),
+                                 "--json", str(out)]) == 1
+    # the synthetic job comes after the shipped datasets' jobs
+    failed = json.loads(out.read_text())[-1]
+    assert sorted(failed) == ["error", "name"] and failed["name"] == "er-14-035-0"
+    assert failed["error"].startswith("CapacityError")
 
 
 def test_depth_sweep_stdout_is_well_formed_csv(tmp_path, capsys):
-    depth_sweep = _load_depth_sweep()
+    depth_sweep = _load_script("depth_sweep")
     graph = tmp_path / "a,b.edges"  # a comma in the instance name
     graph.write_text("0 1\n1 2\n2 0\n")
     assert depth_sweep.main(["--gen", "er:n=6,p=0.5,seed=3", "--input", str(graph),
@@ -349,7 +378,7 @@ def test_depth_sweep_stdout_is_well_formed_csv(tmp_path, capsys):
 ], ids=["empty-range", "not-a-number", "open-range", "negative-in-list", "missing-input"])
 def test_depth_sweep_bad_input_exits_2(args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    depth_sweep = _load_depth_sweep()
+    depth_sweep = _load_script("depth_sweep")
     with pytest.raises(SystemExit) as exc:
         depth_sweep.main(["--gen", "er:n=6,p=0.5,seed=3", "--skip-oracle"] + args)
     assert exc.value.code == 2

@@ -8,7 +8,7 @@ package oracle uses.
 import pytest
 
 from profitcover import oracle
-from profitcover.errors import CapacityError
+from profitcover.errors import CapacityError, InfeasibilityBug
 from profitcover.graph import complement, is_vertex_cover
 from profitcover.oracle import (
     BRANCH_MAX,
@@ -77,6 +77,14 @@ def test_branch_and_bound_matches_exhaustive(seed):
     cover = _branch_and_bound_min_cover(g)
     assert len(cover) == brute_min_cover_size(g)
     assert is_vertex_cover(g, cover)
+
+
+def test_branch_and_bound_non_cover_is_an_infeasibility_bug(monkeypatch):
+    # a search that finds nothing leaves the empty set, which covers no edge
+    monkeypatch.setattr(oracle, "_solve", lambda *args: None)
+    with pytest.raises(InfeasibilityBug) as exc:
+        _branch_and_bound_min_cover(cycle_graph(5))
+    assert exc.type is InfeasibilityBug
 
 
 def test_branch_and_bound_on_structured_midsize():

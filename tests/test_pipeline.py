@@ -7,13 +7,12 @@ import pytest
 from profitcover.errors import CapacityError, DomainError
 from profitcover.graph import (
     Graph,
-    complement,
     is_clique,
     is_independent_set,
     is_vertex_cover,
 )
 from profitcover import metrics, pipeline, qaoa
-from profitcover.instances import load_graph
+from profitcover.instances import gen_regular, load_graph
 from profitcover.pipeline import (
     REPORT_CSV_FIELDS,
     PipelineConfig,
@@ -191,6 +190,22 @@ def test_capacity_error_before_allocation():
         run_pipeline(g, cfg)
 
 
+def test_width_is_checked_before_the_oracle(monkeypatch):
+    """A run too wide for the statevector fails before the reference
+    oracle, which on this 30-vertex residual would run first."""
+    calls = []
+    exact = pipeline.min_vertex_cover_exact
+
+    def counting_exact(g):
+        calls.append(g.n)
+        return exact(g)
+
+    monkeypatch.setattr(pipeline, "min_vertex_cover_exact", counting_exact)
+    with pytest.raises(CapacityError, match="30"):
+        run_pipeline(gen_regular(30, 3, 1), PipelineConfig())
+    assert calls == []
+
+
 def test_report_determinism_bytewise():
     g = random_gnp(11, 0.5, 99)
     cfg = PipelineConfig(problem="maxis", solver="qaoa", depth=2,
@@ -249,6 +264,31 @@ def test_run_batch_row_errors_recorded():
     assert rows[0]["error"] == ""
     assert "CapacityError" in rows[1]["error"]
     assert reports[1] is None
+
+
+def test_batch_documents_name_failed_jobs():
+    g = random_gnp(6, 0.5, 1)
+    narrow = PipelineConfig(solver="random", skip_preprocess=True, max_qubits=2,
+                            shots=100)
+    reports, rows = run_batch([("ok", g, PipelineConfig(solver="exact")),
+                               ("narrow", g, narrow)])
+    docs = pipeline.batch_documents(reports, rows)
+    assert docs[0] == reports[0].to_json_dict()
+    assert docs[1] == {"name": "narrow", "error": rows[1]["error"]}
+    assert rows[1]["error"].startswith("CapacityError")
+
+
+def test_layer_and_exact_summary_json_keys():
+    """Keys of the report parts that no golden digest pins."""
+    config = PipelineConfig(depth=1, shots=500, seed=3, skip_preprocess=True)
+    doc = json.loads(run_pipeline(cycle_graph(7), config).canonical_json())
+    assert sorted(doc["training"]["log"]["layers"][0]) == [
+        "beta", "expectation", "gamma", "layer", "n_evals"]
+    assert sorted(doc["distribution"]["exact"]) == [
+        "approx_ratio_best", "best_bitstring", "best_profit", "expected_cover_size",
+        "kind", "mass_80", "mass_90", "mass_optimal", "most_likely_bitstring",
+        "most_likely_probability", "most_likely_profit", "n_distinct", "opt_profit",
+        "shots", "weighted_average_profit"]
 
 
 def test_reference_cover_size_consistency():

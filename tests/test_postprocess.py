@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profitcover.errors import DomainError
+from profitcover.errors import DomainError, InfeasibilityBug
 from profitcover.graph import (
     Graph,
     is_clique,
@@ -15,6 +15,8 @@ from profitcover.graph import (
 from profitcover.kernel import reconstruct, reduce
 from profitcover.oracle import max_profit_exact
 from profitcover.postprocess import (
+    RefinedSolution,
+    check_refined,
     finalize,
     greedy_cover_completion,
     refine,
@@ -24,7 +26,6 @@ from profitcover.postprocess import (
 from conftest import (
     brute_min_cover_size,
     brute_profit,
-    complete_graph,
     cycle_graph,
     random_gnp,
     star_graph,
@@ -130,6 +131,18 @@ def test_refine_without_rules_matches_feasibility():
             r = refine(g, subset, use_rules=use_rules)
             assert is_vertex_cover(g, r.cover_reduced)
             assert r.profit_after >= r.profit_before
+
+
+@pytest.mark.parametrize("subset,cover", [
+    (frozenset(), frozenset()),  # not a cover
+    (frozenset({0, 2}), frozenset({0, 1, 2, 3})),  # a cover that lost profit
+], ids=["not-a-cover", "lost-profit"])
+def test_check_refined_breach_is_an_infeasibility_bug(c4, subset, cover):
+    """A broken refinement is a bug (exit 4), not bad input (exit 2)."""
+    refined = RefinedSolution(cover, profit(c4, subset), profit(c4, cover), ())
+    with pytest.raises(InfeasibilityBug) as exc:
+        check_refined(c4, subset, refined)
+    assert exc.type is InfeasibilityBug
 
 
 @settings(max_examples=150, deadline=None)
