@@ -133,5 +133,3 @@ def check_refined(g: Graph, subset, refined: RefinedSolution) -> None:
         raise InfeasibilityBug("refined set is not a vertex cover")
     if profit(g, cover) < profit(g, subset):
         raise InfeasibilityBug("refinement lost profit")
-    if len(cover) > g.m - profit(g, subset):
-        raise InfeasibilityBug("refined cover exceeds the profit bound")

@@ -41,9 +41,13 @@ neither. At n=18-20 k = 4 or 5 would save up to a third of the mixer.
 
 Training is layerwise: angles of layers 1..k-1 stay frozen (their state
 is cached as a prefix), and (gamma_k, beta_k) is optimized by
-Nelder-Mead restarted from a small fixed grid plus the warm start
-(0, 0). The zero pair is also evaluated directly; since gamma=beta=0 is
-an exact no-op, the best expectation can never get worse as depth grows.
+Nelder-Mead. Layer 1 restarts from a small fixed grid plus (0, 0).
+Every later layer runs one search, started from the previous layer's
+trained angles: optimal QAOA angles change smoothly with depth (Zhou et
+al., arXiv:1812.01041), so the grid restarts there mostly repeat work.
+The zero pair is also evaluated directly in every layer; since
+gamma=beta=0 is an exact no-op, the best expectation can never get
+worse as depth grows.
 Layer 1 needs no statevector: at depth 1, <Z_u> and <Z_u Z_v> have
 closed forms local to the neighbourhoods of u and v (Ozaeta, van Dam
 and McMahon, arXiv:2012.03421), so ``depth1_objective`` evaluates <H>
@@ -76,8 +80,9 @@ MAX_QUBITS = 25
 # qubits per mixer pass; see the module docstring for why 3
 MIXER_BLOCK = 3
 
-# Restart grid for the per-layer search, covering the gamma period [0, pi)
-# and the beta period [0, pi/2) at their quarter points.
+# Restart grid for the layer-1 search, covering the gamma period [0, pi)
+# and the beta period [0, pi/2) at their quarter points. Later layers
+# start from the previous layer's angles instead.
 FIXED_STARTS = (
     (np.pi / 4, np.pi / 8),
     (np.pi / 4, 3 * np.pi / 8),
@@ -353,9 +358,12 @@ def train_layerwise(ising: IsingModel, p: int, *, maxfev: int = 40,
                     ) -> tuple[AngleSchedule, TrainLog, np.ndarray]:
     """Greedy depth-by-depth angle optimization with a no-op fallback.
 
-    Layer 1 is trained on the closed form of ``depth1_objective``. Layer
-    k >= 2 sees the frozen prefix state of layers 1..k-1, so each of its
-    objective calls costs one phase and one mixer pass regardless of k.
+    Layer 1 is trained on the closed form of ``depth1_objective``, with
+    one Nelder-Mead run from (0, 0) and one from each of ``FIXED_STARTS``.
+    Layer k >= 2 runs one Nelder-Mead search started from the trained
+    angles of layer k-1. It sees the frozen prefix state of layers
+    1..k-1, so each of its objective calls costs one phase and one mixer
+    pass regardless of k. ``maxfev`` bounds the evaluations of each run.
     Returns the schedule, the log and the state after all p trained
     layers (the uniform state when p is 0), which has the same bytes as
     ``evolve`` on the returned schedule.
@@ -378,10 +386,13 @@ def train_layerwise(ising: IsingModel, p: int, *, maxfev: int = 40,
         return expectation(state, energies)
 
     for layer in range(1, p + 1):
-        objective = depth1_objective(ising) if layer == 1 else layer_value
+        if layer == 1:
+            objective, starts = depth1_objective(ising), ((0.0, 0.0),) + FIXED_STARTS
+        else:
+            objective, starts = layer_value, ((gammas[-1], betas[-1]),)
         evals = 1
         candidates = [((0.0, 0.0), objective(0.0, 0.0))]
-        for start in ((0.0, 0.0),) + FIXED_STARTS:
+        for start in starts:
             res = minimize(
                 lambda x: objective(x[0], x[1]),
                 np.asarray(start, dtype=np.float64),

@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 
 from profitcover import qaoa
 from profitcover.errors import CapacityError, DomainError
-from profitcover.instances import gen_regular
+from profitcover.instances import gen_erdos_renyi_connected, gen_regular
 from profitcover.graph import Graph
 from profitcover.model import IsingModel, build_ising
 from profitcover.qaoa import (
@@ -399,6 +399,75 @@ def test_train_deterministic(k3):
     s1, _, _ = train_layerwise(m, 2)
     s2, _, _ = train_layerwise(m, 2)
     assert s1 == s2
+
+
+# ---------------------------------------------------------------------------
+# warm-started later layers
+
+
+def test_later_layers_run_one_search_from_the_previous_angles(monkeypatch):
+    calls = []
+
+    def recording_minimize(fun, x0, **kwargs):
+        start = tuple(float(v) for v in x0)
+        res = minimize(fun, x0, **kwargs)
+        calls.append((start, int(res.nfev)))
+        return res
+
+    monkeypatch.setattr(qaoa, "minimize", recording_minimize)
+    schedule, log, _ = train_layerwise(build_ising(gen_regular(10, 3, 4800)), 4)
+    assert len(calls) == 5 + 3
+    assert [start for start, _ in calls[:5]] == [(0.0, 0.0), *FIXED_STARTS]
+    assert log.layers[0].n_evals == 1 + sum(nfev for _, nfev in calls[:5])
+    for k, (start, nfev) in enumerate(calls[5:], start=2):
+        previous = (schedule.gammas[k - 2], schedule.betas[k - 2])
+        assert previous != (0.0, 0.0)
+        assert start == previous
+        assert log.layers[k - 1].n_evals == 1 + nfev
+
+
+def _five_start_final_expectation(m, p):
+    """Final <H> of layerwise training as it was before later layers were
+    warm-started: every layer restarts from (0, 0) and FIXED_STARTS."""
+    energies = m.energies_vector()
+    prefix = uniform_state(m.n)
+
+    def layer_value(gamma, beta):
+        state = apply_phase(prefix, m, gamma)
+        apply_mixer(state, m.n, beta)
+        return expectation(state, energies)
+
+    for layer in range(1, p + 1):
+        objective = depth1_objective(m) if layer == 1 else layer_value
+        candidates = [((0.0, 0.0), objective(0.0, 0.0))]
+        for start in ((0.0, 0.0),) + FIXED_STARTS:
+            res = minimize(
+                lambda x: objective(x[0], x[1]),
+                np.asarray(start, dtype=np.float64),
+                method="Nelder-Mead",
+                options={"maxfev": 40, "xatol": 1e-6, "fatol": 1e-12},
+            )
+            candidates.append(((float(res.x[0]), float(res.x[1])), float(res.fun)))
+        (gamma, beta), _ = min(candidates, key=lambda c: c[1])
+        prefix = apply_phase(prefix, m, gamma)
+        apply_mixer(prefix, m.n, beta)
+    return expectation(prefix, energies)
+
+
+def test_warm_start_no_worse_than_five_starts():
+    graphs = []
+    for s in range(10):
+        graphs.append(gen_regular(8 + 2 * (s % 2), 3, 7000 + s))
+        graphs.append(gen_erdos_renyi_connected(8 + s % 3, 0.3 + 0.1 * (s % 4), 7100 + s))
+    new, old = [], []
+    for g in graphs:
+        m = build_ising(g)
+        new.append(train_layerwise(m, 4)[1].expectations[-1])
+        old.append(_five_start_final_expectation(m, 4))
+    assert sum(new) <= sum(old)
+    # no graph more than 1 % worse; some come out better (one by 1.7 %)
+    for k, (a, b) in enumerate(zip(new, old)):
+        assert a <= b + 0.01 * abs(b), (k, a, b)
 
 
 # ---------------------------------------------------------------------------
