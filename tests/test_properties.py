@@ -23,7 +23,6 @@ from profitcover.graph import (
     is_vertex_cover,
 )
 from profitcover.model import build_ising
-from profitcover.oracle import min_vertex_cover_exact
 from profitcover.pipeline import PipelineConfig, run_pipeline
 from profitcover.qaoa import AngleSchedule, depth1_objective, expectation_value
 
@@ -73,5 +72,4 @@ def test_relabelling_keeps_expectation_and_optimum(n, seed):
     gammas, betas = rng.uniform(-np.pi, np.pi, (2, 2))
     schedule = AngleSchedule(tuple(gammas), tuple(betas))
     assert abs(expectation_value(m, schedule) - expectation_value(mh, schedule)) <= 1e-12
-    assert min_vertex_cover_exact(g).opt_size == min_vertex_cover_exact(h).opt_size
     assert _exact(g, "minvc") == _exact(h, "minvc")
