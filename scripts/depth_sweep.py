@@ -22,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from profitcover.errors import DomainError, ParseError  # noqa: E402
+from profitcover.errors import CapacityError, DomainError, ParseError  # noqa: E402
 from profitcover.instances import load_graph, parse_gen  # noqa: E402
 from profitcover.metrics import (  # noqa: E402
     DEPTH_SWEEP_FIELDS,
@@ -33,7 +33,7 @@ from profitcover.metrics import (  # noqa: E402
     write_csv,
 )
 from profitcover.model import build_ising  # noqa: E402
-from profitcover.oracle import BRANCH_MAX, max_profit_exact  # noqa: E402
+from profitcover.oracle import max_profit_exact  # noqa: E402
 
 
 def parse_depths(text: str) -> list[int]:
@@ -83,12 +83,12 @@ def main(argv=None) -> int:
     for name, g in instances:
         opt = None
         if not args.skip_oracle:
-            if g.n > BRANCH_MAX:
+            try:
+                _, opt = max_profit_exact(g)
+            except CapacityError:
                 print(f"warning: {name}: n={g.n} beyond the exact solver, "
                       f"masses left empty (use --skip-oracle to silence)",
                       file=sys.stderr)
-            else:
-                _, opt = max_profit_exact(g)
         sweep = depth_sweep(build_ising(g), depths, opt_profit=opt,
                             maxfev=args.maxfev)
         sweeps.append(sweep)

@@ -22,7 +22,7 @@ class ParseError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Instance exceeds a configured resource limit (qubit count, solver size)."""
+    """Instance exceeds a configured resource limit (qubit count, search nodes)."""
 
 
 class TrainingError(RuntimeError):

@@ -157,18 +157,27 @@ def _replay_folds(cover: set[int], folds) -> None:
             cover.add(rec.folded_vertex)
 
 
+def _apply_low_degree(adj: Adj, cover: set[int], folds: list[FoldRecord],
+                      counter: int) -> int:
+    """Strip isolated vertices, resolve pendants and degree-2 vertices in
+    place until none is left, so every remaining vertex has degree 3 or
+    more; returns the next free fold label."""
+    while True:
+        _strip_isolated(adj)
+        if _apply_pendants(adj, cover):
+            continue
+        n_d2, counter = _apply_degree2(adj, cover, folds, counter)
+        if not n_d2:
+            return counter
+
+
 def _greedy_bound(adj: Adj, counter: int) -> tuple[int, frozenset[int]]:
     """Greedy cover: exact moves (pendant/degree-2) plus max-degree picks."""
     adj = {v: set(nb) for v, nb in adj.items()}
     cover: set[int] = set()
     folds: list[FoldRecord] = []
     while True:
-        _strip_isolated(adj)
-        if _apply_pendants(adj, cover):
-            continue
-        n_d2, counter = _apply_degree2(adj, cover, folds, counter)
-        if n_d2:
-            continue
+        counter = _apply_low_degree(adj, cover, folds, counter)
         if not adj:
             break
         pick = max(adj, key=lambda v: (len(adj[v]), -v))

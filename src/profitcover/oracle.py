@@ -1,24 +1,32 @@
-"""Exact reference solvers for minimum vertex cover and maximum profit.
+"""Exact reference solver for minimum vertex cover and maximum profit.
 
-Two engines: exhaustive bitmask enumeration (n <= 20) and a pruned
-branch-and-bound (n <= 60) that eliminates pendant vertices, solves
-max-degree-2 remainders (paths/cycles) in closed form, and otherwise
-branches on a maximum-degree vertex. Both are deterministic; results feed
-the property tests and solve small residual graphs exactly.
+One engine, a branch and reduce (Akiba and Iwata, arXiv:1411.2680): at
+every search node the kernel's singleton, pendant and degree-2 (folding)
+rules run in place until none fires. A node is pruned when its cover,
+its pending folds and a clique-partition lower bound reach the best
+cover found so far; otherwise it branches on a maximum-degree vertex v,
+first with v in the cover, then with all of N(v). The search keeps an
+explicit stack, so its depth is not limited by Python's recursion, and
+it visits at most ``NODE_BUDGET`` nodes before raising
+``CapacityError``. Results are deterministic; they feed the property
+tests and solve residual graphs exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CapacityError, InfeasibilityBug
 from .graph import Graph, is_vertex_cover
-from .kernel import greedy_upper_bound
+from .kernel import (
+    FoldRecord,
+    _apply_low_degree,
+    _remove_vertex,
+    _replay_folds,
+    greedy_upper_bound,
+)
 
-EXHAUSTIVE_MAX = 20
-BRANCH_MAX = 60
+NODE_BUDGET = 100_000
 
 Adj = dict[int, set[int]]
 
@@ -28,149 +36,90 @@ class ExactResult:
     opt_cover: frozenset[int]
     opt_size: int
     opt_profit: int  # |E| - opt_size
-    method: str  # "exhaustive" | "branch_and_bound"
 
 
-def _exhaustive_min_cover(g: Graph) -> frozenset[int]:
-    n = g.n
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    codes = np.arange(1 << n, dtype=np.uint32)
-    covers = np.ones(1 << n, dtype=bool)
-    for u, v in g.edges:
-        mask = np.uint32((1 << idx[u]) | (1 << idx[v]))
-        covers &= (codes & mask) != 0
-    sizes = np.bitwise_count(codes).astype(np.uint8)
-    best = int(np.argmin(np.where(covers, sizes, np.uint8(255))))
-    return frozenset(g.vertices[i] for i in range(n) if best >> i & 1)
+def _clique_cover_lower_bound(adj: Adj) -> int:
+    """|V| minus the number of cliques in a greedy clique partition.
 
-
-def _matching_lower_bound(adj: Adj) -> int:
-    used: set[int] = set()
-    bound = 0
-    for v in sorted(adj):
-        if v in used:
-            continue
-        for w in sorted(adj[v]):
-            if w not in used:
-                used.add(v)
-                used.add(w)
-                bound += 1
-                break
-    return bound
-
-
-def _reduce_pendants(adj: Adj, cover: set[int]) -> None:
-    """Strip degree-0 vertices and resolve pendants (neighbor into cover).
-
-    Kept apart from the kernel's pendant rule on purpose: that rule
-    resolves pendants in another order, which changes which of several
-    optimal covers branch and bound returns (see the reg50 case in
-    tests/test_golden.py).
-
-    The queue starts with the vertices of degree 0 or 1 only. A vertex
-    whose degree drops is pushed when it drops, and the stack drains
-    everything pushed on top before the next initial entry, so an initial
-    entry of degree 2 or more would be a no-op when popped; leaving them
-    out keeps the processing order. That order follows the iteration
-    order of the neighbour sets (``for x in adj[w]``), which depends on
-    CPython's set layout, so which optimum is returned depends on how
-    each set was built: ``_solve`` copies every set per node, and
-    reusing the parent's sets instead returns other covers of the same
-    size on some graphs.
+    A clique of k vertices needs k - 1 of them in any cover. Vertices,
+    fewest neighbours first (smallest label on ties), each join the first
+    clique all of whose members they are adjacent to, or start a new one.
+    On triangle-free graphs the cliques are edges and single vertices, so
+    this is a maximal-matching bound; on dense graphs it is much stronger.
     """
-    queue = sorted(v for v, nb in adj.items() if len(nb) <= 1)
-    while queue:
-        v = queue.pop()
-        nb = adj.get(v)
-        if nb is None:
-            continue
-        if not nb:
-            del adj[v]
-        elif len(nb) == 1:
-            w = next(iter(nb))
-            for x in adj[w]:
-                if x != v:
-                    adj[x].discard(w)
-                    queue.append(x)
-            del adj[w]
-            del adj[v]
-            cover.add(w)
-
-
-def _cover_cycles(adj: Adj, cover: set[int]) -> None:
-    """Exact cover when every remaining vertex has degree 2 (disjoint cycles)."""
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        order = [start]
-        prev = None
-        while True:
-            nxt = min(w for w in adj[order[-1]] if w != prev)
-            if nxt == start:
+    common: list[set[int]] = []  # per clique, the vertices adjacent to all members
+    for v in sorted(adj, key=lambda u: (len(adj[u]), u)):
+        nb = adj[v]
+        for c, shared in enumerate(common):
+            if v in shared:
+                common[c] = shared & nb
                 break
-            prev = order[-1]
-            order.append(nxt)
-        seen.update(order)
-        cover.update(order[1::2])
-        if len(order) % 2 == 1:
-            cover.add(order[0])
+        else:
+            common.append(nb)
+    return len(adj) - len(common)
 
 
-def _solve(adj: Adj, cover: set[int], best_size: list[int], best_cover: set[int]) -> None:
-    adj = {v: set(nb) for v, nb in adj.items()}
-    cover = set(cover)
-    _reduce_pendants(adj, cover)
-    if len(cover) + _matching_lower_bound(adj) >= best_size[0]:
-        return
+def _solve(adj: Adj, cover: set[int], folds: list[FoldRecord], counter: int,
+           best: list) -> tuple[int, int] | None:
+    """Reduce one search node in place and bound it.
+
+    ``best`` is ``[size, cover]`` of the best cover found so far; a leaf
+    that beats it replaces both. Returns ``(branch vertex, next fold
+    label)`` when the node must branch, otherwise None.
+    """
+    counter = _apply_low_degree(adj, cover, folds, counter)
+    if len(cover) + len(folds) + _clique_cover_lower_bound(adj) >= best[0]:
+        return None
     if not adj:
-        best_size[0] = len(cover)
-        best_cover.clear()
-        best_cover.update(cover)
-        return
-    maxv = max(adj, key=lambda u: (len(adj[u]), -u))
-    if len(adj[maxv]) <= 2:
-        # pendant reduction left only degree-2 vertices: disjoint cycles
-        _cover_cycles(adj, cover)
-        if len(cover) < best_size[0]:
-            best_size[0] = len(cover)
-            best_cover.clear()
-            best_cover.update(cover)
-        return
-    neighbors = sorted(adj[maxv])
-
-    # branch 1: maxv joins the cover
-    sub = {v: nb - {maxv} for v, nb in adj.items() if v != maxv}
-    _solve(sub, cover | {maxv}, best_size, best_cover)
-
-    # branch 2: all neighbors of maxv join the cover
-    drop = set(neighbors)
-    sub = {v: nb - drop for v, nb in adj.items() if v not in drop}
-    _solve(sub, cover | drop, best_size, best_cover)
+        _replay_folds(cover, folds)
+        best[0] = len(cover)
+        best[1] = cover
+        return None
+    return max(adj, key=lambda u: (len(adj[u]), -u)), counter
 
 
 def _branch_and_bound_min_cover(g: Graph) -> frozenset[int]:
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    """Depth-first branch and reduce from the greedy bound.
+
+    A stack entry is a node's adjacency, cover, folds and next fold label,
+    plus the vertex whose neighbours join the cover before it is solved
+    (None for a first branch). The second branch of a node reuses the
+    node's own adjacency, so the stack holds one adjacency per level.
+    """
     # any bound above the optimum gives the same first optimum in search order
-    best_size = [greedy_upper_bound(g)[0] + 1]
-    best_cover: set[int] = set()
-    _solve(adj, set(), best_size, best_cover)
-    if not is_vertex_cover(g, best_cover):  # pragma: no cover - safety net
+    best = [greedy_upper_bound(g)[0] + 1, set()]
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    stack = [(adj, set(), [], max(g.vertices, default=-1) + 1, None)]
+    nodes = 0
+    while stack:
+        adj, cover, folds, counter, take_neighbours_of = stack.pop()
+        if take_neighbours_of is not None:
+            drop = list(adj[take_neighbours_of])
+            for w in drop:
+                _remove_vertex(adj, w)
+            cover.update(drop)
+        nodes += 1
+        if nodes > NODE_BUDGET:
+            raise CapacityError(
+                f"exact solver ran out of its budget of {NODE_BUDGET} search "
+                f"nodes on a graph of {g.n} vertices")
+        branch = _solve(adj, cover, folds, counter, best)
+        if branch is None:
+            continue
+        v, counter = branch
+        stack.append((adj, cover, folds, counter, v))
+        sub = {u: nb - {v} for u, nb in adj.items() if u != v}
+        stack.append((sub, cover | {v}, list(folds), counter, None))
+    if not is_vertex_cover(g, best[1]):  # pragma: no cover - safety net
         raise InfeasibilityBug("branch and bound returned a non-cover")
-    return frozenset(best_cover)
+    return frozenset(best[1])
 
 
 def min_vertex_cover_exact(g: Graph) -> ExactResult:
-    """Provably minimum vertex cover; exhaustive for n<=20, B&B for n<=60."""
-    if g.n <= EXHAUSTIVE_MAX:
-        cover = _exhaustive_min_cover(g)
-        method = "exhaustive"
-    elif g.n <= BRANCH_MAX:
-        cover = _branch_and_bound_min_cover(g)
-        method = "branch_and_bound"
-    else:
-        raise CapacityError(f"exact solver capped at {BRANCH_MAX} vertices, got {g.n}")
-    return ExactResult(cover, len(cover), g.m - len(cover), method)
+    """Provably minimum vertex cover; ``CapacityError`` when the search
+    needs more than ``NODE_BUDGET`` nodes."""
+    cover = _branch_and_bound_min_cover(g)
+    return ExactResult(cover, len(cover), g.m - len(cover))
 
 
 def max_profit_exact(g: Graph) -> tuple[frozenset[int], int]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 
-from .errors import DomainError, InfeasibilityBug
+from .errors import CapacityError, DomainError, InfeasibilityBug
 from .graph import Graph, complement, is_clique, is_independent_set, is_vertex_cover, profit
 from .kernel import ALL_RULES, KernelResult, reconstruct, reduce
 from .metrics import (
@@ -32,7 +32,7 @@ from .metrics import (
     summarize_exact,
 )
 from .model import build_ising, index_of_bitstring, subset_of_index
-from .oracle import BRANCH_MAX, min_vertex_cover_exact
+from .oracle import min_vertex_cover_exact
 from .postprocess import RefinedSolution, check_refined, finalize, refine
 from .qaoa import (
     MAX_QUBITS,
@@ -172,7 +172,11 @@ class PipelineReport:
 def _alpha_solution(problem: str, size: int, reference: int | None) -> float | None:
     """Best/Opt on solution sizes; for covers the ratio is inverted so
     that 1.0 always means optimal and values below 1.0 mean worse."""
-    if reference is None or reference == 0 or size == 0:
+    if reference is None:
+        return None
+    if size == reference == 0:  # the empty answer is the optimum
+        return 1.0
+    if reference == 0 or size == 0:
         return None
     if problem == "minvc":
         return reference / size
@@ -207,10 +211,17 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
         if config.solver != "exact":
             # before the oracle, which a too-wide run would otherwise wait for
             check_width(residual.n, config.max_qubits)
-        # one oracle call serves as both the reference and the exact solver
-        if config.solver == "exact" or (config.compute_reference
-                                        and residual.n <= BRANCH_MAX):
+        # one oracle call serves as both the reference and the exact
+        # solver; only the exact solver fails when its search budget runs out
+        opt = None
+        if config.solver == "exact":
             opt = min_vertex_cover_exact(residual)
+        elif config.compute_reference:
+            try:
+                opt = min_vertex_cover_exact(residual)
+            except CapacityError:
+                pass
+        if opt is not None:
             residual_opt_size = opt.opt_size
             residual_opt_profit = opt.opt_profit
 

@@ -285,13 +285,15 @@ def sample_state(probs: np.ndarray, vertex_order: tuple[int, ...], shots: int,
     draws.sort()
     picks = np.searchsorted(cdf, draws, side="right")
     np.clip(picks, 0, len(cdf) - 1, out=picks)
-    indices, counts = np.unique(picks, return_counts=True)
+    # the picks are sorted, so each distinct index is one run of equal picks
+    starts = np.flatnonzero(np.diff(picks)) + 1
+    bounds = np.concatenate(([0], starts, [shots]))
     return SampleDistribution(
         vertex_order=vertex_order,
         shots=shots,
         seed=seed,
-        indices=indices.astype(np.int64),
-        counts=counts.astype(np.int64),
+        indices=picks[bounds[:-1]].astype(np.int64),
+        counts=np.diff(bounds).astype(np.int64),
     )
 
 

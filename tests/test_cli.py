@@ -178,6 +178,12 @@ def test_exit_3_on_capacity(capsys):
     assert code == 3
 
 
+def test_exit_3_when_the_exact_search_runs_out_of_budget(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 1)
+    assert run_cli("run", "--gen", "regular:n=10,d=3,seed=1", "--solver", "exact") == 3
+    assert "budget" in capsys.readouterr().err
+
+
 def test_exit_4_on_a_broken_refinement(monkeypatch, capsys):
     monkeypatch.setattr(pipeline, "refine",
                         lambda g, subset, use_rules: RefinedSolution(frozenset(), 0, 0, ()))
@@ -367,6 +373,13 @@ def test_depth_sweep_stdout_is_well_formed_csv(tmp_path, capsys):
     assert len(rows) == 4
     assert all(len(row) == len(header) for row in rows)
     assert [row[0] for row in rows] == ["er_n6_p0.5_s3"] * 2 + ["a,b"] * 2
+
+
+def test_depth_sweep_warns_when_the_oracle_runs_out_of_budget(monkeypatch, capsys):
+    depth_sweep = _load_script("depth_sweep")
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 1)
+    assert depth_sweep.main(["--gen", "regular:n=10,d=3,seed=1", "--depths", "0"]) == 0
+    assert "beyond the exact solver, masses left empty" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

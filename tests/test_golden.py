@@ -1,9 +1,10 @@
 """Pinned canonical report bytes, and how often a run calls the oracle.
 
 The digests are sha256 of ``report.canonical_json()`` for seeded runs that
-take no trained angles: the exact solver on kernel-solved graphs, on an
-exhaustive-sized residual with folds and on branch-and-bound-sized
-residuals, and the depth-0 random solver. QAOA training runs are left out
+take no trained angles: the exact solver on kernel-solved graphs, on a
+12-vertex residual with folds and on residuals of 21 to 50 vertices, and
+the depth-0 random solver (labels name the oracle engine that first
+pinned each case). QAOA training runs are left out
 because Nelder-Mead floats can differ between numpy builds. A refactor
 that changes which cover, distribution or reference a run reports
 changes a digest here.
@@ -31,12 +32,12 @@ GOLDEN = [
     ("er16-kernel", lambda: gen_erdos_renyi_connected(16, 0.3, 2),
      PipelineConfig(solver="exact"), "solved_by_preprocessing",
      "2a767d7e5b618177f3e8c8fe0a5c5aa54c59d16d80fda914e61d882e26300107"),
-    # residual of 12 vertices after two folds: exhaustive oracle
+    # residual of 12 vertices after two folds
     ("er16-exhaustive", lambda: gen_erdos_renyi_connected(16, 0.3, 0),
      PipelineConfig(solver="exact"), "solver",
-     "d98e538d2eeaa9e611ce80ee500bcbb5642c9e1625909b5ee834e237f41ba931"),
-    # residuals of 40, 50 and 21 vertices: branch and bound; on reg50 the
-    # order in which it resolves pendants picks one of several optimal covers
+     "813dd80ce056503579a2c9e00d754a86d3c4306d03c38a1c435a66d5b8eb6619"),
+    # residuals of 40, 50 and 21 vertices; on reg50 the order in which the
+    # search resolves pendants picks one of several optimal covers
     ("reg40-bnb", lambda: gen_regular(40, 4, 1),
      PipelineConfig(solver="exact"), "solver",
      "08d4b24efa2d1f45d508dc48f5371a34e484adf876ee65e3c7ca9063b2a4df8b"),

@@ -2,17 +2,20 @@
 
 brute_min_cover / brute_max_profit in conftest are the independent
 references: pure-python subset enumeration with none of the pruning the
-package oracle uses.
+package oracle uses. frozen_oracle is the branch and bound the package
+used before it ran the kernel's rules, for graphs past enumeration.
 """
+
+import inspect
+import sys
 
 import pytest
 
 from profitcover import oracle
 from profitcover.errors import CapacityError, InfeasibilityBug
 from profitcover.graph import complement, is_vertex_cover
+from profitcover.instances import gen_regular
 from profitcover.oracle import (
-    BRANCH_MAX,
-    EXHAUSTIVE_MAX,
     _branch_and_bound_min_cover,
     max_profit_exact,
     min_vertex_cover_exact,
@@ -28,6 +31,7 @@ from conftest import (
     random_gnp,
     star_graph,
 )
+from frozen_oracle import frozen_min_cover
 
 
 def test_k3_cover_size():
@@ -66,13 +70,11 @@ def test_exhaustive_matches_brute_force(seed):
     res = min_vertex_cover_exact(g)
     assert res.opt_size == brute_min_cover_size(g)
     assert is_vertex_cover(g, res.opt_cover)
-    assert res.method == "exhaustive"
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_branch_and_bound_matches_exhaustive(seed):
-    # min_vertex_cover_exact only routes sizes beyond EXHAUSTIVE_MAX to
-    # branch and bound, so call it directly where brute force is affordable
+    # the search itself, without the ExactResult wrapper
     g = random_gnp(12, 0.3, 1000 + seed)
     cover = _branch_and_bound_min_cover(g)
     assert len(cover) == brute_min_cover_size(g)
@@ -89,10 +91,9 @@ def test_branch_and_bound_non_cover_is_an_infeasibility_bug(monkeypatch):
 
 def test_branch_and_bound_on_structured_midsize():
     # cycles and complete graphs have closed-form optima: minVC(C_n)=ceil(n/2),
-    # minVC(K_n)=n-1; sizes above EXHAUSTIVE_MAX exercise the search path
+    # minVC(K_n)=n-1
     g = cycle_graph(31)
     res = min_vertex_cover_exact(g)
-    assert res.method == "branch_and_bound"
     assert res.opt_size == 16
     assert is_vertex_cover(g, res.opt_cover)
 
@@ -104,11 +105,40 @@ def test_branch_and_bound_on_structured_midsize():
     assert min_vertex_cover_exact(g).opt_size == 1
 
 
-def test_capacity_limits():
+def test_capacity_limits(monkeypatch):
+    # the graph needs more than five search nodes; the default budget solves it
+    g = random_gnp(65, 0.1, 0)
+    assert is_vertex_cover(g, min_vertex_cover_exact(g).opt_cover)
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 5)
     with pytest.raises(CapacityError):
-        min_vertex_cover_exact(random_gnp(BRANCH_MAX + 1, 0.1, 0))
+        min_vertex_cover_exact(g)
     with pytest.raises(CapacityError):
-        max_profit_exact(random_gnp(EXHAUSTIVE_MAX + 45, 0.1, 0))
+        max_profit_exact(g)
+
+
+def test_deep_search_does_not_recurse(monkeypatch):
+    """The search depth grows with n; an exhausted budget on a wide graph
+    raises CapacityError, with little room left on the Python stack."""
+    g = gen_regular(600, 3, 1)
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 2000)
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        with pytest.raises(CapacityError):
+            min_vertex_cover_exact(g)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_regular_128_matches_the_frozen_oracle():
+    """Past the 60 vertices the frozen oracle was capped at, at the
+    paper's largest size (the frozen search takes 4-8 s here, depending
+    on the seed)."""
+    g = gen_regular(128, 3, 7)
+    res = min_vertex_cover_exact(g)
+    assert is_vertex_cover(g, res.opt_cover)
+    assert res.opt_size == len(frozen_min_cover(g))
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -158,35 +188,3 @@ def test_deterministic_results():
     a = min_vertex_cover_exact(g)
     b = min_vertex_cover_exact(g)
     assert a.opt_cover == b.opt_cover and a.opt_size == b.opt_size
-
-
-def _reduce_pendants_from_every_vertex(adj, cover):
-    """The pendant reduction with the queue started from every vertex."""
-    queue = sorted(adj)
-    while queue:
-        v = queue.pop()
-        nb = adj.get(v)
-        if nb is None:
-            continue
-        if not nb:
-            del adj[v]
-        elif len(nb) == 1:
-            w = next(iter(nb))
-            for x in adj[w]:
-                if x != v:
-                    adj[x].discard(w)
-                    queue.append(x)
-            del adj[w]
-            del adj[v]
-            cover.add(w)
-
-
-def test_pendant_queue_of_low_degree_vertices_keeps_the_covers(monkeypatch):
-    """Starting the queue from degree <= 1 vertices returns the same
-    cover, not just one of the same size, on sparse graphs past the
-    exhaustive range, where branch and bound and its pendant reduction run."""
-    graphs = [random_gnp(21 + seed % 24, (1.5 + seed % 5) / (21 + seed % 24), 4800 + seed)
-              for seed in range(60)]
-    covers = [min_vertex_cover_exact(g).opt_cover for g in graphs]
-    monkeypatch.setattr(oracle, "_reduce_pendants", _reduce_pendants_from_every_vertex)
-    assert covers == [min_vertex_cover_exact(g).opt_cover for g in graphs]

@@ -11,7 +11,7 @@ from profitcover.graph import (
     is_independent_set,
     is_vertex_cover,
 )
-from profitcover import metrics, pipeline, qaoa
+from profitcover import metrics, oracle, pipeline, qaoa
 from profitcover.instances import gen_regular, load_graph
 from profitcover.pipeline import (
     REPORT_CSV_FIELDS,
@@ -230,6 +230,37 @@ def test_alpha_solution_semantics():
     assert vc.alpha_solution == 1.0  # optimal run
     mis = run_pipeline(g, PipelineConfig(problem="maxis", solver="exact"))
     assert mis.alpha_solution == 1.0
+
+
+@pytest.mark.parametrize("problem", ["minvc", "maxis"])
+@pytest.mark.parametrize("g", [Graph([0], []), Graph([], [])], ids=["edgeless", "empty"])
+def test_alpha_solution_of_an_empty_optimum(g, problem):
+    """An optimal answer of size 0 (a cover of an edgeless graph, an
+    independent set of the empty graph) has ratio 1.0, not None."""
+    report = run_pipeline(g, PipelineConfig(problem=problem, solver="exact"))
+    assert report.optimal is True
+    assert report.alpha_solution == 1.0
+
+
+def test_exhausted_oracle_budget(monkeypatch):
+    """The exact solver fails; any other solver runs on without a reference."""
+    g = gen_regular(10, 3, 1)  # its residual needs a branching search
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 1)
+    with pytest.raises(CapacityError, match="budget"):
+        run_pipeline(g, PipelineConfig(solver="exact"))
+    random_run = PipelineConfig(solver="random", shots=1000)
+    report = run_pipeline(g, random_run)
+    assert report.status == "solver" and report.feasible
+    assert report.optimal is None
+    assert report.alpha_solution is None
+    assert report.reference_cover_size is None
+    reports, rows = run_batch([("exact", g, PipelineConfig(solver="exact")),
+                               ("random", g, random_run)])
+    assert reports[0] is None and rows[0]["error"].startswith("CapacityError")
+    assert rows[1]["error"] == ""
+    assert rows[1]["optimal"] is None
+    assert rows[1]["alpha_solution"] is None
+    assert rows[1]["reference_cover_size"] is None
 
 
 def test_csv_row_fields_complete():

@@ -625,3 +625,29 @@ def test_sample_state_rejects_a_state():
         sample_state(state, tuple(range(3)), shots=10, seed=1)
     d = sample_state(probabilities(state), tuple(range(3)), shots=10, seed=1)
     assert int(d.counts.sum()) == 10
+
+
+def _unique_picks(probs, shots, seed):
+    """Indices and counts as np.unique gave them before runs were counted."""
+    draws = qaoa._rng(seed).random(shots)
+    draws.sort()
+    picks = np.searchsorted(np.cumsum(probs), draws, side="right")
+    np.clip(picks, 0, len(probs) - 1, out=picks)
+    return np.unique(picks, return_counts=True)
+
+
+@pytest.mark.parametrize("probs", [
+    np.random.default_rng(3).dirichlet(np.ones(64)),
+    np.random.default_rng(4).dirichlet(np.full(16, 0.05)),  # a few heavy outcomes
+    np.eye(8)[0], np.eye(8)[3], np.eye(8)[7],  # point masses
+    np.array([0.5, 0.0, 0.0, 0.5]),  # ties at the ends
+    np.array([0.0, 0.5, 0.5, 0.0]),
+    np.full(10, 0.1),  # the cumulative sum stops short of 1.0
+], ids=["dirichlet", "sparse", "mass-first", "mass-middle", "mass-last",
+        "ends", "inner", "short-cdf"])
+@pytest.mark.parametrize("shots", [1, 7, 10_000])
+def test_sample_state_counts_runs_like_unique(probs, shots):
+    d = sample_state(probs, tuple(range(len(probs))), shots=shots, seed=11)
+    indices, counts = _unique_picks(probs, shots, 11)
+    assert d.indices.dtype == d.counts.dtype == np.int64
+    assert np.array_equal(d.indices, indices) and np.array_equal(d.counts, counts)
