@@ -117,8 +117,9 @@ def test_capacity_limits(monkeypatch):
 
 
 def test_deep_search_does_not_recurse(monkeypatch):
-    """The search depth grows with n; an exhausted budget on a wide graph
-    raises CapacityError, with little room left on the Python stack."""
+    """The search depth grows with n (about 65 levels here within the
+    budget); an exhausted budget raises CapacityError even with only 50
+    frames left on the Python stack."""
     g = gen_regular(600, 3, 1)
     monkeypatch.setattr(oracle, "NODE_BUDGET", 2000)
     depth = len(inspect.stack(0))
@@ -132,9 +133,8 @@ def test_deep_search_does_not_recurse(monkeypatch):
 
 
 def test_regular_128_matches_the_frozen_oracle():
-    """Past the 60 vertices the frozen oracle was capped at, at the
-    paper's largest size (the frozen search takes 4-8 s here, depending
-    on the seed)."""
+    """Past the old 60-vertex cap, at the paper's largest size (the
+    frozen search takes 4-8 s here, depending on the seed)."""
     g = gen_regular(128, 3, 7)
     res = min_vertex_cover_exact(g)
     assert is_vertex_cover(g, res.opt_cover)
