@@ -2,11 +2,11 @@
 """Sweep QAOA depth on one or more instances and tabulate the metrics.
 
 For every instance the script trains a layerwise schedule once at the
-deepest requested depth, replays the trained prefixes, and records per
-depth the exact expectation and the distribution summary (best profit,
-weighted average, expected cover size, near-optimal masses).  Rows for
-all instances land in one CSV; aggregate mass statistics per depth are
-printed as JSON at the end.
+deepest requested depth, with the pipeline's ``qaoa.MAXFEV`` evaluations
+per Nelder-Mead run, replays the trained prefixes and records per depth
+the exact expectation and the distribution summary (best profit, weighted
+average, expected cover size, near-optimal masses). One CSV holds all
+rows; aggregate mass statistics per depth print as JSON at the end.
 
 Examples:
     python scripts/depth_sweep.py --gen er:n=12,p=0.5,seed=3 --depths 0-6
@@ -58,8 +58,6 @@ def main(argv=None) -> int:
                              "or regular:n=10,d=3,seed=1 (repeatable)")
     parser.add_argument("--depths", default="0-8",
                         help="range 0-8 or list 0,2,4,8")
-    parser.add_argument("--maxfev", type=int, default=40,
-                        help="objective evaluations per optimizer start")
     parser.add_argument("--skip-oracle", action="store_true",
                         help="do not compute the optimal profit "
                              "(near-optimal masses stay empty)")
@@ -89,8 +87,7 @@ def main(argv=None) -> int:
                 print(f"warning: {name}: n={g.n} beyond the exact solver, "
                       f"masses left empty (use --skip-oracle to silence)",
                       file=sys.stderr)
-        sweep = depth_sweep(build_ising(g), depths, opt_profit=opt,
-                            maxfev=args.maxfev)
+        sweep = depth_sweep(build_ising(g), depths, opt_profit=opt)
         sweeps.append(sweep)
         rows.extend(depth_sweep_rows(name, sweep))
         print(f"{name}: n={g.n} m={g.m} opt_profit={opt} "

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import CapacityError, DomainError, InfeasibilityBug, ParseError
@@ -44,8 +45,6 @@ CONFIG_KEYS = {
     "shots": ("shots", int),
     "seed": ("seed", int),
     "rules": ("rules", (str, list)),
-    "skip_preprocess": ("skip_preprocess", bool),
-    "postprocess_rules": ("postprocess_rules", bool),
     "max_qubits": ("max_qubits", int),
     "reference_note": ("reference_note", str),
 }
@@ -106,11 +105,8 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--layers", type=int, help="QAOA depth p")
     sub.add_argument("--shots", type=int)
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--rules", help="comma-separated reduction rules to enable")
-    sub.add_argument("--skip-preprocess", action="store_true", default=None)
-    sub.add_argument("--no-postprocess-rules", dest="postprocess_rules",
-                     action="store_false", default=None,
-                     help="disable reduction rules inside refinement")
+    sub.add_argument("--rules", help="comma-separated reduction rules to enable; "
+                                     "\"\" runs on the full graph")
     sub.add_argument("--max-qubits", type=int)
     sub.add_argument("--out", help="report path (.json or .csv); stdout if omitted")
     sub.add_argument("--emit-kernel", help="write the kernel dump JSON here")
@@ -118,12 +114,30 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
                      help="write the sampled distribution JSON here")
 
 
+@contextmanager
+def _writing(path: str):
+    """An output path that cannot be written is an input error (exit 2)."""
+    try:
+        yield
+    except OSError as err:
+        raise ParseError(f"cannot write {path}: {err.strerror or err}") from None
+
+
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with _writing(out), open(out, "w") as fh:
             fh.write(text)
+
+
+def _write_report(out: str | None, rows: list[dict], doc) -> None:
+    """``rows`` as CSV when ``out`` ends in .csv, else ``doc`` as canonical JSON."""
+    if out is not None and out.endswith(".csv"):
+        with _writing(out):
+            write_csv(out, REPORT_CSV_FIELDS, rows)
+    else:
+        _write_text(canonical_json(doc), out)
 
 
 def _check_out(out: str | None) -> None:
@@ -136,10 +150,7 @@ def _cmd_run(args) -> int:
     flags = {key: value for key, value in vars(args).items() if key in JOB_KEYS}
     name, g, config = _job(flags, "run")
     report = run_pipeline(g, config, name)
-    if args.out is not None and args.out.endswith(".csv"):
-        write_csv(args.out, REPORT_CSV_FIELDS, [report_csv_row(report)])
-    else:
-        _write_text(report.canonical_json(), args.out)
+    _write_report(args.out, [report_csv_row(report)], report.to_json_dict())
     if args.emit_kernel:
         _write_text(canonical_json(report.kernel.to_json_dict()), args.emit_kernel)
     if args.emit_distribution:
@@ -178,10 +189,7 @@ def _cmd_batch(args) -> int:
         else:
             print(f"{report.name}: status={report.status} |Sol|={report.solution_size}",
                   file=sys.stderr)
-    if args.out is not None and args.out.endswith(".csv"):
-        write_csv(args.out, REPORT_CSV_FIELDS, rows)
-    else:
-        _write_text(canonical_json(batch_documents(reports, rows)), args.out)
+    _write_report(args.out, rows, batch_documents(reports, rows))
     return 0
 
 

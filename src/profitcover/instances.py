@@ -33,7 +33,14 @@ _PAIRING_ATTEMPTS = 2000
 MAX_DECLARED_VERTICES = 100_000
 
 
+def check_seed(seed: int) -> None:
+    """A seed must be a Philox key, an integer in [0, 2**128)."""
+    if not 0 <= seed < 1 << 128:
+        raise DomainError(f"seed must be in [0, 2**128), got {seed}")
+
+
 def _rng(seed: int) -> np.random.Generator:
+    check_seed(seed)
     return np.random.Generator(np.random.Philox(key=seed))
 
 

@@ -160,7 +160,7 @@ class DepthSweep:
 
 
 def depth_sweep(ising: IsingModel, p_list, *, opt_profit: int | None = None,
-                maxfev: int = 40, max_qubits: int = MAX_QUBITS) -> DepthSweep:
+                max_qubits: int = MAX_QUBITS) -> DepthSweep:
     """Train once to max(p_list) and report exact metrics at those depths.
 
     Depth d reuses the trained prefix (gamma_1..d, beta_1..d), so the
@@ -171,8 +171,7 @@ def depth_sweep(ising: IsingModel, p_list, *, opt_profit: int | None = None,
     if not depths or depths[0] < 0:
         raise DomainError("depth list must contain non-negative depths")
     p_max = depths[-1]
-    schedule, _, _ = train_layerwise(ising, p_max, maxfev=maxfev,
-                                     max_qubits=max_qubits)
+    schedule, _, _ = train_layerwise(ising, p_max, max_qubits=max_qubits)
     energies = ising.energies_vector()
     n = ising.n
 

@@ -4,7 +4,7 @@ Flow for a problem instance (cover, independent set, or clique):
 
 1. clique inputs are complemented, so everything downstream is a cover
    problem on the working graph;
-2. reduction rules shrink the working graph (optional);
+2. the configured reduction rules shrink the working graph;
 3. if edges remain, the residual becomes a profit Hamiltonian solved by
    simulated QAOA, exact enumeration, or plain uniform sampling;
 4. the best sampled subset is rounded to a cover of the residual,
@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 from .errors import CapacityError, DomainError, InfeasibilityBug
 from .graph import Graph, complement, is_clique, is_independent_set, is_vertex_cover, profit
+from .instances import check_seed
 from .kernel import ALL_RULES, KernelResult, reconstruct, reduce
 from .metrics import (
     DistributionSummary,
@@ -57,11 +58,7 @@ class PipelineConfig:
     shots: int = 100_000
     seed: int = 1
     rules: tuple[str, ...] = ALL_RULES
-    skip_preprocess: bool = False
-    postprocess_rules: bool = True
-    maxfev: int = 40
     max_qubits: int = MAX_QUBITS
-    compute_reference: bool = True
     reference_note: str | None = None  # free-text provenance, not asserted
 
     def __post_init__(self):
@@ -73,6 +70,7 @@ class PipelineConfig:
             raise DomainError("depth must be non-negative")
         if self.shots < 1:
             raise DomainError("shots must be positive")
+        check_seed(self.seed)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -190,7 +188,7 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
     work = complement(g) if config.problem == "maxcl" else g
 
     t = time.perf_counter()
-    kr = reduce(work, () if config.skip_preprocess else config.rules)
+    kr = reduce(work, config.rules)
     timings["reduce_s"] = time.perf_counter() - t
 
     residual = kr.reduced
@@ -213,17 +211,12 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
             check_width(residual.n, config.max_qubits)
         # one oracle call serves as both the reference and the exact
         # solver; only the exact solver fails when its search budget runs out
-        opt = None
-        if config.solver == "exact":
+        try:
             opt = min_vertex_cover_exact(residual)
-        elif config.compute_reference:
-            try:
-                opt = min_vertex_cover_exact(residual)
-            except CapacityError:
-                pass
-        if opt is not None:
-            residual_opt_size = opt.opt_size
-            residual_opt_profit = opt.opt_profit
+            residual_opt_size, residual_opt_profit = opt.opt_size, opt.opt_profit
+        except CapacityError:
+            if config.solver == "exact":
+                raise
 
         if config.solver == "exact":
             refined = RefinedSolution(opt.opt_cover, opt.opt_profit,
@@ -235,7 +228,7 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
             # Depth 0, and the random solver, give the uniform state.
             schedule, train_log, state = train_layerwise(
                 ising, config.depth if config.solver == "qaoa" else 0,
-                maxfev=config.maxfev, max_qubits=config.max_qubits)
+                max_qubits=config.max_qubits)
             timings["train_s"] = time.perf_counter() - t
 
             t = time.perf_counter()
@@ -247,7 +240,7 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
             exact_summary = summarize_exact(probs, ising, residual_opt_profit)
             raw = subset_of_index(index_of_bitstring(sampled_summary.best_bitstring),
                                   ising.vertex_order)
-            refined = refine(residual, raw, use_rules=config.postprocess_rules)
+            refined = refine(residual, raw)
             check_refined(residual, raw, refined)
             two_qubit = schedule.p * residual.m
             depth_proxy = schedule.p * edge_coloring_colors(residual)

@@ -8,9 +8,10 @@ Consequently the result also satisfies |cover| <= |E| - profit(input).
 
 Completion follows a fixed deterministic rule: scan uncovered edges in
 sorted order, take the endpoint with more uncovered incident edges,
-breaking ties toward the smaller label. Optionally the reduction rules
-run on the residual graph of uncovered edges first, which resolves easy
-structure (pendants, folds, LP-forced vertices) before the greedy pass.
+breaking ties toward the smaller label. The reduction rules run on the
+residual graph of uncovered edges first, which resolves easy structure
+(pendants, folds, LP-forced vertices) before the greedy pass; the kernel
+replays its folds onto the residual's cover.
 """
 
 from __future__ import annotations
@@ -76,15 +77,14 @@ def remove_redundant(g: Graph, cover) -> frozenset[int]:
     return frozenset(kept)
 
 
-def refine(g: Graph, subset, use_rules: bool = True) -> RefinedSolution:
+def refine(g: Graph, subset) -> RefinedSolution:
     """Subset of g -> feasible cover with profit(after) >= profit(before)."""
     base = set(g.check_subset(subset))
     profit_before = profit(g, base)
     steps: list[str] = []
     uncovered = uncovered_edges(g, base)
-    if uncovered and use_rules:
-        residual_vertices = {v for e in uncovered for v in e}
-        residual = Graph(residual_vertices, uncovered)
+    if uncovered:
+        residual = Graph({v for e in uncovered for v in e}, uncovered)
         kr = reduce(residual)
         fired = {r: c for r, c in kr.rule_counts.items() if c}
         if fired:
@@ -92,13 +92,8 @@ def refine(g: Graph, subset, use_rules: bool = True) -> RefinedSolution:
         sub_cover = greedy_cover_completion(kr.reduced, frozenset())
         if sub_cover:
             steps.append(f"greedy:+{len(sub_cover)}")
-        added = reconstruct(kr, sub_cover)
-        base |= added
-        cover = frozenset(base)
-    else:
-        cover = greedy_cover_completion(g, base)
-        if len(cover) > len(base):
-            steps.append(f"greedy:+{len(cover) - len(base)}")
+        base |= reconstruct(kr, sub_cover)
+    cover = frozenset(base)
     pruned = remove_redundant(g, cover)
     if len(pruned) < len(cover):
         steps.append(f"redundant:-{len(cover) - len(pruned)}")

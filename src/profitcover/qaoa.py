@@ -90,6 +90,9 @@ FIXED_STARTS = (
     (3 * np.pi / 4, 3 * np.pi / 8),
 )
 
+# objective evaluations allowed to each Nelder-Mead run
+MAXFEV = 40
+
 
 @dataclass(frozen=True)
 class AngleSchedule:
@@ -355,8 +358,7 @@ def depth1_objective(ising: IsingModel):
     return value
 
 
-def train_layerwise(ising: IsingModel, p: int, *, maxfev: int = 40,
-                    max_qubits: int = MAX_QUBITS,
+def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
                     ) -> tuple[AngleSchedule, TrainLog, np.ndarray]:
     """Greedy depth-by-depth angle optimization with a no-op fallback.
 
@@ -365,15 +367,13 @@ def train_layerwise(ising: IsingModel, p: int, *, maxfev: int = 40,
     Layer k >= 2 runs one Nelder-Mead search started from the trained
     angles of layer k-1. It sees the frozen prefix state of layers
     1..k-1, so each of its objective calls costs one phase and one mixer
-    pass regardless of k. ``maxfev`` bounds the evaluations of each run.
+    pass regardless of k. ``MAXFEV`` bounds the evaluations of each run.
     Returns the schedule, the log and the state after all p trained
     layers (the uniform state when p is 0), which has the same bytes as
     ``evolve`` on the returned schedule.
     """
     if p < 0:
         raise DomainError("depth must be non-negative")
-    if maxfev < 1:
-        raise DomainError("maxfev must be positive")
     n = ising.n
     check_width(n, max_qubits)
     energies = ising.energies_vector()
@@ -399,7 +399,7 @@ def train_layerwise(ising: IsingModel, p: int, *, maxfev: int = 40,
                 lambda x: objective(x[0], x[1]),
                 np.asarray(start, dtype=np.float64),
                 method="Nelder-Mead",
-                options={"maxfev": maxfev, "xatol": 1e-6, "fatol": 1e-12},
+                options={"maxfev": MAXFEV, "xatol": 1e-6, "fatol": 1e-12},
             )
             evals += int(res.nfev)
             candidates.append(((float(res.x[0]), float(res.x[1])), float(res.fun)))

@@ -351,7 +351,7 @@ def test_criterion_6_full_graph_depth1_sampling():
             failures.append(err)
             continue
         config = PipelineConfig(problem="maxis", solver="qaoa", depth=1,
-                                shots=100_000, seed=1, skip_preprocess=True)
+                                shots=100_000, seed=1, rules=())
         report = run_pipeline(g, config, name=name)
         _collect(report)
         issues = []

@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, outputs, exit codes."""
 
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -9,10 +10,10 @@ from pathlib import Path
 import pytest
 
 from profitcover import oracle, pipeline
-from profitcover.cli import main
+from profitcover.cli import CONFIG_KEYS, _parse_rules, main
 from profitcover.errors import ParseError
-from profitcover.cli import _parse_rules
 from profitcover.instances import gen_erdos_renyi_connected, gen_regular, parse_gen
+from profitcover.pipeline import PipelineConfig
 from profitcover.postprocess import RefinedSolution
 
 KARATE = "data/instances/karate.edges"
@@ -90,14 +91,14 @@ def test_run_emits_kernel_and_distribution(tmp_path):
     kern = tmp_path / "kernel.json"
     dist = tmp_path / "dist.json"
     code = run_cli("run", "--gen", "er:n=10,p=0.7,seed=3",
-                   "--skip-preprocess", "--layers", "1",
+                   "--rules", "", "--layers", "1",
                    "--shots", "2000",
                    "--out", str(tmp_path / "r.json"),
                    "--emit-kernel", str(kern),
                    "--emit-distribution", str(dist))
     assert code == 0
     kdoc = json.loads(kern.read_text())
-    assert kdoc["solved"] is False  # skip-preprocess keeps the graph
+    assert kdoc["solved"] is False  # no rules keep the graph
     ddoc = json.loads(dist.read_text())
     assert sum(ddoc["distribution"]["counts"].values()) == 2000
 
@@ -172,9 +173,83 @@ def test_exit_2_on_vertex_count_above_the_cap(tmp_path, capsys, name, text):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("solver", ["qaoa", "exact"])
+@pytest.mark.parametrize("seed_args", [
+    ("--gen", "regular:n=10,d=3,seed=1", "--seed", "-1"),
+    ("--gen", "regular:n=10,d=3,seed=-3"),
+    ("--gen", "regular:n=10,d=3,seed=1", "--seed", str(2 ** 128)),
+], ids=["run-seed", "gen-seed", "run-seed-too-large"])
+def test_exit_2_on_a_seed_outside_the_philox_keys(capsys, solver, seed_args):
+    assert run_cli("run", *seed_args, "--solver", solver) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: seed must be in [0, 2**128)")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag,file", [
+    ("--out", "r.json"), ("--out", "r.csv"),
+    ("--emit-kernel", "k.json"), ("--emit-distribution", "d.json"),
+])
+def test_run_exit_2_on_an_unwritable_output(tmp_path, capsys, flag, file):
+    path = tmp_path / "missing" / file
+    assert run_cli("run", "--gen", "regular:n=8,d=3,seed=1", "--solver", "exact",
+                   flag, str(path)) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {path}: No such file or directory" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_batch_exit_2_on_an_unwritable_output(tmp_path, capsys, suffix):
+    manifest = _write_manifest(tmp_path, [{"gen": "er:n=6,p=0.5,seed=1", "solver": "exact"}])
+    path = tmp_path / "missing" / f"table{suffix}"
+    assert run_cli("batch", "--manifest", manifest, "--out", str(path)) == 2
+    assert f"error: cannot write {path}: No such file or directory" in capsys.readouterr().err
+
+
+def test_config_keys_name_every_pipeline_config_field():
+    """Every setting of a run can be given on the command line and in a
+    manifest, and no key sets anything else."""
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert {field for field, _ in CONFIG_KEYS.values()} == fields
+
+
+@pytest.mark.parametrize("flag", ["--skip-preprocess", "--no-postprocess-rules"])
+def test_removed_flags_exit_2(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--gen", "er:n=16,p=0.3,seed=2", "--solver", "exact", flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# the kernel solves this graph outright (five folds)
+KERNEL_SOLVED = "er:n=16,p=0.3,seed=2"
+
+
+def test_run_empty_rules_keep_the_kernel_unsolved(capsys):
+    assert run_cli("run", "--gen", KERNEL_SOLVED, "--solver", "exact") == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "solved_by_preprocessing"
+    assert run_cli("run", "--gen", KERNEL_SOLVED, "--solver", "exact", "--rules", "") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "solver" and doc["kernel"]["solved"] is False
+    assert doc["config"]["rules"] == [] and doc["solution"]["optimal"] is True
+
+
+def test_batch_empty_rules_keep_the_kernel_unsolved(tmp_path, capsys):
+    manifest = _write_manifest(tmp_path, [
+        {"gen": KERNEL_SOLVED, "solver": "exact"},
+        {"gen": KERNEL_SOLVED, "solver": "exact", "rules": []},
+    ])
+    assert run_cli("batch", "--manifest", manifest) == 0
+    kept, unsolved = json.loads(capsys.readouterr().out)
+    assert kept["status"] == "solved_by_preprocessing" and kept["kernel"]["solved"]
+    assert unsolved["status"] == "solver" and unsolved["kernel"]["solved"] is False
+    assert unsolved["solution"]["size"] == kept["solution"]["size"]
+
+
 def test_exit_3_on_capacity(capsys):
-    code = run_cli("run", "--gen", "er:n=28,p=0.2,seed=1",
-                   "--skip-preprocess")
+    code = run_cli("run", "--gen", "er:n=28,p=0.2,seed=1", "--rules", "")
     assert code == 3
 
 
@@ -186,7 +261,7 @@ def test_exit_3_when_the_exact_search_runs_out_of_budget(monkeypatch, capsys):
 
 def test_exit_4_on_a_broken_refinement(monkeypatch, capsys):
     monkeypatch.setattr(pipeline, "refine",
-                        lambda g, subset, use_rules: RefinedSolution(frozenset(), 0, 0, ()))
+                        lambda g, subset: RefinedSolution(frozenset(), 0, 0, ()))
     assert run_cli("run", "--gen", "regular:n=8,d=3,seed=1", "--solver", "random") == 4
     assert "infeasibility bug" in capsys.readouterr().err
 
@@ -194,7 +269,7 @@ def test_exit_4_on_a_broken_refinement(monkeypatch, capsys):
 def test_exit_4_on_a_non_cover_from_the_oracle(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "_solve", lambda *args: None)
     assert run_cli("run", "--gen", "regular:n=22,d=3,seed=1", "--solver", "exact",
-                   "--skip-preprocess") == 4
+                   "--rules", "") == 4
     assert "infeasibility bug" in capsys.readouterr().err
 
 
@@ -248,7 +323,7 @@ def test_batch_json_output(tmp_path, capsys):
 def test_batch_csv_output(tmp_path, capsys):
     manifest = _write_manifest(tmp_path, [
         {"gen": "regular:n=8,d=3,seed=1", "solver": "exact"},
-        {"gen": "er:n=30,p=0.2,seed=1", "skip_preprocess": True},
+        {"gen": "er:n=30,p=0.2,seed=1", "rules": []},
     ])
     out = tmp_path / "table.csv"
     assert run_cli("batch", "--manifest", manifest, "--out", str(out)) == 0
@@ -291,9 +366,13 @@ def test_batch_missing_manifest(capsys):
 @pytest.mark.parametrize("bad", [
     {"depth": 3},                    # unknown key (the flag is "layers")
     {"layers": "x"},                 # not an integer
-    {"skip_preprocess": "false"},    # a string, not a boolean
+    {"skip_preprocess": "false"},    # a removed key; "rules": [] replaces it
     {"rules": ["pr", "bogus"]},      # unknown rule
-], ids=["unknown-key", "layers-str", "skip-preprocess-str", "unknown-rule"])
+    {"postprocess_rules": False},    # a removed key; refinement always runs the rules
+    {"seed": -1},                    # not a Philox key
+    {"gen": "regular:n=6,d=3,seed=-3"},  # the generator's seed is not a Philox key
+], ids=["unknown-key", "layers-str", "skip-preprocess-str", "unknown-rule",
+        "postprocess-rules", "negative-seed", "negative-gen-seed"])
 def test_batch_bad_entry_exits_2_before_any_job(tmp_path, capsys, bad):
     manifest = _write_manifest(tmp_path, [
         {"gen": "er:n=6,p=0.5,seed=1", "solver": "exact"},

@@ -14,7 +14,7 @@ import hashlib
 
 import pytest
 
-from profitcover import pipeline, postprocess
+from profitcover import pipeline
 from profitcover.instances import gen_erdos_renyi_connected, gen_regular, load_graph
 from profitcover.pipeline import PipelineConfig, run_pipeline
 
@@ -24,32 +24,32 @@ GOLDEN = [
     # (label, graph factory, config, status, sha256 of the canonical JSON)
     ("karate-maxis", lambda: load_graph(KARATE),
      PipelineConfig(problem="maxis", solver="exact"), "solved_by_preprocessing",
-     "0c5eabebe7b770c440b911db5d645bd9bb9d666e48e7ff2aa911029e82b5ebc2"),
+     "fd1b6fad5fe3022ef1574847df2df1e9afee51e2bbc7ddf2b69443eef9864fa1"),
     ("karate-maxcl", lambda: load_graph(KARATE),
      PipelineConfig(problem="maxcl", solver="exact"), "solved_by_preprocessing",
-     "148dfaf52e2ba269ec1ad245a770218be6154220d8e40e0eaee48bb6051786c1"),
+     "ae7e65f2db1876a5847d146eb33f5c63888168260b8ecd36e3994879f467a25f"),
     # the kernel solves it with five folds
     ("er16-kernel", lambda: gen_erdos_renyi_connected(16, 0.3, 2),
      PipelineConfig(solver="exact"), "solved_by_preprocessing",
-     "2a767d7e5b618177f3e8c8fe0a5c5aa54c59d16d80fda914e61d882e26300107"),
+     "4cd476c09b3b4007344947bc7d595fb6d7d7953441d778a1abe2b1184d53806d"),
     # residual of 12 vertices after two folds
     ("er16-exhaustive", lambda: gen_erdos_renyi_connected(16, 0.3, 0),
      PipelineConfig(solver="exact"), "solver",
-     "813dd80ce056503579a2c9e00d754a86d3c4306d03c38a1c435a66d5b8eb6619"),
+     "fec32563c2324bd68ec3f1459297f9ccf6dcbc749d7dbf4397b90ebabd0b001a"),
     # residuals of 40, 50 and 21 vertices; on reg50 the order in which the
     # search resolves pendants picks one of several optimal covers
     ("reg40-bnb", lambda: gen_regular(40, 4, 1),
      PipelineConfig(solver="exact"), "solver",
-     "08d4b24efa2d1f45d508dc48f5371a34e484adf876ee65e3c7ca9063b2a4df8b"),
+     "37df14d51e53368104f8954e6c1d8555f154950d051f5d800be55d939283cce4"),
     ("reg50-bnb", lambda: gen_regular(50, 4, 0),
      PipelineConfig(solver="exact"), "solver",
-     "54b1b669880fb79d21f8a944706b46b639c4e388908b0c0f122714ee19184eae"),
+     "469c7bfe1d35562e7c0e4372ab9c4580bc61bfdf2d1f27dc30bc7f611749be1a"),
     ("er30-bnb", lambda: gen_erdos_renyi_connected(30, 0.15, 1),
      PipelineConfig(solver="exact"), "solver",
-     "3846052436a55bb1425bd860ef2a9a91bb461146112ba77683fec0991034834a"),
+     "91db4b0b46ca17fc796b041252cee30fb79f5ac895fa2cd9614d030d8f54f74d"),
     ("reg10-random", lambda: gen_regular(10, 3, 1),
      PipelineConfig(solver="random"), "solver",
-     "a4050f34175063050dda384fe258e53c436da1e441f1cf4b5e7d9afb0a4a65cb"),
+     "4c09391620216a2fe068e8d40380c2308d17b5b80e65bf502bdc1f6830613dcc"),
 ]
 
 
@@ -65,9 +65,7 @@ def test_canonical_report_digest(label, make, config, status, digest):
     (lambda: gen_erdos_renyi_connected(16, 0.3, 0), PipelineConfig(solver="exact"), 1),
     (lambda: gen_regular(40, 4, 1), PipelineConfig(solver="exact"), 1),
     (lambda: gen_erdos_renyi_connected(16, 0.3, 2), PipelineConfig(solver="exact"), 0),
-    # without refinement rules, refine itself replays nothing
-    (lambda: gen_regular(10, 3, 1),
-     PipelineConfig(solver="random", postprocess_rules=False), 1),
+    (lambda: gen_regular(10, 3, 1), PipelineConfig(solver="random"), 1),
 ], ids=["exhaustive", "branch-and-bound", "kernel-solved", "random"])
 def test_one_oracle_call_and_one_replay_per_run(monkeypatch, make, config, oracle_calls):
     calls = {"oracle": 0, "reconstruct": 0}
@@ -80,8 +78,9 @@ def test_one_oracle_call_and_one_replay_per_run(monkeypatch, make, config, oracl
 
     monkeypatch.setattr(pipeline, "min_vertex_cover_exact",
                         counted("oracle", pipeline.min_vertex_cover_exact))
-    for module in (pipeline, postprocess):
-        monkeypatch.setattr(module, "reconstruct",
-                            counted("reconstruct", module.reconstruct))
+    # refine replays the kernel of its own residual; only the pipeline's
+    # replay of the input's kernel is counted
+    monkeypatch.setattr(pipeline, "reconstruct",
+                        counted("reconstruct", pipeline.reconstruct))
     run_pipeline(make(), config)
     assert calls == {"oracle": oracle_calls, "reconstruct": 1}

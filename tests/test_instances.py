@@ -295,6 +295,10 @@ def test_er_rejects_bad_args():
         gen_erdos_renyi_connected(1, 0.5, seed=0)
     with pytest.raises(DomainError):
         gen_erdos_renyi_connected(5, 0.0, seed=0)
+    with pytest.raises(DomainError, match="seed"):
+        gen_erdos_renyi_connected(5, 0.5, seed=-1)
+    with pytest.raises(DomainError, match="seed"):
+        gen_regular(6, 3, seed=2 ** 128)
 
 
 def test_regular_k4():

@@ -43,6 +43,10 @@ def test_config_validation():
         PipelineConfig(depth=-1)
     with pytest.raises(DomainError):
         PipelineConfig(shots=0)
+    for seed in (-1, 2 ** 128):  # outside the Philox keys
+        with pytest.raises(DomainError):
+            PipelineConfig(seed=seed)
+    PipelineConfig(seed=2 ** 128 - 1)
 
 
 def test_edge_coloring_bounds():
@@ -129,7 +133,7 @@ def test_karate_maxcl_known_optimum():
 def test_qaoa_path_end_to_end():
     g = random_gnp(10, 0.7, 5)
     cfg = PipelineConfig(problem="minvc", solver="qaoa", depth=2,
-                         shots=20_000, seed=3, skip_preprocess=True)
+                         shots=20_000, seed=3, rules=())
     report = run_pipeline(g, cfg)
     assert report.status == "solver"
     assert report.feasible
@@ -145,8 +149,7 @@ def test_qaoa_path_end_to_end():
 
 def test_random_solver_is_p0_sampling():
     g = random_gnp(8, 0.6, 6)
-    cfg = PipelineConfig(solver="random", shots=5000, seed=2,
-                         skip_preprocess=True)
+    cfg = PipelineConfig(solver="random", shots=5000, seed=2, rules=())
     report = run_pipeline(g, cfg)
     assert report.status == "solver"
     assert report.schedule is None or report.schedule.p == 0
@@ -165,9 +168,9 @@ def test_random_never_beats_exact(seed):
     assert rand.feasible
 
 
-def test_skip_preprocess_keeps_full_graph():
+def test_empty_rules_keep_full_graph():
     g = path_graph(6)  # rules would solve this outright
-    cfg = PipelineConfig(solver="exact", skip_preprocess=True)
+    cfg = PipelineConfig(solver="exact", rules=())
     report = run_pipeline(g, cfg)
     assert report.status == "solver"
     assert report.kernel.reduced == g
@@ -184,8 +187,7 @@ def test_rules_subset_respected():
 
 def test_capacity_error_before_allocation():
     g = random_gnp(30, 0.2, 1)
-    cfg = PipelineConfig(solver="qaoa", skip_preprocess=True,
-                         compute_reference=False)
+    cfg = PipelineConfig(solver="qaoa", rules=())
     with pytest.raises(CapacityError, match="30"):
         run_pipeline(g, cfg)
 
@@ -288,8 +290,7 @@ def test_run_batch_duplicate_configs_identical():
 def test_run_batch_row_errors_recorded():
     g_ok = random_gnp(6, 0.5, 1)
     g_big = random_gnp(28, 0.2, 1)
-    cfg = PipelineConfig(solver="qaoa", skip_preprocess=True, depth=1,
-                         shots=100, compute_reference=False)
+    cfg = PipelineConfig(solver="qaoa", rules=(), depth=1, shots=100)
     reports, rows = run_batch([("ok", g_ok, cfg), ("big", g_big, cfg)])
     assert len(rows) == 2
     assert rows[0]["error"] == ""
@@ -299,8 +300,7 @@ def test_run_batch_row_errors_recorded():
 
 def test_batch_documents_name_failed_jobs():
     g = random_gnp(6, 0.5, 1)
-    narrow = PipelineConfig(solver="random", skip_preprocess=True, max_qubits=2,
-                            shots=100)
+    narrow = PipelineConfig(solver="random", rules=(), max_qubits=2, shots=100)
     reports, rows = run_batch([("ok", g, PipelineConfig(solver="exact")),
                                ("narrow", g, narrow)])
     docs = pipeline.batch_documents(reports, rows)
@@ -311,7 +311,7 @@ def test_batch_documents_name_failed_jobs():
 
 def test_layer_and_exact_summary_json_keys():
     """Keys of the report parts that no golden digest pins."""
-    config = PipelineConfig(depth=1, shots=500, seed=3, skip_preprocess=True)
+    config = PipelineConfig(depth=1, shots=500, seed=3, rules=())
     doc = json.loads(run_pipeline(cycle_graph(7), config).canonical_json())
     assert sorted(doc["training"]["log"]["layers"][0]) == [
         "beta", "expectation", "gamma", "layer", "n_evals"]
@@ -362,8 +362,7 @@ def test_run_pipeline_evolves_once_and_squares_once(monkeypatch, solver, depth):
         monkeypatch.setattr(module, "evolve", counting_evolve, raising=False)
         monkeypatch.setattr(module, "probabilities", counting_probabilities)
     monkeypatch.setattr(pipeline, "train_layerwise", flagged_train)
-    config = PipelineConfig(solver=solver, depth=depth, shots=500, seed=3,
-                            skip_preprocess=True)
+    config = PipelineConfig(solver=solver, depth=depth, shots=500, seed=3, rules=())
     report = run_pipeline(cycle_graph(7), config)
     assert report.status == "solver" and report.exact_summary is not None
     assert calls == {"evolve": 0, "probabilities": 1}

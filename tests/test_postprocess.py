@@ -123,16 +123,6 @@ def test_refine_steps_recorded():
     assert all(isinstance(s, str) for s in r.steps)
 
 
-def test_refine_without_rules_matches_feasibility():
-    for seed in range(10):
-        g = random_gnp(8, 0.5, 2300 + seed)
-        subset = {v for v in g.vertices if (seed >> (v % 5)) & 1}
-        for use_rules in (True, False):
-            r = refine(g, subset, use_rules=use_rules)
-            assert is_vertex_cover(g, r.cover_reduced)
-            assert r.profit_after >= r.profit_before
-
-
 @pytest.mark.parametrize("subset,cover", [
     (frozenset(), frozenset()),  # not a cover
     (frozenset({0, 2}), frozenset({0, 1, 2, 3})),  # a cover that lost profit
@@ -196,7 +186,7 @@ def test_finalize_maxcl_on_complemented_input():
     work = complement(g)
     kr = reduce(work)
     assert kr.solved  # the complement is a short path, rules finish it
-    r = refine(kr.reduced, frozenset(), use_rules=False)
+    r = refine(kr.reduced, frozenset())
     sol = finalize("maxcl", work, reconstruct(kr, r.cover_reduced))
     assert is_clique(g, sol)
     assert len(sol) == 3  # the triangle
@@ -206,6 +196,6 @@ def test_finalize_replays_folds():
     g = cycle_graph(4)
     kr = reduce(g)
     assert kr.solved
-    r = refine(kr.reduced, frozenset(), use_rules=False)
+    r = refine(kr.reduced, frozenset())
     sol = finalize("minvc", g, reconstruct(kr, r.cover_reduced))
     assert is_vertex_cover(g, sol) and len(sol) == 2

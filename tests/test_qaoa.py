@@ -390,8 +390,6 @@ def test_train_rejects_bad_args(k2):
     m = build_ising(k2)
     with pytest.raises(DomainError):
         train_layerwise(m, -1)
-    with pytest.raises(DomainError):
-        train_layerwise(m, 1, maxfev=0)
 
 
 def test_train_deterministic(k3):
