@@ -17,11 +17,13 @@ Examples:
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from profitcover.errors import DomainError  # noqa: E402
 from profitcover.instances import gen_erdos_renyi_connected, load_graph  # noqa: E402
 from profitcover.metrics import canonical_json, write_csv  # noqa: E402
 from profitcover.pipeline import (  # noqa: E402
@@ -59,6 +61,11 @@ def main(argv=None) -> int:
     parser.add_argument("--json", dest="json_out",
                         help="also write the full reports as canonical JSON")
     args = parser.parse_args(argv)
+    try:
+        base = PipelineConfig(problem="minvc", solver=args.solver, depth=args.layers,
+                              shots=args.shots, seed=args.seed, max_qubits=args.max_qubits)
+    except DomainError as err:
+        parser.error(str(err))
 
     jobs = []
     for name, (problems, note) in BENCHMARKS.items():
@@ -69,17 +76,11 @@ def main(argv=None) -> int:
             continue
         g = load_graph(path)
         for problem in problems:
-            config = PipelineConfig(problem=problem, solver=args.solver,
-                                    depth=args.layers, shots=args.shots,
-                                    seed=args.seed, max_qubits=args.max_qubits,
-                                    reference_note=note)
+            config = dataclasses.replace(base, problem=problem, reference_note=note)
             jobs.append((name, g, config))
     for k in range(args.synthetic):
         g = gen_erdos_renyi_connected(14, 0.35, seed=9000 + k)
-        config = PipelineConfig(problem="minvc", solver=args.solver,
-                                depth=args.layers, shots=args.shots,
-                                seed=args.seed, max_qubits=args.max_qubits)
-        jobs.append((f"er-14-035-{k}", g, config))
+        jobs.append((f"er-14-035-{k}", g, base))
     if not jobs:
         print("nothing to run: no datasets found and --synthetic 0", file=sys.stderr)
         return 1

@@ -76,6 +76,15 @@ def main(argv=None) -> int:
         parser.error(str(err))
     if not instances:
         parser.error("give at least one --gen or --input")
+    if args.out is not None:
+        # fail before the sweep, not after it; append mode leaves a file's
+        # contents alone until the rows replace them
+        try:
+            with open(args.out, "a"):
+                pass
+        except OSError as err:
+            print(f"error: cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
+            return 2
 
     rows, sweeps = [], []
     for name, g in instances:

@@ -24,10 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
-
 from .errors import DomainError, InfeasibilityBug
 from .graph import Graph, is_vertex_cover
 
@@ -187,48 +183,101 @@ def _greedy_bound(adj: Adj, counter: int) -> tuple[int, frozenset[int]]:
     return len(cover), frozenset(cover)
 
 
+def _max_matching(nbrs: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Maximum matching of a bipartite graph by Hopcroft-Karp (SIAM J.
+    Comput. 1973). Left vertex i is adjacent to the right vertices
+    ``nbrs[i]``, on index ranges of the same size. Returns the right
+    partner of each left vertex and the left partner of each right
+    vertex, -1 where unmatched.
+    """
+    n = len(nbrs)
+    match_left, match_right = [-1] * n, [-1] * n
+    for u in range(n):  # a greedy matching leaves the phases less to do
+        for v in nbrs[u]:
+            if match_right[v] < 0:
+                match_left[u], match_right[v] = v, u
+                break
+    while True:
+        # breadth first from the free left vertices: layer of each left
+        # vertex on the shortest alternating paths, up to a free right one
+        layer = [-1] * n
+        frontier = [u for u in range(n) if match_left[u] < 0]
+        for u in frontier:
+            layer[u] = 0
+        found = False
+        while frontier and not found:
+            deeper = []
+            for u in frontier:
+                for v in nbrs[u]:
+                    w = match_right[v]
+                    if w < 0:
+                        found = True
+                    elif layer[w] < 0:
+                        layer[w] = layer[u] + 1
+                        deeper.append(w)
+            frontier = deeper
+        if not found:
+            return match_left, match_right
+        # depth first along increasing layers, augmenting vertex-disjoint
+        # paths; next_edge[u] skips the edges of u already tried
+        next_edge = [0] * n
+        for root in range(n):
+            if match_left[root] >= 0:
+                continue
+            path = [root]
+            while path:
+                u = path[-1]
+                if next_edge[u] == len(nbrs[u]):
+                    path.pop()
+                    continue
+                v = nbrs[u][next_edge[u]]
+                next_edge[u] += 1
+                w = match_right[v]
+                if w < 0:
+                    for x in path:  # each x leaves by the edge it last took
+                        y = nbrs[x][next_edge[x] - 1]
+                        match_left[x], match_right[y] = y, x
+                    break
+                if layer[w] == layer[u] + 1:
+                    path.append(w)
+
+
 def _lp_partition(g: Graph) -> tuple[set[int], set[int], set[int]]:
     """Half-integral LP optimum via König on the bipartite double cover.
 
     Returns (P, Q, R): x>1/2 (commit), x=1/2 (keep), x<1/2 (drop).
+    The double cover has a left and a right copy of every vertex and an
+    edge from each copy of u to the other copy of every neighbour of u.
+    Its minimum vertex cover, read from a maximum matching by König's
+    alternating search, gives x_v = (copies of v in the cover) / 2. The
+    partition does not depend on which maximum matching the search
+    starts from: the left vertices that alternating paths reach from
+    the exposed left vertices are the same for every maximum matching
+    (Dulmage-Mendelsohn), and the right ones are their neighbours.
     """
     n = g.n
     if g.m == 0:
         return set(), set(), set(g.vertices)
     pos = {v: i for i, v in enumerate(g.vertices)}
-    rows, cols = [], []
-    for u, v in g.edges:
-        rows.extend((pos[u], pos[v]))
-        cols.extend((pos[v], pos[u]))
-    bi = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    match_of_row = maximum_bipartite_matching(bi, perm_type="column")
-    row_of_col = np.full(n, -1, dtype=np.int64)
-    for r, c in enumerate(match_of_row):
-        if c >= 0:
-            row_of_col[c] = r
+    nbrs = [[pos[w] for w in g.neighbors(v)] for v in g.vertices]
+    match_left, match_right = _max_matching(nbrs)
     # König: alternate from unmatched left vertices
-    z_left = {i for i in range(n) if match_of_row[i] < 0}
+    z_left = {i for i in range(n) if match_left[i] < 0}
     z_right: set[int] = set()
     stack = list(z_left)
-    adj_right = {i: set() for i in range(n)}
-    for r, c in zip(rows, cols):
-        adj_right[r].add(c)
     while stack:
         left = stack.pop()
-        for right in adj_right[left]:
-            if right in z_right or match_of_row[left] == right:
+        for right in nbrs[left]:
+            if right in z_right or match_left[left] == right:
                 continue
             z_right.add(right)
-            back = row_of_col[right]
+            back = match_right[right]
             if back >= 0 and back not in z_left:
                 z_left.add(back)
                 stack.append(back)
-    in_cover_left = set(range(n)) - z_left
-    in_cover_right = z_right
     p_set, q_set, r_set = set(), set(), set()
-    for v in g.vertices:
-        i = pos[v]
-        x2 = (i in in_cover_left) + (i in in_cover_right)
+    for v, i in pos.items():
+        x2 = (i not in z_left) + (i in z_right)
         (r_set, q_set, p_set)[x2].add(v)
     return p_set, q_set, r_set
 

@@ -68,9 +68,9 @@ the same vector to sampling and to the exact summary.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from math import inf, isnan, nan
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import CapacityError, DomainError, TrainingError
 from .model import IsingModel, bitstring_of_index
@@ -90,8 +90,11 @@ FIXED_STARTS = (
     (3 * np.pi / 4, 3 * np.pi / 8),
 )
 
-# objective evaluations allowed to each Nelder-Mead run
+# objective evaluations allowed to each Nelder-Mead run, and its
+# stopping tolerances on the simplex's spread in angles and in values
 MAXFEV = 40
+XATOL = 1e-6
+FATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -358,6 +361,91 @@ def depth1_objective(ising: IsingModel):
     return value
 
 
+class _BudgetSpent(Exception):
+    """An objective call attempted after ``maxfev`` calls."""
+
+
+def _sort_simplex(sim: list, fsim: list[float]) -> tuple[list, list[float]]:
+    """Vertices and values in ascending order of value, ties kept and NaN
+    last, which is the order ``np.argsort`` gives three values."""
+    order = sorted(range(3), key=lambda i: (True, 0.0) if isnan(fsim[i]) else (False, fsim[i]))
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _nelder_mead(objective, start: tuple[float, float], maxfev: int,
+                 ) -> tuple[tuple[float, float], float, int]:
+    """Minimize ``objective(gamma, beta)`` from ``start``; returns (x, fun, nfev).
+
+    Nelder and Mead (Comput. J. 1965) as scipy 1.17's
+    ``_minimize_neldermead`` runs it non-adaptive and unbounded, with
+    ``maxfev``, ``XATOL`` and ``FATOL`` set, copied step for step so that
+    every result has the same bits; tests compare the two. As there, a
+    call attempted once ``maxfev`` calls are spent ends the iteration it
+    falls in, so a shrink can leave a vertex moved with its old value,
+    and ``fun`` is NaN if any simplex value is.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nfev = 0
+
+    def call(x: tuple[float, float]) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return float(objective(*x))
+
+    sim = [start]
+    for k in range(2):
+        y = list(start)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append((y[0], y[1]))
+    fsim = [inf, inf, inf]
+    try:
+        for k in range(3):
+            fsim[k] = call(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = _sort_simplex(sim, fsim)
+    while nfev < maxfev:
+        try:
+            best = sim[0]
+            if (all(abs(v[i] - best[i]) <= XATOL for v in sim[1:] for i in (0, 1))
+                    and all(abs(fsim[0] - f) <= FATOL for f in fsim[1:])):
+                break
+            worst = sim[-1]
+            xbar = tuple((best[i] + sim[1][i]) / 2 for i in (0, 1))
+            xr = tuple((1 + rho) * xbar[i] - rho * worst[i] for i in (0, 1))
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = tuple((1 + rho * chi) * xbar[i] - rho * chi * worst[i] for i in (0, 1))
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = tuple((1 + psi * rho) * xbar[i] - psi * rho * worst[i] for i in (0, 1))
+                    fxc = call(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:  # inside contraction
+                    xcc = tuple((1 - psi) * xbar[i] + psi * worst[i] for i in (0, 1))
+                    fxcc = call(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in (1, 2):
+                        sim[j] = tuple(best[i] + sigma * (sim[j][i] - best[i]) for i in (0, 1))
+                        fsim[j] = call(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = _sort_simplex(sim, fsim)
+    fun = nan if any(isnan(f) for f in fsim) else min(fsim)
+    return sim[0], fun, nfev
+
+
 def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
                     ) -> tuple[AngleSchedule, TrainLog, np.ndarray]:
     """Greedy depth-by-depth angle optimization with a no-op fallback.
@@ -395,14 +483,9 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
         evals = 1
         candidates = [((0.0, 0.0), objective(0.0, 0.0))]
         for start in starts:
-            res = minimize(
-                lambda x: objective(x[0], x[1]),
-                np.asarray(start, dtype=np.float64),
-                method="Nelder-Mead",
-                options={"maxfev": MAXFEV, "xatol": 1e-6, "fatol": 1e-12},
-            )
-            evals += int(res.nfev)
-            candidates.append(((float(res.x[0]), float(res.x[1])), float(res.fun)))
+            x, fun, nfev = _nelder_mead(objective, start, MAXFEV)
+            evals += nfev
+            candidates.append((x, fun))
         (gamma, beta), value = min(candidates, key=lambda c: c[1])
         if not np.isfinite(value):
             raise TrainingError(f"layer {layer} expectation is not finite")

@@ -476,3 +476,28 @@ def test_depth_sweep_bad_input_exits_2(args, tmp_path, monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_depth_sweep_checks_an_unwritable_out_before_the_sweep(tmp_path, monkeypatch, capsys):
+    depth_sweep = _load_script("depth_sweep")
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output path was checked")
+
+    monkeypatch.setattr(depth_sweep, "depth_sweep", no_sweep)
+    out = tmp_path / "missing" / "x.csv"
+    assert depth_sweep.main(["--gen", "er:n=6,p=0.5,seed=3", "--skip-oracle",
+                             "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [["--seed", "-1"], ["--layers", "-1"], ["--shots", "0"]],
+                         ids=["seed", "layers", "shots"])
+def test_benchmark_table_bad_config_exits_2(args, capsys):
+    benchmark_table = _load_script("benchmark_table")
+    with pytest.raises(SystemExit) as exc:
+        benchmark_table.main(["--synthetic", "1"] + args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err

@@ -6,6 +6,8 @@ every search node, so a fault in those rules could make the oracle and
 the pipeline agree on a wrong answer. The references here are the frozen
 branch and bound in ``frozen_oracle`` (its own pendant queue and
 matching bound, started from n + 1) and the brute force in ``conftest``.
+The LP rule's partition is compared with ``frozen_lp``, which takes its
+maximum matching from scipy.
 """
 
 import itertools
@@ -14,12 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profitcover.graph import complement, is_vertex_cover
+from profitcover.graph import Graph, complement, is_vertex_cover
 from profitcover.instances import gen_erdos_renyi_connected, gen_regular
-from profitcover.kernel import ALL_RULES, reconstruct, reduce
+from profitcover.kernel import ALL_RULES, _lp_partition, reconstruct, reduce
 from profitcover.oracle import min_vertex_cover_exact
 
 from conftest import brute_min_cover, brute_min_cover_size, random_gnp
+from frozen_lp import frozen_lp_partition
 from frozen_oracle import frozen_min_cover
 
 
@@ -27,6 +30,7 @@ def _assert_matches_frozen(g):
     cover = min_vertex_cover_exact(g).opt_cover
     assert is_vertex_cover(g, cover)
     assert len(cover) == len(frozen_min_cover(g))
+    assert _lp_partition(g) == frozen_lp_partition(g)
 
 
 # the two exact families of the classical benchmark workload
@@ -57,11 +61,32 @@ def test_oracle_matches_brute_force(n, p, seed):
     assert len(cover) == brute_min_cover_size(g)
 
 
+@st.composite
+def sparse_label_graphs(draw):
+    """Up to 30 vertices with labels far apart; a vertex on no drawn edge
+    is isolated."""
+    labels = draw(st.lists(st.integers(0, 10**9), unique=True, max_size=30))
+    index = st.integers(0, max(len(labels) - 1, 0))
+    pairs = draw(st.lists(st.tuples(index, index), max_size=3 * len(labels)))
+    return Graph(labels, [(labels[i], labels[j]) for i, j in pairs if i != j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_label_graphs())
+def test_lp_partition_matches_the_frozen_scipy_copy(g):
+    assert _lp_partition(g) == frozen_lp_partition(g)
+
+
 SUBSET_GRAPHS = [random_gnp(n, p, 6000 + i) for i, (n, p) in enumerate(
     [(9, 0.3), (11, 0.2), (12, 0.35), (13, 0.25), (14, 0.15), (14, 0.3)])]
 SUBSET_OPTIMA = [brute_min_cover_size(g) for g in SUBSET_GRAPHS]
 RULE_SUBSETS = [rules for k in range(len(ALL_RULES) + 1)
                 for rules in itertools.combinations(ALL_RULES, k)]
+
+
+def test_lp_partition_of_the_subset_graphs_matches_the_frozen_copy():
+    for g in SUBSET_GRAPHS:
+        assert _lp_partition(g) == frozen_lp_partition(g)
 
 
 @pytest.mark.parametrize("rules", RULE_SUBSETS, ids=lambda r: "+".join(r) or "none")

@@ -1,6 +1,9 @@
 """Source hygiene checks that need no linter installed."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,3 +46,16 @@ def test_every_import_is_read():
              for path in sorted((ROOT / top).rglob("*.py"))
              for hit in unused_imports(path.read_text())]
     assert found == []
+
+
+def test_the_run_path_imports_no_scipy():
+    """scipy is a test dependency only: importing the package, its CLI and
+    its pipeline loads none of it."""
+    probe = ("import sys\n"
+             "import profitcover, profitcover.cli, profitcover.pipeline\n"
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -405,14 +405,14 @@ def test_train_deterministic(k3):
 
 def test_later_layers_run_one_search_from_the_previous_angles(monkeypatch):
     calls = []
+    search = qaoa._nelder_mead
 
-    def recording_minimize(fun, x0, **kwargs):
-        start = tuple(float(v) for v in x0)
-        res = minimize(fun, x0, **kwargs)
-        calls.append((start, int(res.nfev)))
-        return res
+    def recording_search(objective, start, maxfev):
+        x, fun, nfev = search(objective, start, maxfev)
+        calls.append((tuple(start), nfev))
+        return x, fun, nfev
 
-    monkeypatch.setattr(qaoa, "minimize", recording_minimize)
+    monkeypatch.setattr(qaoa, "_nelder_mead", recording_search)
     schedule, log, _ = train_layerwise(build_ising(gen_regular(10, 3, 4800)), 4)
     assert len(calls) == 5 + 3
     assert [start for start, _ in calls[:5]] == [(0.0, 0.0), *FIXED_STARTS]
@@ -422,6 +422,63 @@ def test_later_layers_run_one_search_from_the_previous_angles(monkeypatch):
         assert previous != (0.0, 0.0)
         assert start == previous
         assert log.layers[k - 1].n_evals == 1 + nfev
+
+
+# ---------------------------------------------------------------------------
+# the in-package Nelder-Mead against scipy's
+
+
+def _scipy_nelder_mead(objective, start, maxfev, seen=None):
+    """(x, fun, nfev) from scipy's Nelder-Mead with the package's settings;
+    adds every point it evaluates to ``seen`` and returns its final
+    simplex too."""
+    def fun(x):
+        if seen is not None:
+            seen.add((float(x[0]), float(x[1])))
+        return objective(x[0], x[1])
+
+    res = minimize(fun, np.asarray(start, dtype=np.float64), method="Nelder-Mead",
+                   options={"maxfev": maxfev, "xatol": qaoa.XATOL, "fatol": qaoa.FATOL})
+    x = (float(res.x[0]), float(res.x[1]))
+    return (x, float(res.fun), int(res.nfev)), res.final_simplex[0]
+
+
+def _same_result(a, b):
+    (xa, fa, na), (xb, fb, nb) = a, b
+    return xa == xb and na == nb and (fa == fb or (np.isnan(fa) and np.isnan(fb)))
+
+
+def _seeded_objectives(seed):
+    rng = np.random.default_rng(8800 + seed)
+    a, b, c, d, e = rng.normal(size=5)
+    return {
+        "depth1": depth1_objective(build_ising(random_gnp(6 + seed % 5, 0.45, 8900 + seed))),
+        "smooth": lambda g, t: float(a * np.sin(c * g) + b * np.cos(2 * t + d) + e * g * t),
+        # rounding makes plateaus, where contractions fail and the simplex shrinks
+        "plateau": lambda g, t: float(np.round((g - a) ** 2 + (t - b) ** 2, 1)),
+        "nan": lambda g, t: float("nan") if g > 0.5 + abs(a) else float(np.sin(g) * np.cos(t)),
+    }, ((0.0, 0.0), FIXED_STARTS[seed % 4], (float(c), float(d)), (0.0, float(e)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nelder_mead_matches_scipy(seed):
+    objectives, starts = _seeded_objectives(seed)
+    for name, objective in objectives.items():
+        for start in starts:
+            for maxfev in (1, 4, 5, 6, 10, 40, 200):
+                want, _ = _scipy_nelder_mead(objective, start, maxfev)
+                got = qaoa._nelder_mead(objective, start, maxfev)
+                assert _same_result(got, want), (name, start, maxfev, got, want)
+
+
+def test_nelder_mead_matches_scipy_when_the_budget_ends_inside_a_shrink():
+    objective = lambda g, t: float(np.round((g - 0.5) ** 2 + (t - 0.2) ** 2, 1))  # noqa: E731
+    for maxfev in (5, 6):
+        seen = set()
+        want, simplex = _scipy_nelder_mead(objective, (0.0, 0.0), maxfev, seen)
+        # the shrink moved a vertex that the budget left unevaluated
+        assert any((float(v[0]), float(v[1])) not in seen for v in simplex)
+        assert _same_result(qaoa._nelder_mead(objective, (0.0, 0.0), maxfev), want)
 
 
 def _five_start_final_expectation(m, p):
