@@ -10,7 +10,10 @@ Five rules shrink a graph while preserving the optimum cover:
 * high-degree - vertices whose degree exceeds a known cover size must be
                 in every minimum cover
 * LP          - half-integral relaxation solved via maximum matching on
-                the bipartite double cover; x>1/2 committed, x<1/2 dropped
+                the bipartite double cover; x>1/2 committed, x<1/2 dropped.
+                The matching comes from Hopcroft-Karp; König's alternating
+                search reads the relaxation from it, and the result is the
+                same for every maximum matching (see ``_lp_partition``)
 
 ``reduce`` applies them in a fixed order until none fires and returns a
 KernelResult; ``reconstruct`` replays the fold trace to turn any cover of

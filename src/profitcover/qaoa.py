@@ -41,7 +41,10 @@ neither. At n=18-20 k = 4 or 5 would save up to a third of the mixer.
 
 Training is layerwise: angles of layers 1..k-1 stay frozen (their state
 is cached as a prefix), and (gamma_k, beta_k) is optimized by
-Nelder-Mead. Layer 1 restarts from a small fixed grid plus (0, 0).
+Nelder-Mead. The search is ``_nelder_mead``, an in-package copy of
+scipy's non-adaptive Nelder-Mead for two parameters, so that running
+the package needs numpy only; the tests pin its angles, values and call
+counts to scipy's. Layer 1 restarts from a small fixed grid plus (0, 0).
 Every later layer runs one search, started from the previous layer's
 trained angles: optimal QAOA angles change smoothly with depth (Zhou et
 al., arXiv:1812.01041), so the grid restarts there mostly repeat work.
