@@ -23,7 +23,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from profitcover.errors import DomainError  # noqa: E402
+from profitcover.cli import check_writable  # noqa: E402
+from profitcover.errors import DomainError, ParseError  # noqa: E402
 from profitcover.instances import gen_erdos_renyi_connected, load_graph  # noqa: E402
 from profitcover.metrics import canonical_json, write_csv  # noqa: E402
 from profitcover.pipeline import (  # noqa: E402
@@ -66,6 +67,12 @@ def main(argv=None) -> int:
                               shots=args.shots, seed=args.seed, max_qubits=args.max_qubits)
     except DomainError as err:
         parser.error(str(err))
+    try:  # before any job, not after them all
+        for path in (args.out, args.json_out):
+            check_writable(path)
+    except ParseError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
     jobs = []
     for name, (problems, note) in BENCHMARKS.items():

@@ -22,6 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from profitcover.cli import check_writable  # noqa: E402
 from profitcover.errors import CapacityError, DomainError, ParseError  # noqa: E402
 from profitcover.instances import load_graph, parse_gen  # noqa: E402
 from profitcover.metrics import (  # noqa: E402
@@ -76,15 +77,11 @@ def main(argv=None) -> int:
         parser.error(str(err))
     if not instances:
         parser.error("give at least one --gen or --input")
-    if args.out is not None:
-        # fail before the sweep, not after it; append mode leaves a file's
-        # contents alone until the rows replace them
-        try:
-            with open(args.out, "a"):
-                pass
-        except OSError as err:
-            print(f"error: cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
-            return 2
+    try:  # before the sweep, not after it
+        check_writable(args.out)
+    except ParseError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
     rows, sweeps = [], []
     for name, g in instances:

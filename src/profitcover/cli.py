@@ -123,6 +123,14 @@ def _writing(path: str):
         raise ParseError(f"cannot write {path}: {err.strerror or err}") from None
 
 
+def check_writable(path: str | None) -> None:
+    """Raise ParseError now, before any work, if ``path`` cannot be
+    written; append mode leaves an existing file's contents alone."""
+    if path is not None:
+        with _writing(path), open(path, "a"):
+            pass
+
+
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)

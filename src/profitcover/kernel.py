@@ -25,6 +25,7 @@ reduced graph's labels never collide with input labels.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .errors import DomainError, InfeasibilityBug
@@ -118,13 +119,23 @@ def _apply_pendants(adj: Adj, cover: set[int]) -> int:
 
 def _apply_degree2(adj: Adj, cover: set[int], folds: list[FoldRecord],
                    counter: int) -> tuple[int, int]:
-    """Resolve degree-2 vertices (smallest label first) until none remain."""
+    """Resolve degree-2 vertices (smallest label first) until none remain.
+
+    The candidates sit in a min-heap of labels, checked when popped: a
+    firing changes the degrees of the neighbours of the vertices it
+    removes, and those and a new fold label are pushed. Every vertex of
+    degree 2 is in the heap, so the smallest valid label popped is the
+    smallest degree-2 label, as a scan of the whole graph would find.
+    """
     count = 0
-    while True:
-        u = min((v for v, nb in adj.items() if len(nb) == 2), default=None)
-        if u is None:
-            return count, counter
+    heap = [v for v, nb in adj.items() if len(nb) == 2]
+    heapq.heapify(heap)
+    while heap:
+        u = heapq.heappop(heap)
+        if len(adj.get(u, ())) != 2:
+            continue
         v, w = sorted(adj[u])
+        touched = (adj[v] | adj[w]) - {u, v, w}
         if w in adj[v]:  # triangle uvw: v and w must be in some minimum cover
             _remove_vertex(adj, v)
             _remove_vertex(adj, w)
@@ -134,15 +145,18 @@ def _apply_degree2(adj: Adj, cover: set[int], folds: list[FoldRecord],
         else:  # fold: merge v and w, defer the choice to replay
             merged = counter
             counter += 1
-            new_nb = (adj[v] | adj[w]) - {u, v, w}
             _remove_vertex(adj, u)
             _remove_vertex(adj, v)
             _remove_vertex(adj, w)
-            adj[merged] = set(new_nb)
-            for x in new_nb:
+            adj[merged] = set(touched)
+            for x in touched:
                 adj[x].add(merged)
             folds.append(FoldRecord(u, (v, w), merged))
+            heapq.heappush(heap, merged)
+        for x in touched:
+            heapq.heappush(heap, x)
         count += 1
+    return count, counter
 
 
 def _replay_folds(cover: set[int], folds) -> None:

@@ -82,17 +82,23 @@ class DistributionSummary:
         return asdict(self)
 
 
-def _summarize(kind: str, shots: int | None, indices: np.ndarray,
+def _summarize(kind: str, shots: int | None, indices: np.ndarray | None,
                weights: np.ndarray, profits: np.ndarray, n: int,
                m_edges: int, opt_profit: int | None) -> DistributionSummary:
-    """Summary of a distribution over the sorted, unique basis ``indices``."""
-    if indices.size == 0:
+    """Summary of a distribution over the sorted, unique basis ``indices``;
+    ``indices=None`` means every basis state, in order."""
+    if weights.size == 0:
         raise DomainError("empty distribution")
+
+    def where(mask: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(mask) if indices is None else indices[mask]
+
     best_profit = float(np.max(profits))
-    best_idx = lex_min_index(indices[profits == best_profit], n)
+    best_idx = lex_min_index(where(profits == best_profit), n)
     top_w = np.max(weights)
-    likely_idx = lex_min_index(indices[weights == top_w], n)
-    likely_profit = float(profits[np.searchsorted(indices, likely_idx)])
+    likely_idx = lex_min_index(where(weights == top_w), n)
+    likely_profit = float(profits[likely_idx if indices is None
+                                  else np.searchsorted(indices, likely_idx)])
     mean_profit = float(np.sum(weights * profits))
 
     alpha = mass_opt = mass_90 = mass_80 = None
@@ -107,7 +113,7 @@ def _summarize(kind: str, shots: int | None, indices: np.ndarray,
     return DistributionSummary(
         kind=kind,
         shots=shots,
-        n_distinct=int(indices.size),
+        n_distinct=int(weights.size),
         best_bitstring=bitstring_of_index(best_idx, n),
         best_profit=best_profit,
         most_likely_bitstring=bitstring_of_index(likely_idx, n),
@@ -136,12 +142,23 @@ def summarize(dist: SampleDistribution, ising: IsingModel,
 def summarize_exact(probs: np.ndarray, ising: IsingModel,
                     opt_profit: int | None = None) -> DistributionSummary:
     """Summary of the exact distribution ``probs = probabilities(state)``
-    of a statevector (support = prob > 0)."""
+    of a statevector (support = prob > 0).
+
+    A trained or uniform state usually has no zero amplitude. Then the
+    support is every basis state, and the summary reads ``probs`` and the
+    negated energy vector directly: no index of the support and no
+    gathered copies, so it allocates about two probability vectors (the
+    profits and one temporary) where the gather needed five. Either way
+    the arrays summed are the same, so the summary has the same bits.
+    """
     check_probabilities(probs)
+    energies = ising.energies_vector()
+    if probs.size and probs.min() > 0.0:
+        return _summarize("exact", None, None, probs, -energies, ising.n,
+                          len(ising.j4), opt_profit)
     support = np.flatnonzero(probs > 0.0)
-    return _summarize("exact", None, support, probs[support],
-                      -ising.energies_vector()[support], ising.n, len(ising.j4),
-                      opt_profit)
+    return _summarize("exact", None, support, probs[support], -energies[support],
+                      ising.n, len(ising.j4), opt_profit)
 
 
 @dataclass(frozen=True)

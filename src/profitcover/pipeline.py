@@ -231,13 +231,16 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
                 max_qubits=config.max_qubits)
             timings["train_s"] = time.perf_counter() - t
 
-            t = time.perf_counter()
             probs = probabilities(state)
+            # the state is not needed past its probabilities; the exact
+            # summary runs before sampling so their buffers never overlap
+            del state
+            exact_summary = summarize_exact(probs, ising, residual_opt_profit)
+            t = time.perf_counter()
             dist = sample_state(probs, ising.vertex_order, config.shots,
                                 config.seed)
             timings["sample_s"] = time.perf_counter() - t
             sampled_summary = summarize(dist, ising, residual_opt_profit)
-            exact_summary = summarize_exact(probs, ising, residual_opt_profit)
             raw = subset_of_index(index_of_bitstring(sampled_summary.best_bitstring),
                                   ising.vertex_order)
             refined = refine(residual, raw)

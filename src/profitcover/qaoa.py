@@ -66,10 +66,38 @@ keeping values bit-identical across thread counts. Sampling inverts the
 cumulative distribution of the probability vector with a counter-based
 Philox generator; callers compute ``probabilities(state)`` once and hand
 the same vector to sampling and to the exact summary.
+
+Memory is what limits the width of a run. In units of one state,
+S = 16*2^n bytes, a pipeline run holds:
+
+* all along: the model's float64 energy vector (S/2) and its phase
+  levels (uint8 or uint16, S/16 or S/8);
+* in training: the prefix state, and in a layer >= 2 evaluation the
+  phased state, the mixer's second buffer and the expectation's
+  probabilities and product (S/2 each), about 3.6 S at the peak; a
+  depth-1 run evolves one layer on the uniform state, about 2.6 S;
+* in the readout: the probabilities (S/2), after which the pipeline
+  drops the state; then the exact summary's negated energies and one
+  temporary (S/2 each); then sampling's cumulative distribution (S/2)
+  with 8 bytes per shot for the draws and as many for the picks, the
+  draws and the cdf freed before the runs are counted.
+
+``apply_phase`` and ``probabilities`` work through the state in slices
+of ``CHUNK`` = 2^14 amplitudes, so their temporaries (the gathered phase
+factors with their integer indices, and the squared imaginary parts)
+are 384 KiB at most instead of one to one and a half states. The
+results are elementwise, so they do not depend on the slicing. On a
+2-core machine with a 2 MiB L2 per core, slices of 2^14 kept the phase
+as fast as the whole-array product at n=18-20 and made it about a
+quarter faster at n=22; slices of 2^16, whose temporaries and operands
+no longer fit in L2, made it 10-20 % slower at n=18-20.
+``check_width`` refuses, before any state exists, a run whose
+``STATE_COPIES`` states exceed the machine's physical memory.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
 from math import inf, isnan, nan
 
@@ -82,6 +110,20 @@ MAX_QUBITS = 25
 
 # qubits per mixer pass; see the module docstring for why 3
 MIXER_BLOCK = 3
+
+# amplitudes per slice of the elementwise passes (phase, probabilities):
+# their temporaries are one slice, not one state; see the module docstring
+CHUNK = 1 << 14
+
+# The phase was once the one expression ``state * gathered_factors``.
+# From this size of the temporary factors on, numpy's temporary elision
+# evaluated it in the temporary's buffer as ``factors * state``, so
+# ``apply_phase`` keeps that operand order from here up
+ELIDED_BYTES = 256 * 1024
+
+# state-sized buffers a run needs at its peak, for the memory pre-flight
+# check; a depth-1 run peaks at about 2.7 states, a deeper one at 3.7
+STATE_COPIES = 4
 
 # Restart grid for the layer-1 search, covering the gamma period [0, pi)
 # and the beta period [0, pi/2) at their quarter points. Later layers
@@ -148,15 +190,36 @@ class TrainLog:
         }
 
 
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
 def check_width(n: int, max_qubits: int) -> None:
+    """Refuse a statevector run that is too wide or would not fit in memory."""
     if n > max_qubits:
         raise CapacityError(
             f"statevector needs {n} qubits, above the limit of {max_qubits}"
+        )
+    need = STATE_COPIES * 16 << n
+    have = physical_memory()
+    if have is not None and need > have:
+        raise CapacityError(
+            f"statevector of {n} qubits needs {need} bytes ({STATE_COPIES} states "
+            f"of 16*2^{n} bytes), above the {have} bytes of physical memory"
         )
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _chunks(size: int):
+    """Slices of ``CHUNK`` elements covering range(size)."""
+    return (slice(i, i + CHUNK) for i in range(0, size, CHUNK))
 
 
 def uniform_state(n: int) -> np.ndarray:
@@ -170,9 +233,17 @@ def apply_phase(state: np.ndarray, ising: IsingModel, gamma: float) -> np.ndarra
     if gamma == 0.0:
         return state.copy()
     lo, hi, levels = ising.phase_levels()
-    # state first and into a new array: numpy's complex multiply rounds
-    # differently with the operands swapped or written in place
-    return state * np.exp(-1j * gamma * np.arange(lo, hi + 1.0)).take(levels)
+    table = np.exp(-1j * gamma * np.arange(lo, hi + 1.0))
+    out = np.empty_like(state)
+    # numpy's complex multiply rounds differently with the operands
+    # swapped, so the order is the one every report was computed with:
+    # the state first below ELIDED_BYTES, the phase factors first from it
+    factors_first = state.nbytes >= ELIDED_BYTES
+    for s in _chunks(state.size):
+        factors = table.take(levels[s])
+        pair = (factors, state[s]) if factors_first else (state[s], factors)
+        np.multiply(*pair, out=out[s])
+    return out
 
 
 def _block_picks(k: int) -> np.ndarray:
@@ -239,7 +310,12 @@ def evolve(ising: IsingModel, schedule: AngleSchedule,
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:
-    return state.real ** 2 + state.imag ** 2
+    """|amplitude|^2 of every basis state, as real^2 + imag^2."""
+    probs = state.real ** 2
+    imag = state.imag
+    for s in _chunks(state.size):
+        probs[s] += imag[s] ** 2
+    return probs
 
 
 def expectation(state: np.ndarray, energies: np.ndarray) -> float:
@@ -293,16 +369,22 @@ def sample_state(probs: np.ndarray, vertex_order: tuple[int, ...], shots: int,
     # cdf in order instead of missing cache at random
     draws.sort()
     picks = np.searchsorted(cdf, draws, side="right")
-    np.clip(picks, 0, len(cdf) - 1, out=picks)
+    del cdf, draws
+    np.clip(picks, 0, probs.size - 1, out=picks)
     # the picks are sorted, so each distinct index is one run of equal picks
-    starts = np.flatnonzero(np.diff(picks)) + 1
-    bounds = np.concatenate(([0], starts, [shots]))
+    first = np.empty(shots, dtype=bool)
+    first[0] = True
+    np.not_equal(picks[1:], picks[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.empty(starts.size, dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = shots - starts[-1]
     return SampleDistribution(
         vertex_order=vertex_order,
         shots=shots,
         seed=seed,
-        indices=picks[bounds[:-1]].astype(np.int64),
-        counts=np.diff(bounds).astype(np.int64),
+        indices=picks[starts].astype(np.int64, copy=False),
+        counts=counts,
     )
 
 

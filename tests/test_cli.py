@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from profitcover import oracle, pipeline
+from profitcover import oracle, pipeline, qaoa
 from profitcover.cli import CONFIG_KEYS, _parse_rules, main
 from profitcover.errors import ParseError
 from profitcover.instances import gen_erdos_renyi_connected, gen_regular, parse_gen
@@ -415,6 +415,13 @@ def test_batch_default_names_match_run(tmp_path, capsys):
     assert names == ["er_n8_p0.5_s1", "karate"]
 
 
+def test_run_beyond_physical_memory_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: 1 << 16)
+    assert run_cli("run", "--gen", "regular:n=12,d=3,seed=1", "--rules", "") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: statevector of 12 qubits needs ")
+
+
 # ---------------------------------------------------------------------------
 # scripts
 
@@ -490,6 +497,38 @@ def test_depth_sweep_checks_an_unwritable_out_before_the_sweep(tmp_path, monkeyp
                              "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--out", "--json"])
+def test_benchmark_table_checks_unwritable_outputs_before_the_jobs(flag, tmp_path,
+                                                                   monkeypatch, capsys):
+    benchmark_table = _load_script("benchmark_table")
+
+    def no_jobs(jobs):
+        raise AssertionError("the jobs ran before the output paths were checked")
+
+    monkeypatch.setattr(benchmark_table, "run_batch", no_jobs)
+    out = tmp_path / "missing" / "x.csv"
+    assert benchmark_table.main(["--synthetic", "1", "--solver", "random", "--shots", "100",
+                                 flag, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+def test_peak_states_prints_one_row_per_run(capsys):
+    peak_states = _load_script("peak_states")
+    assert peak_states.main(["--n", "8", "--depth", "0", "--depth", "1",
+                             "--shots", "100"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["n", "depth", "import", "MiB", "above", "MiB", "states", "run", "s"]
+    assert [row.split()[:2] for row in rows] == [["8", "0"], ["8", "1"]]
+    assert all(float(row.split()[2]) > 0 for row in rows)
+
+
+def test_peak_states_reports_a_failed_run():
+    peak_states = _load_script("peak_states")
+    with pytest.raises(SystemExit, match="n=7 depth=1: the run exited with 1"):
+        peak_states.main(["--n", "7", "--depth", "1"])  # no 3-regular graph on 7
 
 
 @pytest.mark.parametrize("args", [["--seed", "-1"], ["--layers", "-1"], ["--shots", "0"]],

@@ -8,11 +8,13 @@ traces that pin down each reduction's local behavior.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from profitcover import kernel
 from profitcover.errors import DomainError
 from profitcover.graph import Graph, is_vertex_cover
 from profitcover.kernel import (
@@ -139,6 +141,62 @@ def test_fold_labels_fresh_and_increasing():
     labels = [f.merged_into for f in kr.folds]
     assert labels == sorted(labels)
     assert all(lab not in g.vertices for lab in labels)
+
+
+def _degree2_by_scan(adj, cover, folds, counter):
+    """The degree-2 rule as it scanned the whole graph for the smallest
+    degree-2 label before every firing, as a reference for the heap."""
+    count = 0
+    while True:
+        u = min((v for v, nb in adj.items() if len(nb) == 2), default=None)
+        if u is None:
+            return count, counter
+        v, w = sorted(adj[u])
+        if w in adj[v]:
+            kernel._remove_vertex(adj, v)
+            kernel._remove_vertex(adj, w)
+            cover.update((v, w))
+            if u in adj and not adj[u]:
+                del adj[u]
+        else:
+            merged = counter
+            counter += 1
+            new_nb = (adj[v] | adj[w]) - {u, v, w}
+            for x in (u, v, w):
+                kernel._remove_vertex(adj, x)
+            adj[merged] = set(new_nb)
+            for x in new_nb:
+                adj[x].add(merged)
+            folds.append(kernel.FoldRecord(u, (v, w), merged))
+        count += 1
+
+
+def _subdivided(g, seed):
+    """g with a seeded half of its edges replaced by paths of 1-3 new vertices."""
+    rng = random.Random(seed)
+    edges, label = [], max(g.vertices) + 1
+    for u, v in g.edges:
+        if rng.random() < 0.5:
+            edges.append((u, v))
+            continue
+        path = [u, *range(label, label + rng.randint(1, 3)), v]
+        label = path[-2] + 1
+        edges.extend(zip(path, path[1:]))
+    return Graph(range(label), edges)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_degree2_heap_fires_like_the_full_scan(seed):
+    """Same firings in the same order: adjacency, cover, folds, labels."""
+    base = random_gnp(12 + seed % 20, 2.5 / (12 + seed % 20), 7100 + seed)
+    g = _subdivided(base, seed) if seed % 2 else base
+    adj_a, adj_b = kernel._to_adj(g), kernel._to_adj(g)
+    cover_a, cover_b, folds_a, folds_b = set(), set(), [], []
+    start = max(g.vertices) + 1
+    got = kernel._apply_degree2(adj_a, cover_a, folds_a, start)
+    want = _degree2_by_scan(adj_b, cover_b, folds_b, start)
+    assert got == want and folds_a == folds_b
+    assert adj_a == adj_b and cover_a == cover_b
 
 
 # ---------------------------------------------------------------------------

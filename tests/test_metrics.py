@@ -1,6 +1,7 @@
 """Distribution summaries, threshold masses, and depth sweeps."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from profitcover.errors import DomainError
 from profitcover.metrics import (
     DEPTH_SWEEP_FIELDS,
+    _summarize,
     aggregate_mass_stats,
     canonical_json,
     depth_sweep,
@@ -26,6 +28,7 @@ from profitcover.qaoa import (
     SampleDistribution,
     probabilities,
     sample,
+    train_layerwise,
     uniform_state,
 )
 
@@ -212,6 +215,55 @@ def test_exact_summary_rejects_a_state(k3):
     m = build_ising(k3)
     with pytest.raises(DomainError, match="probabilities"):
         summarize_exact(uniform_state(3), m, opt_profit=1)
+
+
+def _gathered_summary(probs, ising, opt_profit):
+    """summarize_exact as it gathered the support for every distribution."""
+    support = np.flatnonzero(probs > 0.0)
+    return _summarize("exact", None, support, probs[support],
+                      -ising.energies_vector()[support], ising.n, len(ising.j4),
+                      opt_profit)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_summary_dense_path_matches_the_gather(seed):
+    """A uniform or trained state has no zero amplitude, so summarize_exact
+    reads the whole vectors; zeroing one amplitude of the same state sends
+    it down the gather. Both equal the gather formula, field by field, in
+    bits. In the uniform state the most likely outcome is not the best."""
+    g = gen_regular(12, 3, 60 + seed)
+    m = build_ising(g)
+    _, opt = max_profit_exact(g)
+    _, _, state = train_layerwise(m, seed % 3)
+    probs = probabilities(state)
+    assert probs.min() > 0.0
+    sparse = probs.copy()
+    sparse[int(np.argmax(probs))] = 0.0  # the most likely outcome moves
+    for p in (probs, sparse):
+        got, want = summarize_exact(p, m, opt), _gathered_summary(p, m, opt)
+        assert canonical_json(got.to_json_dict()) == canonical_json(want.to_json_dict())
+    assert summarize_exact(sparse, m, opt).n_distinct == probs.size - 1
+
+
+@pytest.mark.parametrize("uniform, bound", [(False, 2.5), (True, 3.25)],
+                         ids=["trained", "uniform"])
+def test_dense_exact_summary_allocates_two_probability_vectors(uniform, bound):
+    """At n=16: the negated energies and one temporary, plus the tie
+    candidates, which for the uniform state are every index. The gather
+    allocated 4.1 and 5.1 vectors: an index, three gathered copies and a
+    scaled one."""
+    m = build_ising(gen_regular(16, 3, 2))
+    state = uniform_state(16) if uniform else train_layerwise(m, 1)[2]
+    probs = probabilities(state)
+    m.energies_vector()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        summarize_exact(probs, m, opt_profit=5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * probs.nbytes
 
 
 def test_exact_summary_kind_and_shots(k3):

@@ -1,6 +1,7 @@
 """End-to-end pipeline runs compared against the exact oracle."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -206,6 +207,25 @@ def test_width_is_checked_before_the_oracle(monkeypatch):
     with pytest.raises(CapacityError, match="30"):
         run_pipeline(gen_regular(30, 3, 1), PipelineConfig())
     assert calls == []
+
+
+def test_memory_check_runs_before_the_oracle_and_allocates_no_state(monkeypatch):
+    """Physical memory patched below STATE_COPIES states of 20 qubits:
+    the run stops before the oracle, having allocated far less than one
+    16 MiB state."""
+    calls = []
+    monkeypatch.setattr(pipeline, "min_vertex_cover_exact", lambda g: calls.append(g.n))
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: 1 << 25)
+    g = gen_regular(20, 3, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="33554432 bytes of physical memory"):
+            run_pipeline(g, PipelineConfig(rules=()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < (16 << 20) // 16
 
 
 def test_report_determinism_bytewise():

@@ -8,6 +8,7 @@ the grid's own resolution.
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,22 @@ def test_capacity_error_names_count():
         train_layerwise(m, 1, max_qubits=5)
 
 
+def test_memory_check_refuses_a_state_that_does_not_fit(monkeypatch):
+    """check_width compares STATE_COPIES states with physical memory,
+    whose figure is patched down here; nothing is allocated."""
+    need = qaoa.STATE_COPIES * 16 << 20
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: need - 1)
+    with pytest.raises(CapacityError, match=f"needs {need} bytes.* {need - 1} bytes"):
+        check_width(20, 25)
+    check_width(19, 25)  # half the bytes fits
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: None)
+    check_width(20, 25)  # an unknown figure checks nothing
+
+
+def test_physical_memory_is_positive():
+    assert qaoa.physical_memory() is None or qaoa.physical_memory() > 0
+
+
 def test_energy_vector_length_checked():
     with pytest.raises(DomainError):
         apply_mixer(uniform_state(4), 3, 0.4)
@@ -153,6 +170,60 @@ def test_phase_of_interleaved_models_is_bit_equal_to_exp():
         for m in (a, b, a):
             want = (state * np.exp(-1j * gamma * m.energies_vector())).tobytes()
             assert apply_phase(state, m, gamma).tobytes() == want
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+
+
+def _peak_bytes(fn):
+    """Bytes that ``fn()`` allocates at its peak, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [10, 13, 14, 17])
+def test_chunked_phase_and_probabilities_match_the_one_shot_formulas(n):
+    """Slices of qaoa.CHUNK amplitudes give the bytes of one whole-array
+    pass: one partial slice at n=10 and 13, one whole at 14, eight at 17.
+    From n=14 numpy evaluates the one-shot product with its operands
+    swapped (temporary elision), and apply_phase follows it there."""
+    m = build_ising(random_gnp(n, 0.3, 5100 + n))
+    state = _random_state(n, n)
+    lo, hi, levels = m.phase_levels()
+    for gamma in (0.7, -2.3, 5.1):
+        table = np.exp(-1j * gamma * np.arange(lo, hi + 1.0))
+        want = (state * table.take(levels)).tobytes()
+        assert apply_phase(state, m, gamma).tobytes() == want
+    want = (state.real ** 2 + state.imag ** 2).tobytes()
+    assert probabilities(state).tobytes() == want
+
+
+def test_phase_and_probabilities_allocate_one_output_and_a_slice():
+    """At n=20 a slice is 1/64 of the state. The whole-array formulas
+    allocated 1.5 states (phase: the gathered factors and their intp
+    indices) and 2 probability vectors."""
+    m = build_ising(random_gnp(20, 0.2, 5200))
+    state = _random_state(20, 3)
+    m.phase_levels()
+    assert _peak_bytes(lambda: apply_phase(state, m, 0.4)) <= 1.1 * state.nbytes
+    assert _peak_bytes(lambda: probabilities(state)) <= 1.1 * state.nbytes / 2
+
+
+def test_sample_state_frees_its_draws_before_counting():
+    """With as many shots as states the cdf, the sorted draws and the picks
+    are three probability vectors, the peak; the whole-array counting
+    reached 4.2."""
+    probs = probabilities(_random_state(16, 4))
+    probs /= probs.sum()
+    peak = _peak_bytes(lambda: sample_state(probs, tuple(range(16)), 1 << 16, 5))
+    assert peak <= 3.25 * probs.nbytes
 
 
 def _butterfly_mixer(state, n, beta):
