@@ -132,7 +132,6 @@ def _summarize(kind: str, shots: int | None, indices: np.ndarray | None,
 def summarize(dist: SampleDistribution, ising: IsingModel,
               opt_profit: int | None = None) -> DistributionSummary:
     """Summary of a sampled (finite-shot) distribution."""
-    # negate only the gathered energies; a zero energy still gives -0.0
     profits = -ising.energies_vector()[dist.indices]
     weights = dist.counts / dist.shots
     return _summarize("sampled", dist.shots, dist.indices, weights,
@@ -147,8 +146,9 @@ def summarize_exact(probs: np.ndarray, ising: IsingModel,
     A trained or uniform state usually has no zero amplitude. Then the
     support is every basis state, and the summary reads ``probs`` and the
     negated energy vector directly: no index of the support and no
-    gathered copies, so it allocates about two probability vectors (the
-    profits and one temporary) where the gather needed five. Either way
+    gathered copies, so it allocates the int32 profits (half a
+    probability vector) and one temporary where the gather needed five
+    probability vectors. Either way
     the arrays summed are the same, so the summary has the same bits.
     """
     check_probabilities(probs)

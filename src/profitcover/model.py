@@ -13,7 +13,8 @@ The spin form (x = (1-z)/2, bit 1 mapped to z = -1) is
 
 with offset = |V|/2 - 3|E|/4, and satisfies H(x) = -profit(x) exactly.
 All coefficients are quarter-integers, so they are stored as integers
-scaled by 4 and every energy is exact in binary floating point.
+scaled by 4. Every basis energy is the integer |S| - |covered edges|,
+so the energy vector is int32 and lies in [-|E|, |V|].
 
 Basis-state indexing: bit j (least significant) of a state index holds
 the indicator of ``vertex_order[j]``, and the display bitstring writes
@@ -120,8 +121,11 @@ class IsingModel:
     def energies_vector(self) -> np.ndarray:
         """Energies of all 2^n basis states, exactly -profit per state.
 
-        Built once per model and returned read-only on every call. The
-        energy is |S| - |covered edges|, filled in one bit at a time:
+        The model's one energy representation: int32, every entry in
+        [-m, n], built once per model and returned read-only on every
+        call. Profits are its negation, so a zero profit prints as 0.0,
+        never -0.0. The energy is |S| - |covered edges|, filled in one
+        bit at a time:
         setting bit j of an index x < 2^j adds vertex j, which newly
         covers its deg(j) edges except those to lower vertices already
         in x, so
@@ -137,25 +141,6 @@ class IsingModel:
             energies.flags.writeable = False
             object.__setattr__(self, "_energies", energies)
         return energies
-
-    def phase_levels(self) -> tuple[float, float, np.ndarray]:
-        """(lowest energy, highest energy, level of each basis state).
-
-        The level of a state is E - lowest, an index into a phase table
-        of the hi - lo + 1 distinct energies, in the narrowest unsigned
-        dtype that holds it. Energies are integers by construction, so
-        the levels are exact. Built once per model from
-        ``energies_vector`` and returned read-only on every call.
-        """
-        levels = self.__dict__.get("_phase_levels")
-        if levels is None:
-            energies = self.energies_vector()
-            lo, hi = float(np.min(energies)), float(np.max(energies))
-            shifted = (energies - lo).astype(np.min_scalar_type(int(hi - lo)))
-            shifted.flags.writeable = False
-            levels = (lo, hi, shifted)
-            object.__setattr__(self, "_phase_levels", levels)
-        return levels
 
     def _build_energies(self) -> np.ndarray:
         n = self.n
@@ -174,9 +159,7 @@ class IsingModel:
             upper = energy[half:2 * half]
             np.add(energy[:half], 1 - degree[j], out=upper)
             upper += np.bitwise_count(idx[:half] & lower[j])
-        # float64, not an integer dtype: reports print the negated vector,
-        # where a zero energy must stay the -0.0 profit they have always shown
-        return energy.astype(np.float64)
+        return energy
 
 
 def build_qubo(g: Graph) -> Qubo:

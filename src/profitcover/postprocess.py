@@ -41,13 +41,11 @@ class RefinedSolution:
         }
 
 
-def greedy_cover_completion(g: Graph, subset) -> frozenset[int]:
-    """Extend a subset to a vertex cover, one uncovered edge at a time."""
-    cover = set(g.check_subset(subset))
+def greedy_cover_completion(g: Graph) -> frozenset[int]:
+    """A vertex cover of g, built one uncovered edge at a time."""
+    cover: set[int] = set()
     adj: dict[int, set[int]] = {}
     for u, v in g.edges:
-        if u in cover or v in cover:
-            continue
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
     for u, v in g.edges:
@@ -89,7 +87,7 @@ def refine(g: Graph, subset) -> RefinedSolution:
         fired = {r: c for r, c in kr.rule_counts.items() if c}
         if fired:
             steps.append("rules:" + ",".join(f"{r}={c}" for r, c in sorted(fired.items())))
-        sub_cover = greedy_cover_completion(kr.reduced, frozenset())
+        sub_cover = greedy_cover_completion(kr.reduced)
         if sub_cover:
             steps.append(f"greedy:+{len(sub_cover)}")
         base |= reconstruct(kr, sub_cover)

@@ -4,13 +4,17 @@ States are dense complex128 arrays indexed so that bit j of the array
 index is ``vertex_order[j]``.
 
 The cost layer is diagonal, so each basis amplitude picks up the phase
-exp(-i*gamma*E). Profit energies are integers spanning at most n+m+1
-values, so the phase is one small table exp(-i*gamma*level) gathered by
-each state's level index. The levels belong to the model: each
-``IsingModel`` builds them once from its energy vector
-(``IsingModel.phase_levels``), and ``apply_phase`` takes the model, not
-an energy array. The table entries equal exp(-i*gamma*E) bit for bit,
-so this is the same diagonal as the elementwise formula.
+exp(-i*gamma*E). Profit energies are the integers of the model's int32
+energy vector, all in [-m, n], so the phase is one small table: entries
+exp(-i*gamma*E) for E = 0..n, then for E = -m..-1, gathered with
+``take(..., mode="wrap")`` so that a negative energy -k reads the k-th
+entry from the end. ``apply_phase`` takes the model, not an energy
+array. The table entries equal exp(-i*gamma*E) bit for bit, and every
+slice is multiplied with the state as the first operand, so the result
+has the bytes of ``np.multiply(state, factors)`` for the named array
+``factors = exp(-1j*gamma*E)`` on every platform. (Complex multiply
+rounds differently with its operands swapped, which numpy's temporary
+elision may do to the one expression ``state * exp(...)``.)
 
 The mixer applies RX(2*beta) to every qubit. It works on blocks of
 ``MIXER_BLOCK`` qubits: viewing the state as a (2^n/2^k, 2^k) matrix
@@ -70,15 +74,14 @@ the same vector to sampling and to the exact summary.
 Memory is what limits the width of a run. In units of one state,
 S = 16*2^n bytes, a pipeline run holds:
 
-* all along: the model's float64 energy vector (S/2) and its phase
-  levels (uint8 or uint16, S/16 or S/8);
+* all along: the model's int32 energy vector (S/4);
 * in training: the prefix state, and in a layer >= 2 evaluation the
   phased state, the mixer's second buffer and the expectation's
-  probabilities and product (S/2 each), about 3.6 S at the peak; a
-  depth-1 run evolves one layer on the uniform state, about 2.6 S;
+  probabilities (S/2), about 3.4 S at the peak; a
+  depth-1 run evolves one layer on the uniform state, about 2.4 S;
 * in the readout: the probabilities (S/2), after which the pipeline
-  drops the state; then the exact summary's negated energies and one
-  temporary (S/2 each); then sampling's cumulative distribution (S/2)
+  drops the state; then the exact summary's negated energies (S/4) and
+  one temporary (S/2); then sampling's cumulative distribution (S/2)
   with 8 bytes per shot for the draws and as many for the picks, the
   draws and the cdf freed before the runs are counted.
 
@@ -115,14 +118,8 @@ MIXER_BLOCK = 3
 # their temporaries are one slice, not one state; see the module docstring
 CHUNK = 1 << 14
 
-# The phase was once the one expression ``state * gathered_factors``.
-# From this size of the temporary factors on, numpy's temporary elision
-# evaluated it in the temporary's buffer as ``factors * state``, so
-# ``apply_phase`` keeps that operand order from here up
-ELIDED_BYTES = 256 * 1024
-
 # state-sized buffers a run needs at its peak, for the memory pre-flight
-# check; a depth-1 run peaks at about 2.7 states, a deeper one at 3.7
+# check; a depth-1 run peaks at about 2.4 states, a deeper one at 3.4
 STATE_COPIES = 4
 
 # Restart grid for the layer-1 search, covering the gamma period [0, pi)
@@ -232,17 +229,14 @@ def apply_phase(state: np.ndarray, ising: IsingModel, gamma: float) -> np.ndarra
     """Diagonal cost layer of ``ising``; returns a new array."""
     if gamma == 0.0:
         return state.copy()
-    lo, hi, levels = ising.phase_levels()
-    table = np.exp(-1j * gamma * np.arange(lo, hi + 1.0))
+    energies = ising.energies_vector()
+    # energies lie in [-m, n]: E = 0..n index the table directly, and
+    # mode="wrap" sends E = -m..-1 to the m entries after them
+    table = np.exp(-1j * gamma * np.concatenate(
+        (np.arange(ising.n + 1), np.arange(-len(ising.j4), 0))))
     out = np.empty_like(state)
-    # numpy's complex multiply rounds differently with the operands
-    # swapped, so the order is the one every report was computed with:
-    # the state first below ELIDED_BYTES, the phase factors first from it
-    factors_first = state.nbytes >= ELIDED_BYTES
     for s in _chunks(state.size):
-        factors = table.take(levels[s])
-        pair = (factors, state[s]) if factors_first else (state[s], factors)
-        np.multiply(*pair, out=out[s])
+        np.multiply(state[s], table.take(energies[s], mode="wrap"), out=out[s])
     return out
 
 
@@ -319,8 +313,14 @@ def probabilities(state: np.ndarray) -> np.ndarray:
 
 
 def expectation(state: np.ndarray, energies: np.ndarray) -> float:
-    """<H> via elementwise product and pairwise sum (thread-count stable)."""
-    return float(np.sum(probabilities(state) * energies))
+    """<H> via elementwise product and pairwise sum (thread-count stable).
+
+    The product overwrites the fresh probability vector, so it needs no
+    temporary of half a state.
+    """
+    probs = probabilities(state)
+    probs *= energies
+    return float(np.sum(probs))
 
 
 def expectation_value(ising: IsingModel, schedule: AngleSchedule,

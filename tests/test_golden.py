@@ -47,9 +47,11 @@ GOLDEN = [
     ("er30-bnb", lambda: gen_erdos_renyi_connected(30, 0.15, 1),
      PipelineConfig(solver="exact"), "solver",
      "91db4b0b46ca17fc796b041252cee30fb79f5ac895fa2cd9614d030d8f54f74d"),
+    # re-pinned when energies became int32: "most_likely_profit" of the
+    # empty set went from -0.0 to 0.0, the report's only change
     ("reg10-random", lambda: gen_regular(10, 3, 1),
      PipelineConfig(solver="random"), "solver",
-     "4c09391620216a2fe068e8d40380c2308d17b5b80e65bf502bdc1f6830613dcc"),
+     "c5f7081d846221db3d6b35dd8818df293832adadacfcc48e28dabb785387b5e8"),
 ]
 
 

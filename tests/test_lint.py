@@ -48,6 +48,55 @@ def test_every_import_is_read():
     assert found == []
 
 
+def module_level_names(source: str) -> dict[str, int]:
+    """Constants, functions and classes a module defines at its top
+    level, with their line numbers; dunder names are left out."""
+    names: dict[str, int] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        names[sub.id] = node.lineno
+    return {name: line for name, line in names.items() if not name.startswith("__")}
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads, bare (``NAME``) or as an attribute (``mod.NAME``)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_module_level_names_and_reads():
+    source = ("X = 1\nY: int = 2\na, b = 3, 4\n__all__ = []\n"
+              "def f():\n    return X\nclass C:\n    Z = 5\nprint(m.b)\n")
+    assert module_level_names(source) == {"X": 1, "Y": 2, "a": 3, "b": 3, "f": 5, "C": 7}
+    assert {"X", "b"} <= read_names(source)
+    assert not {"Y", "a", "f", "C", "Z"} & read_names(source)
+
+
+def test_every_module_level_name_is_read():
+    """Every top-level constant, function and class of the package is read
+    somewhere in src, scripts or tests, its own definition apart."""
+    read = set()
+    for top in ("src", "scripts", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            read |= read_names(path.read_text())
+    found = [f"{path.relative_to(ROOT)} line {line}: {name}"
+             for path in sorted((ROOT / "src" / "profitcover").glob("*.py"))
+             for name, line in module_level_names(path.read_text()).items()
+             if name not in read]
+    assert found == []
+
+
 def test_the_run_path_imports_no_scipy():
     """scipy is a test dependency only: importing the package, its CLI and
     its pipeline loads none of it."""

@@ -13,7 +13,7 @@ from profitcover.graph import (
     is_vertex_cover,
 )
 from profitcover import metrics, oracle, pipeline, qaoa
-from profitcover.instances import gen_regular, load_graph
+from profitcover.instances import gen_regular, load_graph, parse_gen
 from profitcover.pipeline import (
     REPORT_CSV_FIELDS,
     PipelineConfig,
@@ -155,6 +155,18 @@ def test_random_solver_is_p0_sampling():
     assert report.status == "solver"
     assert report.schedule is None or report.schedule.p == 0
     assert report.feasible
+
+
+@pytest.mark.parametrize("solver", ["random", "qaoa"])
+@pytest.mark.parametrize("spec", ["regular:n=10,d=3,seed=1", "regular:n=12,d=3,seed=2",
+                                  "er:n=9,p=0.6,seed=5"])
+def test_canonical_report_prints_no_negative_zero(spec, solver):
+    """Profits are negated integer energies, so the empty set's profit is
+    0.0; a float energy vector printed it as -0.0."""
+    name, g = parse_gen(spec)
+    report = run_pipeline(g, PipelineConfig(solver=solver, shots=1000), name)
+    assert report.status == "solver"
+    assert "-0.0" not in report.canonical_json()
 
 
 @pytest.mark.parametrize("seed", range(12))

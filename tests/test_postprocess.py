@@ -66,11 +66,12 @@ def test_redundant_output_is_irreducible(seed):
 
 
 # ---------------------------------------------------------------------------
-# greedy completion
+# greedy completion: ``refine`` is its only caller, and the one that
+# completes a given subset, so the subset cases go through ``refine``
 
 
 def test_greedy_k3_from_single(k3):
-    out = greedy_cover_completion(k3, {0})
+    out = refine(k3, {0}).cover_reduced
     assert is_vertex_cover(k3, out)
     assert len(out) == 2
     assert brute_profit(k3, out) == 1 >= brute_profit(k3, {0})
@@ -78,11 +79,13 @@ def test_greedy_k3_from_single(k3):
 
 def test_greedy_empty_on_star():
     g = star_graph(4)
-    assert greedy_cover_completion(g, set()) == {0}
+    assert greedy_cover_completion(g) == {0}
 
 
 def test_greedy_keeps_input_subset(c4):
-    out = greedy_cover_completion(c4, {1})
+    """Only the redundancy pass may drop an input vertex, and on C4 the
+    completion of {1} leaves none redundant."""
+    out = refine(c4, {1}).cover_reduced
     assert 1 in out and is_vertex_cover(c4, out)
 
 
@@ -92,7 +95,7 @@ def test_greedy_duality_bound(seed):
     n = 5 + seed % 6
     g = random_gnp(n, 0.45, 2200 + seed)
     subset = {v for v in g.vertices if (seed >> (v % 7)) & 1}
-    out = greedy_cover_completion(g, subset)
+    out = refine(g, subset).cover_reduced
     assert is_vertex_cover(g, out)
     assert len(out) <= g.m - brute_profit(g, subset)
 
