@@ -35,6 +35,7 @@ from .qaoa import (
     probabilities,
     train_layerwise,
     uniform_state,
+    weighted_sum,
 )
 
 
@@ -58,6 +59,24 @@ def lex_min_index(indices: np.ndarray, n: int) -> int:
         if zeros.size:
             candidates = zeros
     return int(candidates[0])
+
+
+def lex_min_of_mask(mask: np.ndarray) -> int:
+    """Position of the True entry of a full-length boolean ``mask`` whose
+    display bitstring is lexicographically smallest; one entry must hold.
+
+    The narrowing of ``lex_min_index`` on strided views instead of an
+    index: with bits 0..j-1 of r chosen, the candidates that also have a
+    0 at bit j are ``mask[r::2 << j]``, and if none holds, bit j of r is
+    set. Once ``mask[r]`` holds, r is the candidate whose higher bits
+    are all 0, so the narrowing stops there.
+    """
+    r = j = 0
+    while not mask[r]:
+        if not mask[r::2 << j].any():
+            r |= 1 << j
+        j += 1
+    return r
 
 
 @dataclass(frozen=True)
@@ -89,27 +108,32 @@ def _summarize(kind: str, shots: int | None, indices: np.ndarray | None,
     ``indices=None`` means every basis state, in order."""
     if weights.size == 0:
         raise DomainError("empty distribution")
+    full = indices is None
 
-    def where(mask: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(mask) if indices is None else indices[mask]
+    def lex_min(mask: np.ndarray) -> int:
+        return lex_min_of_mask(mask) if full else lex_min_index(indices[mask], n)
 
     best_profit = float(np.max(profits))
-    best_idx = lex_min_index(where(profits == best_profit), n)
+    best_idx = lex_min(profits == best_profit)
     top_w = np.max(weights)
-    likely_idx = lex_min_index(where(weights == top_w), n)
-    likely_profit = float(profits[likely_idx if indices is None
+    likely_idx = lex_min(weights == top_w)
+    likely_profit = float(profits[likely_idx if full
                                   else np.searchsorted(indices, likely_idx)])
-    mean_profit = float(np.sum(weights * profits))
+    # a support is rarely a power of two long, so only the full vectors
+    # take the chunked sum; both give the bits of np.sum(weights * profits)
+    mean_profit = (weighted_sum(weights, profits) if full
+                   else float(np.sum(weights * profits)))
 
     alpha = mass_opt = mass_90 = mass_80 = None
     if opt_profit is not None:
         mass_opt = float(np.sum(weights[profits == opt_profit]))
         if opt_profit > 0:
             alpha = best_profit / opt_profit
-            # profits and the optimum are integers, so compare the scaled
-            # integers instead of multiplying by an inexact 0.9 or 0.8
-            mass_90 = float(np.sum(weights[10 * profits >= 9 * opt_profit]))
-            mass_80 = float(np.sum(weights[5 * profits >= 4 * opt_profit]))
+            # profits and the optimum are integers, so 10p >= 9 opt holds
+            # exactly when p >= ceil(9 opt / 10), and 5p >= 4 opt when
+            # p >= ceil(4 opt / 5): no inexact 0.9 or 0.8, no scaled copy
+            mass_90 = float(np.sum(weights[profits >= -(-9 * opt_profit // 10)]))
+            mass_80 = float(np.sum(weights[profits >= -(-4 * opt_profit // 5)]))
     return DistributionSummary(
         kind=kind,
         shots=shots,
@@ -145,11 +169,13 @@ def summarize_exact(probs: np.ndarray, ising: IsingModel,
 
     A trained or uniform state usually has no zero amplitude. Then the
     support is every basis state, and the summary reads ``probs`` and the
-    negated energy vector directly: no index of the support and no
-    gathered copies, so it allocates the int32 profits (half a
-    probability vector) and one temporary where the gather needed five
-    probability vectors. Either way
-    the arrays summed are the same, so the summary has the same bits.
+    negated energy vector directly. It builds no index: ties resolve by
+    narrowing boolean masks (``lex_min_of_mask``), the mean is the
+    chunked ``weighted_sum`` and the masses compact only the weights at
+    or above their cut-off. So it allocates the int32 profits (half a
+    probability vector), one boolean mask (an eighth) at a time and the
+    selected weights. Either way the arrays summed are the same, so the
+    summary has the same bits.
     """
     check_probabilities(probs)
     energies = ising.energies_vector()
@@ -194,8 +220,7 @@ def depth_sweep(ising: IsingModel, p_list, *, opt_profit: int | None = None,
 
     def point(d, gamma, beta, state):
         probs = probabilities(state)
-        # the same sum as qaoa.expectation, from the same probabilities
-        return DepthPoint(d, gamma, beta, float(np.sum(probs * energies)),
+        return DepthPoint(d, gamma, beta, weighted_sum(probs, energies),
                           summarize_exact(probs, ising, opt_profit))
 
     state = uniform_state(n)

@@ -41,7 +41,6 @@ from .qaoa import (
     SampleDistribution,
     TrainLog,
     check_width,
-    probabilities,
     sample_state,
     train_layerwise,
 )
@@ -224,17 +223,16 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
         else:
             ising = build_ising(residual)
             t = time.perf_counter()
-            # training ends on the trained state; it is not evolved again.
-            # Depth 0, and the random solver, give the uniform state.
-            schedule, train_log, state = train_layerwise(
+            # training ends on the trained state's probabilities; the
+            # state is not evolved or squared again. Depth 0, and the
+            # random solver, give the uniform distribution.
+            schedule, train_log, probs = train_layerwise(
                 ising, config.depth if config.solver == "qaoa" else 0,
                 max_qubits=config.max_qubits)
             timings["train_s"] = time.perf_counter() - t
 
-            probs = probabilities(state)
-            # the state is not needed past its probabilities; the exact
-            # summary runs before sampling so their buffers never overlap
-            del state
+            # the exact summary runs before sampling so their buffers
+            # never overlap
             exact_summary = summarize_exact(probs, ising, residual_opt_profit)
             t = time.perf_counter()
             dist = sample_state(probs, ising.vertex_order, config.shots,

@@ -61,15 +61,20 @@ and McMahon, arXiv:2012.03421), so ``depth1_objective`` evaluates <H>
 in O(n+m) instead of O(2^n). Layers 2 and up evaluate one phase and
 one mixer pass on the prefix state. Each layer's recorded expectation
 is that of the statevector after the trained layer, whichever objective
-trained it. Training returns that final prefix state with the angles,
-and it is the state a pipeline run samples and summarizes, so the
-trained circuit is evolved once per run.
+trained it. Training squares the final prefix state once, takes the
+last layer's expectation from that probability vector, frees the state
+and returns the vector with the angles. A pipeline run samples and
+summarizes that one vector, so the trained circuit is evolved once and
+squared once per run.
 
 Expectations use elementwise multiply plus np.sum (never a BLAS dot),
-keeping values bit-identical across thread counts. Sampling inverts the
+keeping values bit-identical across thread counts. ``weighted_sum``
+gives the same bits as ``np.sum(probs * values)`` on a full 2^n vector
+without the product of half a state: numpy sums a contiguous array by
+halving it, so on a power-of-two length the sums of ``CHUNK`` slices,
+added in pairs, are the nodes of the same tree. Sampling inverts the
 cumulative distribution of the probability vector with a counter-based
-Philox generator; callers compute ``probabilities(state)`` once and hand
-the same vector to sampling and to the exact summary.
+Philox generator, and the exact summary reads the same vector.
 
 Memory is what limits the width of a run. In units of one state,
 S = 16*2^n bytes, a pipeline run holds:
@@ -79,16 +84,20 @@ S = 16*2^n bytes, a pipeline run holds:
   phased state, the mixer's second buffer and the expectation's
   probabilities (S/2), about 3.4 S at the peak; a
   depth-1 run evolves one layer on the uniform state, about 2.4 S;
-* in the readout: the probabilities (S/2), after which the pipeline
-  drops the state; then the exact summary's negated energies (S/4) and
-  one temporary (S/2); then sampling's cumulative distribution (S/2)
-  with 8 bytes per shot for the draws and as many for the picks, the
-  draws and the cdf freed before the runs are counted.
+* at the end of training: the final state and its probabilities (S/2),
+  after which training frees the state;
+* in the readout: the probabilities; the exact summary's negated
+  energies (S/4), a boolean mask (S/16) at a time and the weights it
+  selects for a mass (at most S/2, usually far less); then sampling's
+  cumulative distribution (S/2) with 8 bytes per shot for the draws and
+  as many for the picks, the draws and the cdf freed before the runs
+  are counted.
 
-``apply_phase`` and ``probabilities`` work through the state in slices
-of ``CHUNK`` = 2^14 amplitudes, so their temporaries (the gathered phase
-factors with their integer indices, and the squared imaginary parts)
-are 384 KiB at most instead of one to one and a half states. The
+``apply_phase``, ``probabilities`` and ``weighted_sum`` work through
+their vectors in slices of ``CHUNK`` = 2^14 entries, so their
+temporaries (the gathered phase factors with their integer indices, the
+squared imaginary parts, the weighted slice) are 384 KiB at most
+instead of one to one and a half states. The
 results are elementwise, so they do not depend on the slicing. On a
 2-core machine with a 2 MiB L2 per core, slices of 2^14 kept the phase
 as fast as the whole-array product at n=18-20 and made it about a
@@ -114,8 +123,9 @@ MAX_QUBITS = 25
 # qubits per mixer pass; see the module docstring for why 3
 MIXER_BLOCK = 3
 
-# amplitudes per slice of the elementwise passes (phase, probabilities):
-# their temporaries are one slice, not one state; see the module docstring
+# entries per slice of the elementwise passes (phase, probabilities,
+# weighted sum): their temporaries are one slice, not one state; see the
+# module docstring
 CHUNK = 1 << 14
 
 # state-sized buffers a run needs at its peak, for the memory pre-flight
@@ -321,6 +331,26 @@ def expectation(state: np.ndarray, energies: np.ndarray) -> float:
     probs = probabilities(state)
     probs *= energies
     return float(np.sum(probs))
+
+
+def weighted_sum(probs: np.ndarray, values: np.ndarray) -> float:
+    """``np.sum(probs * values)`` in bits, for a full vector of 2^n entries.
+
+    Each ``CHUNK`` slice is multiplied into one slice-sized buffer and
+    summed; the slice sums are then added in pairs, which is the top of
+    numpy's pairwise tree only when the length is a power of two.
+    """
+    size = probs.size
+    if size < 1 or size & (size - 1) or values.shape != probs.shape:
+        raise DomainError(f"weighted_sum needs two vectors of 2^n entries, got "
+                          f"shapes {probs.shape} and {values.shape}")
+    # a power of two is one short slice or a whole number of slices
+    buf = np.empty(min(size, CHUNK))
+    parts = np.array([np.sum(np.multiply(probs[s], values[s], out=buf))
+                      for s in _chunks(size)])
+    while parts.size > 1:
+        parts = parts[0::2] + parts[1::2]
+    return float(parts[0])
 
 
 def expectation_value(ising: IsingModel, schedule: AngleSchedule,
@@ -541,9 +571,11 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
     angles of layer k-1. It sees the frozen prefix state of layers
     1..k-1, so each of its objective calls costs one phase and one mixer
     pass regardless of k. ``MAXFEV`` bounds the evaluations of each run.
-    Returns the schedule, the log and the state after all p trained
-    layers (the uniform state when p is 0), which has the same bytes as
-    ``evolve`` on the returned schedule.
+    Returns the schedule, the log and the probability vector of the
+    state after all p trained layers (of the uniform state when p is 0),
+    which has the same bytes as ``probabilities(evolve(...))`` on the
+    returned schedule. The state itself is freed before returning, and
+    the last layer's recorded expectation is read from that vector.
     """
     if p < 0:
         raise DomainError("depth must be non-negative")
@@ -553,7 +585,8 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
     prefix = uniform_state(n)
     gammas: list[float] = []
     betas: list[float] = []
-    records: list[LayerRecord] = []
+    expectations: list[float] = []
+    evals: list[int] = []
 
     def layer_value(gamma: float, beta: float) -> float:
         state = apply_phase(prefix, ising, gamma)
@@ -565,11 +598,11 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
             objective, starts = depth1_objective(ising), ((0.0, 0.0),) + FIXED_STARTS
         else:
             objective, starts = layer_value, ((gammas[-1], betas[-1]),)
-        evals = 1
+        layer_evals = 1
         candidates = [((0.0, 0.0), objective(0.0, 0.0))]
         for start in starts:
             x, fun, nfev = _nelder_mead(objective, start, MAXFEV)
-            evals += nfev
+            layer_evals += nfev
             candidates.append((x, fun))
         (gamma, beta), value = min(candidates, key=lambda c: c[1])
         if not np.isfinite(value):
@@ -578,5 +611,13 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
         apply_mixer(prefix, n, beta)
         gammas.append(gamma)
         betas.append(beta)
-        records.append(LayerRecord(layer, gamma, beta, expectation(prefix, energies), evals))
-    return AngleSchedule(tuple(gammas), tuple(betas)), TrainLog(tuple(records)), prefix
+        evals.append(layer_evals)
+        if layer < p:
+            expectations.append(expectation(prefix, energies))
+    probs = probabilities(prefix)
+    del prefix
+    if p:
+        expectations.append(weighted_sum(probs, energies))
+    records = tuple(LayerRecord(layer, *row)
+                    for layer, row in enumerate(zip(gammas, betas, expectations, evals), 1))
+    return AngleSchedule(tuple(gammas), tuple(betas)), TrainLog(records), probs

@@ -365,36 +365,40 @@ def test_reference_cover_size_consistency():
 
 @pytest.mark.parametrize("solver,depth", [("qaoa", 2), ("qaoa", 0), ("random", 0)])
 def test_run_pipeline_evolves_once_and_squares_once(monkeypatch, solver, depth):
-    """The trained state is sampled as training left it, and its
-    probabilities are computed once for sampling and the exact summary."""
-    calls = {"evolve": 0, "probabilities": 0}
-    training = [False]
+    """The trained state is sampled as training left it: training squares
+    the final state once, besides the expectations of its search, and the
+    pipeline squares nothing of its own."""
+    calls = {"evolve": 0, "train_layerwise": 0, "run_pipeline": 0}
+    caller = ["run_pipeline"]
     evolve, probabilities = qaoa.evolve, qaoa.probabilities
-    train_layerwise = pipeline.train_layerwise
 
     def counting_evolve(*args, **kwargs):
         calls["evolve"] += 1
         return evolve(*args, **kwargs)
 
     def counting_probabilities(state):
-        # training squares its own states for the expectations; those
-        # calls are not the ones counted here
-        if not training[0]:
-            calls["probabilities"] += 1
+        # the expectations of the search square their own states
+        if caller[-1] != "expectation":
+            calls[caller[-1]] += 1
         return probabilities(state)
 
-    def flagged_train(*args, **kwargs):
-        training[0] = True
-        try:
-            return train_layerwise(*args, **kwargs)
-        finally:
-            training[0] = False
+    def marked(name, fn):
+        def call(*args, **kwargs):
+            caller.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                caller.pop()
+        return call
 
     for module in (qaoa, metrics, pipeline):
         monkeypatch.setattr(module, "evolve", counting_evolve, raising=False)
-        monkeypatch.setattr(module, "probabilities", counting_probabilities)
-    monkeypatch.setattr(pipeline, "train_layerwise", flagged_train)
+        monkeypatch.setattr(module, "probabilities", counting_probabilities,
+                            raising=False)
+    monkeypatch.setattr(qaoa, "expectation", marked("expectation", qaoa.expectation))
+    monkeypatch.setattr(pipeline, "train_layerwise",
+                        marked("train_layerwise", pipeline.train_layerwise))
     config = PipelineConfig(solver=solver, depth=depth, shots=500, seed=3, rules=())
     report = run_pipeline(cycle_graph(7), config)
     assert report.status == "solver" and report.exact_summary is not None
-    assert calls == {"evolve": 0, "probabilities": 1}
+    assert calls == {"evolve": 0, "train_layerwise": 1, "run_pipeline": 0}

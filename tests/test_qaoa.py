@@ -37,6 +37,7 @@ from profitcover.qaoa import (
     sample_state,
     train_layerwise,
     uniform_state,
+    weighted_sum,
 )
 
 from conftest import cycle_graph, random_gnp, star_graph
@@ -741,9 +742,30 @@ def test_trained_state_is_the_evolved_schedule(n):
     """n mod 3 = 0, 1 and 2, so the short last mixer pass is covered."""
     m = build_ising(random_gnp(n, 0.4, 4700 + n))
     for p in range(5):
-        schedule, log, state = train_layerwise(m, p)
+        schedule, log, probs = train_layerwise(m, p)
         assert schedule.p == p == len(log.layers)
-        assert state.tobytes() == evolve(m, schedule).tobytes()
+        state = evolve(m, schedule)
+        assert probs.tobytes() == probabilities(state).tobytes()
+        if p:
+            assert log.expectations[-1] == expectation(state, m.energies_vector())
+
+
+@pytest.mark.parametrize("n", range(1, 19))
+def test_weighted_sum_has_the_bytes_of_the_full_product(n):
+    """n up to 18 crosses the CHUNK = 2^14 boundary, where the sum is
+    split into slices."""
+    rng = np.random.default_rng(5200 + n)
+    probs = rng.dirichlet(np.ones(1 << n))
+    values = rng.integers(-3 * n, n + 1, 1 << n, dtype=np.int32)
+    values[0], values[-1] = -3 * n, n  # both signs at every n
+    got = weighted_sum(probs, values)
+    assert np.float64(got).tobytes() == np.sum(probs * values).tobytes()
+
+
+@pytest.mark.parametrize("size", [0, 3, 12, (1 << 14) + 1])
+def test_weighted_sum_rejects_a_length_off_the_tree(size):
+    with pytest.raises(DomainError, match="2\\^n"):
+        weighted_sum(np.ones(size), np.ones(size, dtype=np.int32))
 
 
 def test_sample_state_rejects_a_state():
