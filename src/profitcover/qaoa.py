@@ -315,6 +315,10 @@ def evolve(ising: IsingModel, schedule: AngleSchedule,
 
 def probabilities(state: np.ndarray) -> np.ndarray:
     """|amplitude|^2 of every basis state, as real^2 + imag^2."""
+    if not np.iscomplexobj(state):
+        # squaring a probability vector again would otherwise pass silently
+        raise DomainError("expected a complex state, got a real array; "
+                          "train_layerwise returns probabilities already")
     probs = state.real ** 2
     imag = state.imag
     for s in _chunks(state.size):

@@ -768,6 +768,12 @@ def test_weighted_sum_rejects_a_length_off_the_tree(size):
         weighted_sum(np.ones(size), np.ones(size, dtype=np.int32))
 
 
+def test_probabilities_rejects_a_probability_vector():
+    probs = train_layerwise(build_ising(cycle_graph(5)), 1)[2]
+    with pytest.raises(DomainError, match="complex state"):
+        probabilities(probs)
+
+
 def test_sample_state_rejects_a_state():
     state = uniform_state(3)
     with pytest.raises(DomainError, match="probabilities"):
