@@ -15,9 +15,14 @@ Five rules shrink a graph while preserving the optimum cover:
                 search reads the relaxation from it, and the result is the
                 same for every maximum matching (see ``_lp_partition``)
 
-``reduce`` applies them in a fixed order until none fires and returns a
-KernelResult; ``reconstruct`` replays the fold trace to turn any cover of
-the reduced graph into a cover of the original.
+``_apply_rules`` runs a set of enabled rules in place on an adjacency
+dict, always in the order above, until none fires. ``reduce`` builds the
+adjacency, runs it with the caller's rules, snapshots the result into
+one Graph and returns a KernelResult. The greedy bound behind the
+high-degree rule and the exact oracle at every search node run the same
+routine with only the singleton, pendant and degree-2 rules
+(``LOW_DEGREE``). ``reconstruct`` replays the fold trace to turn any
+cover of the reduced graph into a cover of the original.
 
 Fresh fold labels are allocated above the original label range, so the
 reduced graph's labels never collide with input labels.
@@ -32,6 +37,7 @@ from .errors import DomainError, InfeasibilityBug
 from .graph import Graph, is_vertex_cover
 
 ALL_RULES = ("sr", "pr", "d2r", "hdr", "lpr")
+LOW_DEGREE = ("sr", "pr", "d2r")
 
 Adj = dict[int, set[int]]
 
@@ -170,27 +176,13 @@ def _replay_folds(cover: set[int], folds) -> None:
             cover.add(rec.folded_vertex)
 
 
-def _apply_low_degree(adj: Adj, cover: set[int], folds: list[FoldRecord],
-                      counter: int) -> int:
-    """Strip isolated vertices, resolve pendants and degree-2 vertices in
-    place until none is left, so every remaining vertex has degree 3 or
-    more; returns the next free fold label."""
-    while True:
-        _strip_isolated(adj)
-        if _apply_pendants(adj, cover):
-            continue
-        n_d2, counter = _apply_degree2(adj, cover, folds, counter)
-        if not n_d2:
-            return counter
-
-
 def _greedy_bound(adj: Adj, counter: int) -> tuple[int, frozenset[int]]:
     """Greedy cover: exact moves (pendant/degree-2) plus max-degree picks."""
     adj = {v: set(nb) for v, nb in adj.items()}
     cover: set[int] = set()
     folds: list[FoldRecord] = []
     while True:
-        counter = _apply_low_degree(adj, cover, folds, counter)
+        counter, _ = _apply_rules(adj, LOW_DEGREE, cover, folds, counter)
         if not adj:
             break
         pick = max(adj, key=lambda v: (len(adj[v]), -v))
@@ -259,7 +251,7 @@ def _max_matching(nbrs: list[list[int]]) -> tuple[list[int], list[int]]:
                     path.append(w)
 
 
-def _lp_partition(g: Graph) -> tuple[set[int], set[int], set[int]]:
+def _lp_partition(adj: Adj) -> tuple[set[int], set[int], set[int]]:
     """Half-integral LP optimum via König on the bipartite double cover.
 
     Returns (P, Q, R): x>1/2 (commit), x=1/2 (keep), x<1/2 (drop).
@@ -270,16 +262,15 @@ def _lp_partition(g: Graph) -> tuple[set[int], set[int], set[int]]:
     partition does not depend on which maximum matching the search
     starts from: the left vertices that alternating paths reach from
     the exposed left vertices are the same for every maximum matching
-    (Dulmage-Mendelsohn), and the right ones are their neighbours.
+    (Dulmage-Mendelsohn), and the right ones are their neighbours. So
+    neither the order of ``adj``'s keys nor that of its neighbour sets
+    changes the result.
     """
-    n = g.n
-    if g.m == 0:
-        return set(), set(), set(g.vertices)
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = [[pos[w] for w in g.neighbors(v)] for v in g.vertices]
+    pos = {v: i for i, v in enumerate(adj)}
+    nbrs = [[pos[w] for w in nb] for nb in adj.values()]
     match_left, match_right = _max_matching(nbrs)
     # König: alternate from unmatched left vertices
-    z_left = {i for i in range(n) if match_left[i] < 0}
+    z_left = {i for i, right in enumerate(match_left) if right < 0}
     z_right: set[int] = set()
     stack = list(z_left)
     while stack:
@@ -343,7 +334,7 @@ def rule_high_degree(g: Graph, k_ub: int) -> tuple[Graph, frozenset[int]]:
 
 def rule_lp(g: Graph) -> tuple[Graph, frozenset[int], frozenset[int]]:
     """LP-based reduction: commit P (x>1/2), drop R (x<1/2), keep Q."""
-    p_set, q_set, r_set = _lp_partition(g)
+    p_set, q_set, r_set = _lp_partition(_to_adj(g))
     return g.induced_subgraph(q_set), frozenset(p_set), frozenset(r_set)
 
 
@@ -371,48 +362,53 @@ def _project_v_safe(committed: set[int], folds: list[FoldRecord],
     return frozenset(safe)
 
 
+def _apply_rules(adj: Adj, rules: tuple[str, ...], cover: set[int],
+                 folds: list[FoldRecord], counter: int) -> tuple[int, dict[str, int]]:
+    """Apply the enabled ``rules`` in place, in the order of ``ALL_RULES``,
+    until a round fires none.
+
+    Committed vertices join ``cover`` and folds are appended to ``folds``,
+    with fresh labels from ``counter`` up. Returns the next free fold
+    label and the firings of each rule. With ``LOW_DEGREE`` every vertex
+    left has degree 3 or more.
+    """
+    counts = dict.fromkeys(ALL_RULES, 0)
+    while True:
+        fired = sum(counts.values())
+        if "sr" in rules:
+            counts["sr"] += len(_strip_isolated(adj))
+        if "pr" in rules:
+            counts["pr"] += _apply_pendants(adj, cover)
+        if "d2r" in rules:
+            n_d2, counter = _apply_degree2(adj, cover, folds, counter)
+            counts["d2r"] += n_d2
+        if "hdr" in rules and adj:
+            k_ub, _ = _greedy_bound(adj, counter)
+            high = sorted(v for v, nb in adj.items() if len(nb) > k_ub)
+            for v in high:
+                _remove_vertex(adj, v)
+            cover.update(high)
+            counts["hdr"] += len(high)
+        if "lpr" in rules and adj:
+            p_set, _, r_set = _lp_partition(adj)
+            for v in sorted(p_set | r_set):
+                _remove_vertex(adj, v)
+            cover.update(p_set)
+            counts["lpr"] += len(p_set) + len(r_set)
+        if sum(counts.values()) == fired:
+            return counter, counts
+
+
 def reduce(g: Graph, enabled_rules: tuple[str, ...] = ALL_RULES) -> KernelResult:
     """Apply the enabled rules in order (sr, pr, d2r, hdr, lpr) to a fixed point."""
     unknown = set(enabled_rules) - set(ALL_RULES)
     if unknown:
         raise DomainError(f"unknown rules: {sorted(unknown)}")
-    enabled = set(enabled_rules)
     adj = _to_adj(g)
     committed: set[int] = set()
     folds: list[FoldRecord] = []
-    counts = {r: 0 for r in ALL_RULES}
-    counter = max(g.vertices, default=-1) + 1
-    changed = True
-    while changed:
-        changed = False
-        if "sr" in enabled:
-            removed = _strip_isolated(adj)
-            counts["sr"] += len(removed)
-            changed |= bool(removed)
-        if "pr" in enabled:
-            n_pr = _apply_pendants(adj, committed)
-            counts["pr"] += n_pr
-            changed |= bool(n_pr)
-        if "d2r" in enabled:
-            n_d2, counter = _apply_degree2(adj, committed, folds, counter)
-            counts["d2r"] += n_d2
-            changed |= bool(n_d2)
-        if "hdr" in enabled and adj:
-            k_ub, _ = _greedy_bound(adj, counter)
-            high = sorted(v for v, nb in adj.items() if len(nb) > k_ub)
-            for v in high:
-                _remove_vertex(adj, v)
-            committed.update(high)
-            counts["hdr"] += len(high)
-            changed |= bool(high)
-        if "lpr" in enabled and adj:
-            p_set, q_set, r_set = _lp_partition(_snapshot(adj))
-            if p_set or r_set:
-                for v in sorted(p_set | r_set):
-                    _remove_vertex(adj, v)
-                committed.update(p_set)
-                counts["lpr"] += len(p_set) + len(r_set)
-                changed = True
+    _, counts = _apply_rules(adj, enabled_rules, committed, folds,
+                             max(g.vertices, default=-1) + 1)
     reduced = _snapshot(adj)
     v_safe = _project_v_safe(committed, folds, reduced, g)
     return KernelResult(

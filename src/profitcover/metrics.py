@@ -218,21 +218,21 @@ def depth_sweep(ising: IsingModel, p_list, *, opt_profit: int | None = None,
     energies = ising.energies_vector()
     n = ising.n
 
-    def point(d, gamma, beta, state):
-        probs = probabilities(state)
+    def point(d, gamma, beta, probs):
         return DepthPoint(d, gamma, beta, weighted_sum(probs, energies),
                           summarize_exact(probs, ising, opt_profit))
 
-    state = uniform_state(n)
     points = []
-    if 0 in depths:
-        points.append(point(0, None, None, state))
+    if 0 in depths:  # the untrained uniform distribution, built with no state
+        uniform = train_layerwise(ising, 0, max_qubits=max_qubits)[2]
+        points.append(point(0, None, None, uniform))
+    state = uniform_state(n) if p_max else None
     for d in range(1, p_max + 1):
         gamma, beta = schedule.gammas[d - 1], schedule.betas[d - 1]
         state = apply_phase(state, ising, gamma)
         apply_mixer(state, n, beta)
         if d in depths:
-            points.append(point(d, gamma, beta, state))
+            points.append(point(d, gamma, beta, probabilities(state)))
     return DepthSweep(schedule, tuple(points))
 
 

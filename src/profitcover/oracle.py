@@ -1,13 +1,14 @@
 """Exact reference solver for minimum vertex cover and maximum profit.
 
 One engine, a branch and reduce (Akiba and Iwata, arXiv:1411.2680): at
-every search node the kernel's singleton, pendant and degree-2 (folding)
-rules run in place until none fires. A node is pruned when its cover,
-its pending folds and a clique-partition lower bound reach the best
-cover found so far; otherwise it branches on a maximum-degree vertex v,
-first with v in the cover, then with all of N(v). The search keeps an
-explicit stack, so its depth is not limited by Python's recursion, and
-it visits at most ``NODE_BUDGET`` nodes before raising
+every search node the kernel's ``_apply_rules``, the routine ``reduce``
+runs, applies the singleton, pendant and degree-2 (folding) rules
+(``LOW_DEGREE``) in place until none fires. A node is pruned when its
+cover, its pending folds and a clique-partition lower bound reach the
+best cover found so far; otherwise it branches on a maximum-degree
+vertex v, first with v in the cover, then with all of N(v). The search
+keeps an explicit stack, so its depth is not limited by Python's
+recursion, and it visits at most ``NODE_BUDGET`` nodes before raising
 ``CapacityError``. Results are deterministic; they feed the property
 tests and solve residual graphs exactly.
 """
@@ -19,16 +20,17 @@ from dataclasses import dataclass
 from .errors import CapacityError, InfeasibilityBug
 from .graph import Graph, is_vertex_cover
 from .kernel import (
+    LOW_DEGREE,
+    Adj,
     FoldRecord,
-    _apply_low_degree,
+    _apply_rules,
     _remove_vertex,
     _replay_folds,
+    _to_adj,
     greedy_upper_bound,
 )
 
 NODE_BUDGET = 100_000
-
-Adj = dict[int, set[int]]
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ def _solve(adj: Adj, cover: set[int], folds: list[FoldRecord], counter: int,
     that beats it replaces both. Returns ``(branch vertex, next fold
     label)`` when the node must branch, otherwise None.
     """
-    counter = _apply_low_degree(adj, cover, folds, counter)
+    counter, _ = _apply_rules(adj, LOW_DEGREE, cover, folds, counter)
     if len(cover) + len(folds) + _clique_cover_lower_bound(adj) >= best[0]:
         return None
     if not adj:
@@ -88,8 +90,7 @@ def _branch_and_bound_min_cover(g: Graph) -> frozenset[int]:
     """
     # any bound above the optimum gives the same first optimum in search order
     best = [greedy_upper_bound(g)[0] + 1, set()]
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    stack = [(adj, set(), [], max(g.vertices, default=-1) + 1, None)]
+    stack = [(_to_adj(g), set(), [], max(g.vertices, default=-1) + 1, None)]
     nodes = 0
     while stack:
         adj, cover, folds, counter, take_neighbours_of = stack.pop()

@@ -9,9 +9,11 @@ Consequently the result also satisfies |cover| <= |E| - profit(input).
 Completion follows a fixed deterministic rule: scan uncovered edges in
 sorted order, take the endpoint with more uncovered incident edges,
 breaking ties toward the smaller label. The reduction rules run on the
-residual graph of uncovered edges first, which resolves easy structure
-(pendants, folds, LP-forced vertices) before the greedy pass; the kernel
-replays its folds onto the residual's cover.
+residual graph of uncovered edges first (``kernel.reduce``, every rule),
+which resolves easy structure (pendants, folds, LP-forced vertices)
+before the greedy pass; the kernel replays its folds onto the residual's
+cover. The edge scan is not the kernel's max-degree greedy bound, and
+swapping one for the other changes which cover a run reports.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibilityBug
 from .graph import Graph, is_vertex_cover, profit, uncovered_edges
-from .kernel import reconstruct, reduce
+from .kernel import _remove_vertex, _to_adj, reconstruct, reduce
 
 
 @dataclass(frozen=True)
@@ -44,18 +46,14 @@ class RefinedSolution:
 def greedy_cover_completion(g: Graph) -> frozenset[int]:
     """A vertex cover of g, built one uncovered edge at a time."""
     cover: set[int] = set()
-    adj: dict[int, set[int]] = {}
-    for u, v in g.edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+    adj = _to_adj(g)
     for u, v in g.edges:
         if u in cover or v in cover:
             continue
         du, dv = len(adj[u]), len(adj[v])
         pick = u if du > dv else v if dv > du else min(u, v)
         cover.add(pick)
-        for w in adj.pop(pick):
-            adj[w].discard(pick)
+        _remove_vertex(adj, pick)
     return frozenset(cover)
 
 

@@ -116,6 +116,7 @@ from math import inf, isnan, nan
 import numpy as np
 
 from .errors import CapacityError, DomainError, TrainingError
+from .instances import _rng
 from .model import IsingModel, bitstring_of_index
 
 MAX_QUBITS = 25
@@ -218,10 +219,6 @@ def check_width(n: int, max_qubits: int) -> None:
             f"statevector of {n} qubits needs {need} bytes ({STATE_COPIES} states "
             f"of 16*2^{n} bytes), above the {have} bytes of physical memory"
         )
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _chunks(size: int):
@@ -576,9 +573,10 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
     1..k-1, so each of its objective calls costs one phase and one mixer
     pass regardless of k. ``MAXFEV`` bounds the evaluations of each run.
     Returns the schedule, the log and the probability vector of the
-    state after all p trained layers (of the uniform state when p is 0),
-    which has the same bytes as ``probabilities(evolve(...))`` on the
-    returned schedule. The state itself is freed before returning, and
+    state after all p trained layers (when p is 0, the uniform
+    distribution, filled in directly with no state built), which has the
+    same bytes as ``probabilities(evolve(...))`` on the returned
+    schedule. The state itself is freed before returning, and
     the last layer's recorded expectation is read from that vector.
     """
     if p < 0:
@@ -586,7 +584,7 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
     n = ising.n
     check_width(n, max_qubits)
     energies = ising.energies_vector()
-    prefix = uniform_state(n)
+    prefix = uniform_state(n) if p else None
     gammas: list[float] = []
     betas: list[float] = []
     expectations: list[float] = []
@@ -618,10 +616,13 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
         evals.append(layer_evals)
         if layer < p:
             expectations.append(expectation(prefix, energies))
-    probs = probabilities(prefix)
-    del prefix
     if p:
+        probs = probabilities(prefix)
+        del prefix
         expectations.append(weighted_sum(probs, energies))
+    else:  # the bytes of probabilities(uniform_state(n)), with no state built
+        r = 1.0 / np.sqrt(1 << n)
+        probs = np.full(1 << n, r * r)
     records = tuple(LayerRecord(layer, *row)
                     for layer, row in enumerate(zip(gammas, betas, expectations, evals), 1))
     return AngleSchedule(tuple(gammas), tuple(betas)), TrainLog(records), probs

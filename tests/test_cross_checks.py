@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from profitcover.graph import Graph, complement, is_vertex_cover
 from profitcover.instances import gen_erdos_renyi_connected, gen_regular
-from profitcover.kernel import ALL_RULES, _lp_partition, reconstruct, reduce
+from profitcover.kernel import ALL_RULES, _lp_partition, _to_adj, reconstruct, reduce
 from profitcover.oracle import min_vertex_cover_exact
 
 from conftest import brute_min_cover, brute_min_cover_size, random_gnp
@@ -30,7 +30,7 @@ def _assert_matches_frozen(g):
     cover = min_vertex_cover_exact(g).opt_cover
     assert is_vertex_cover(g, cover)
     assert len(cover) == len(frozen_min_cover(g))
-    assert _lp_partition(g) == frozen_lp_partition(g)
+    assert _lp_partition(_to_adj(g)) == frozen_lp_partition(g)
 
 
 # the two exact families of the classical benchmark workload
@@ -74,7 +74,7 @@ def sparse_label_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_label_graphs())
 def test_lp_partition_matches_the_frozen_scipy_copy(g):
-    assert _lp_partition(g) == frozen_lp_partition(g)
+    assert _lp_partition(_to_adj(g)) == frozen_lp_partition(g)
 
 
 SUBSET_GRAPHS = [random_gnp(n, p, 6000 + i) for i, (n, p) in enumerate(
@@ -86,7 +86,7 @@ RULE_SUBSETS = [rules for k in range(len(ALL_RULES) + 1)
 
 def test_lp_partition_of_the_subset_graphs_matches_the_frozen_copy():
     for g in SUBSET_GRAPHS:
-        assert _lp_partition(g) == frozen_lp_partition(g)
+        assert _lp_partition(_to_adj(g)) == frozen_lp_partition(g)
 
 
 @pytest.mark.parametrize("rules", RULE_SUBSETS, ids=lambda r: "+".join(r) or "none")

@@ -1,9 +1,10 @@
 """Pinned canonical report bytes, and how often a run calls the oracle.
 
 The digests are sha256 of ``report.canonical_json()`` for seeded runs that
-take no trained angles: the exact solver on kernel-solved graphs, on a
-12-vertex residual with folds and on residuals of 21 to 50 vertices, and
-the depth-0 random solver (labels name the oracle engine that first
+take no trained angles: the exact solver on kernel-solved graphs (one
+of them through two LP rounds), on a 12-vertex residual with folds, on
+residuals of 21 to 50 vertices and on a dense clique instance under
+three rule sets, and the depth-0 random solver (labels name the oracle engine that first
 pinned each case). QAOA training runs are left out
 because Nelder-Mead floats can differ between numpy builds. A refactor
 that changes which cover, distribution or reference a run reports
@@ -52,6 +53,21 @@ GOLDEN = [
     ("reg10-random", lambda: gen_regular(10, 3, 1),
      PipelineConfig(solver="random"), "solver",
      "c5f7081d846221db3d6b35dd8818df293832adadacfcc48e28dabb785387b5e8"),
+    # sparse: the LP rule fires in two rounds, between pendants and folds
+    ("er40-lp-two-rounds", lambda: gen_erdos_renyi_connected(40, 0.08, 4),
+     PipelineConfig(solver="exact"), "solved_by_preprocessing",
+     "787edb96623774dd2de1a0b44b756b245f086faaed6711b4b5b40d0ad9a02e8b"),
+    # dense: no rule fires on the complement, and the oracle solves all 45
+    # vertices, under every rule, the low-degree ones alone and LP alone
+    ("er45-maxcl", lambda: gen_erdos_renyi_connected(45, 0.5, 0),
+     PipelineConfig(problem="maxcl", solver="exact"), "solver",
+     "7ee5f6f238da21cace0f4a5d1f0873b18c51ba1dc623888dd6f55f385102722d"),
+    ("er45-maxcl-low-degree", lambda: gen_erdos_renyi_connected(45, 0.5, 0),
+     PipelineConfig(problem="maxcl", solver="exact", rules=("sr", "pr", "d2r")), "solver",
+     "c7fe32948dc5b7b8558fc87bb75660354f2a2d0cfa2896e33d4de49d73c0f3a1"),
+    ("er45-maxcl-lp", lambda: gen_erdos_renyi_connected(45, 0.5, 0),
+     PipelineConfig(problem="maxcl", solver="exact", rules=("lpr",)), "solver",
+     "b7367bce4d563c0a93a4d2f71da6087e901c51ce50e1ebb68221fa5c93dbf11a"),
 ]
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from profitcover import kernel
 from profitcover.errors import DomainError
 from profitcover.graph import Graph, is_vertex_cover
+from profitcover.instances import gen_erdos_renyi_connected
 from profitcover.kernel import (
     ALL_RULES,
     greedy_upper_bound,
@@ -288,6 +289,45 @@ def test_lp_partition_and_safety(seed):
     assert not (p_set & q_set or p_set & r_set or q_set & r_set)
     # Nemhauser-Trotter: minVC(g) = |P| + minVC(G[Q])
     assert brute_min_cover_size(g) == len(p_set) + brute_min_cover_size(g2)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lp_partition_ignores_the_order_of_the_adjacency(seed):
+    """(P, Q, R) is the same for every maximum matching, so shuffling the
+    keys and the insertion order of each neighbour set changes nothing.
+    Labels far apart collide in a set's table, so the insertion order
+    moves the order in which a neighbour set is iterated."""
+    rng = random.Random(7500 + seed)
+    base = random_gnp(8 + seed % 25, (0.1, 0.2, 0.35, 0.5)[seed % 4], 7500 + seed)
+    label = dict(zip(base.vertices, rng.sample(range(10**9), base.n)))
+    g = Graph(label.values(), [(label[u], label[v]) for u, v in base.edges])
+    want = kernel._lp_partition(kernel._to_adj(g))
+    for _ in range(5):
+        keys = list(g.vertices)
+        rng.shuffle(keys)
+        adj = {v: set(rng.sample(g.neighbors(v), g.degree(v))) for v in keys}
+        assert kernel._lp_partition(adj) == want
+
+
+def test_reduce_builds_one_graph_however_many_lp_rounds(monkeypatch):
+    g = gen_erdos_renyi_connected(40, 0.08, 4)  # the LP rule fires in two rounds
+    lp_rounds, built = [], []
+    lp_partition, init = kernel._lp_partition, Graph.__init__
+
+    def counted_lp(*args):
+        p_set, q_set, r_set = lp_partition(*args)
+        lp_rounds.append(bool(p_set or r_set))
+        return p_set, q_set, r_set
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(kernel, "_lp_partition", counted_lp)
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    kr = reduce(g)
+    assert sum(lp_rounds) >= 2
+    assert built == [kr.reduced]
 
 
 # ---------------------------------------------------------------------------

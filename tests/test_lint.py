@@ -97,6 +97,16 @@ def test_every_module_level_name_is_read():
     assert found == []
 
 
+def test_no_module_level_name_is_defined_twice():
+    """Each top-level constant, function and class of the package is
+    defined in one module; another module that needs it imports it."""
+    defined: dict[str, list[str]] = {}
+    for path in sorted((ROOT / "src" / "profitcover").glob("*.py")):
+        for name in module_level_names(path.read_text()):
+            defined.setdefault(name, []).append(path.name)
+    assert {name: where for name, where in defined.items() if len(where) > 1} == {}
+
+
 def test_the_run_path_imports_no_scipy():
     """scipy is a test dependency only: importing the package, its CLI and
     its pipeline loads none of it."""

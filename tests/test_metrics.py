@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from profitcover import metrics, qaoa
 from profitcover.errors import DomainError
 from profitcover.metrics import (
     DEPTH_SWEEP_FIELDS,
@@ -348,16 +349,22 @@ def test_canonical_json_rejects_nan():
 # depth sweep
 
 
-def test_depth_sweep_p0_is_uniform():
+def test_depth_sweep_p0_is_uniform(monkeypatch):
     g = random_gnp(7, 0.5, 900)
     m = build_ising(g)
     _, opt = max_profit_exact(g)
+    uniform = summarize_exact(probabilities(uniform_state(m.n)), m, opt)
+
+    def no_state(n):
+        raise AssertionError("a depth-0 sweep built a state")
+
+    for module in (metrics, qaoa):
+        monkeypatch.setattr(module, "uniform_state", no_state)
     sweep = depth_sweep(m, [0], opt_profit=opt)
     assert len(sweep.points) == 1
     pt = sweep.points[0]
     assert pt.depth == 0 and pt.gamma is None
-    uniform = summarize_exact(probabilities(uniform_state(m.n)), m, opt)
-    assert pt.summary.mass_optimal == uniform.mass_optimal
+    assert pt.summary == uniform
     assert pt.expectation == pytest.approx(m.offset, abs=1e-12)
 
 

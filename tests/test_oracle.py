@@ -15,6 +15,7 @@ from profitcover import oracle
 from profitcover.errors import CapacityError, InfeasibilityBug
 from profitcover.graph import complement, is_vertex_cover
 from profitcover.instances import gen_regular
+from profitcover.kernel import _to_adj, reduce
 from profitcover.oracle import (
     _branch_and_bound_min_cover,
     max_profit_exact,
@@ -188,3 +189,19 @@ def test_deterministic_results():
     a = min_vertex_cover_exact(g)
     b = min_vertex_cover_exact(g)
     assert a.opt_cover == b.opt_cover and a.opt_size == b.opt_size
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_node_reduction_is_reduce_with_the_low_degree_rules(seed):
+    """A search node reduces its adjacency as ``reduce`` does with only
+    the singleton, pendant and degree-2 rules: the same residual, cover
+    and folds, fold labels included."""
+    n = 1 + 7 * seed % 59
+    g = random_gnp(n, (0.02, 0.05, 0.1, 0.2, 0.35, 0.6)[seed % 6], 7300 + seed)
+    adj, cover, folds = _to_adj(g), set(), []
+    # a best size of 0 prunes the node right after its reduction, before
+    # a leaf would replay the folds into the cover
+    assert oracle._solve(adj, cover, folds, n, [0, None]) is None
+    kr = reduce(g, ("sr", "pr", "d2r"))
+    assert adj == _to_adj(kr.reduced)
+    assert cover == kr.committed and tuple(folds) == kr.folds

@@ -366,8 +366,8 @@ def test_reference_cover_size_consistency():
 @pytest.mark.parametrize("solver,depth", [("qaoa", 2), ("qaoa", 0), ("random", 0)])
 def test_run_pipeline_evolves_once_and_squares_once(monkeypatch, solver, depth):
     """The trained state is sampled as training left it: training squares
-    the final state once, besides the expectations of its search, and the
-    pipeline squares nothing of its own."""
+    the final state of a trained layer once, besides the expectations of
+    its search, and the pipeline squares nothing of its own."""
     calls = {"evolve": 0, "train_layerwise": 0, "run_pipeline": 0}
     caller = ["run_pipeline"]
     evolve, probabilities = qaoa.evolve, qaoa.probabilities
@@ -401,4 +401,14 @@ def test_run_pipeline_evolves_once_and_squares_once(monkeypatch, solver, depth):
     config = PipelineConfig(solver=solver, depth=depth, shots=500, seed=3, rules=())
     report = run_pipeline(cycle_graph(7), config)
     assert report.status == "solver" and report.exact_summary is not None
-    assert calls == {"evolve": 0, "train_layerwise": 1, "run_pipeline": 0}
+    # at depth 0 training fills in the uniform distribution and squares nothing
+    assert calls == {"evolve": 0, "train_layerwise": int(depth > 0), "run_pipeline": 0}
+
+
+def test_random_solver_builds_no_state(monkeypatch):
+    def no_state(n):
+        raise AssertionError("the random solver built a state")
+
+    monkeypatch.setattr(qaoa, "uniform_state", no_state)
+    config = PipelineConfig(solver="random", shots=500, seed=3, rules=())
+    assert run_pipeline(cycle_graph(7), config).status == "solver"

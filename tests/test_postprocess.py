@@ -30,6 +30,7 @@ from conftest import (
     random_gnp,
     star_graph,
 )
+from frozen_greedy import frozen_greedy_cover
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +81,17 @@ def test_greedy_k3_from_single(k3):
 def test_greedy_empty_on_star():
     g = star_graph(4)
     assert greedy_cover_completion(g) == {0}
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_greedy_completion_matches_the_frozen_edge_scan(seed):
+    """Dense inputs, and the kernel's residual of each, which is what
+    refine hands to the completion."""
+    g = random_gnp(12 + seed % 20, (0.4, 0.5, 0.6, 0.7, 0.8)[seed % 5], 7600 + seed)
+    for h in (g, reduce(g).reduced):
+        cover = greedy_cover_completion(h)
+        assert is_vertex_cover(h, cover)
+        assert cover == frozen_greedy_cover(h)
 
 
 def test_greedy_keeps_input_subset(c4):

@@ -750,6 +750,12 @@ def test_trained_state_is_the_evolved_schedule(n):
             assert log.expectations[-1] == expectation(state, m.energies_vector())
 
 
+@pytest.mark.parametrize("n", range(1, 21))
+def test_depth0_distribution_has_the_bytes_of_the_squared_uniform_state(n):
+    probs = train_layerwise(build_ising(Graph(range(n), [])), 0)[2]
+    assert probs.tobytes() == probabilities(uniform_state(n)).tobytes()
+
+
 @pytest.mark.parametrize("n", range(1, 19))
 def test_weighted_sum_has_the_bytes_of_the_full_product(n):
     """n up to 18 crosses the CHUNK = 2^14 boundary, where the sum is
