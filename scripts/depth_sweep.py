@@ -3,10 +3,11 @@
 
 For every instance the script trains a layerwise schedule once at the
 deepest requested depth, with the pipeline's ``qaoa.MAXFEV`` evaluations
-per Nelder-Mead run, replays the trained prefixes and records per depth
-the exact expectation and the distribution summary (best profit, weighted
-average, expected cover size, near-optimal masses). One CSV holds all
-rows; aggregate mass statistics per depth print as JSON at the end.
+per Nelder-Mead run, and as each requested layer is trained records the
+exact expectation and the distribution summary of its state (best
+profit, weighted average, expected cover size, near-optimal masses), so
+the circuit is evolved once. One CSV holds all rows; aggregate mass
+statistics per depth print as JSON at the end.
 
 Examples:
     python scripts/depth_sweep.py --gen er:n=12,p=0.5,seed=3 --depths 0-6

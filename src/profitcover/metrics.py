@@ -20,6 +20,7 @@ import json
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -29,12 +30,8 @@ from .qaoa import (
     MAX_QUBITS,
     AngleSchedule,
     SampleDistribution,
-    apply_mixer,
-    apply_phase,
     check_probabilities,
-    probabilities,
     train_layerwise,
-    uniform_state,
     weighted_sum,
 )
 
@@ -206,33 +203,32 @@ def depth_sweep(ising: IsingModel, p_list, *, opt_profit: int | None = None,
                 max_qubits: int = MAX_QUBITS) -> DepthSweep:
     """Train once to max(p_list) and report exact metrics at those depths.
 
-    Depth d reuses the trained prefix (gamma_1..d, beta_1..d), so the
-    sweep replays one evolution instead of retraining per depth; depth 0
-    is the uniform superposition baseline.
+    Training hands each trained layer's probability vector to a callback
+    that summarizes the requested depths, so the circuit is evolved once;
+    a depth's angles and expectation are the log's record of its layer.
+    Depth 0 is the uniform superposition baseline.
     """
+    p_list = list(p_list)
+    if any(isinstance(p, bool) or not isinstance(p, Integral) for p in p_list):
+        raise DomainError(f"depths must be integers, got {p_list}")
     depths = sorted(set(int(p) for p in p_list))
     if not depths or depths[0] < 0:
         raise DomainError("depth list must contain non-negative depths")
-    p_max = depths[-1]
-    schedule, _, _ = train_layerwise(ising, p_max, max_qubits=max_qubits)
-    energies = ising.energies_vector()
-    n = ising.n
+    summaries = {}
 
-    def point(d, gamma, beta, probs):
-        return DepthPoint(d, gamma, beta, weighted_sum(probs, energies),
-                          summarize_exact(probs, ising, opt_profit))
+    def each_layer(layer: int, probs: np.ndarray) -> None:
+        if layer in depths:
+            summaries[layer] = summarize_exact(probs, ising, opt_profit)
 
-    points = []
-    if 0 in depths:  # the untrained uniform distribution, built with no state
+    schedule, log = train_layerwise(ising, depths[-1], max_qubits=max_qubits,
+                                    each_layer=each_layer)[:2]
+    points = [DepthPoint(rec.layer, rec.gamma, rec.beta, rec.expectation, summaries[rec.layer])
+              for rec in log.layers if rec.layer in summaries]
+    if depths[0] == 0:  # the untrained uniform distribution, built with no state
         uniform = train_layerwise(ising, 0, max_qubits=max_qubits)[2]
-        points.append(point(0, None, None, uniform))
-    state = uniform_state(n) if p_max else None
-    for d in range(1, p_max + 1):
-        gamma, beta = schedule.gammas[d - 1], schedule.betas[d - 1]
-        state = apply_phase(state, ising, gamma)
-        apply_mixer(state, n, beta)
-        if d in depths:
-            points.append(point(d, gamma, beta, probabilities(state)))
+        points.insert(0, DepthPoint(0, None, None,
+                                    weighted_sum(uniform, ising.energies_vector()),
+                                    summarize_exact(uniform, ising, opt_profit)))
     return DepthSweep(schedule, tuple(points))
 
 

@@ -65,6 +65,10 @@ class PipelineConfig:
             raise DomainError(f"problem must be one of {PROBLEMS}")
         if self.solver not in SOLVERS:
             raise DomainError(f"solver must be one of {SOLVERS}")
+        for name in ("depth", "shots", "seed", "max_qubits"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an int, got {value!r}")
         if self.depth < 0:
             raise DomainError("depth must be non-negative")
         if self.shots < 1:

@@ -59,13 +59,13 @@ Layer 1 needs no statevector: at depth 1, <Z_u> and <Z_u Z_v> have
 closed forms local to the neighbourhoods of u and v (Ozaeta, van Dam
 and McMahon, arXiv:2012.03421), so ``depth1_objective`` evaluates <H>
 in O(n+m) instead of O(2^n). Layers 2 and up evaluate one phase and
-one mixer pass on the prefix state. Each layer's recorded expectation
-is that of the statevector after the trained layer, whichever objective
-trained it. Training squares the final prefix state once, takes the
-last layer's expectation from that probability vector, frees the state
-and returns the vector with the angles. A pipeline run samples and
-summarizes that one vector, so the trained circuit is evolved once and
-squared once per run.
+one mixer pass on the prefix state. After each trained layer, whichever
+objective trained it, training squares the state once, records the
+layer's expectation from that probability vector and hands the vector
+to an optional ``each_layer(layer, probs)`` callback (which is how
+``metrics.depth_sweep`` reads every depth) before dropping it. The last
+layer's vector is returned with the angles; a pipeline run samples and
+summarizes it, so the trained circuit is evolved once per run.
 
 Expectations use elementwise multiply plus np.sum (never a BLAS dot),
 keeping values bit-identical across thread counts. ``weighted_sum``
@@ -84,8 +84,8 @@ S = 16*2^n bytes, a pipeline run holds:
   phased state, the mixer's second buffer and the expectation's
   probabilities (S/2), about 3.4 S at the peak; a
   depth-1 run evolves one layer on the uniform state, about 2.4 S;
-* at the end of training: the final state and its probabilities (S/2),
-  after which training frees the state;
+* after each layer: the state, its probabilities (S/2) and the
+  callback's own, dropped before the next layer's evaluations;
 * in the readout: the probabilities; the exact summary's negated
   energies (S/4), a boolean mask (S/16) at a time and the weights it
   selects for a mass (at most S/2, usually far less); then sampling's
@@ -110,6 +110,7 @@ no longer fit in L2, made it 10-20 % slower at n=18-20.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from math import inf, isnan, nan
 
@@ -563,6 +564,7 @@ def _nelder_mead(objective, start: tuple[float, float], maxfev: int,
 
 
 def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
+                    each_layer: Callable[[int, np.ndarray], None] | None = None,
                     ) -> tuple[AngleSchedule, TrainLog, np.ndarray]:
     """Greedy depth-by-depth angle optimization with a no-op fallback.
 
@@ -572,12 +574,13 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
     angles of layer k-1. It sees the frozen prefix state of layers
     1..k-1, so each of its objective calls costs one phase and one mixer
     pass regardless of k. ``MAXFEV`` bounds the evaluations of each run.
+    Each layer's state is squared once; its expectation is read from
+    that vector, which ``each_layer(layer, probs)``, if given, then sees.
     Returns the schedule, the log and the probability vector of the
     state after all p trained layers (when p is 0, the uniform
     distribution, filled in directly with no state built), which has the
     same bytes as ``probabilities(evolve(...))`` on the returned
-    schedule. The state itself is freed before returning, and
-    the last layer's recorded expectation is read from that vector.
+    schedule. The state itself is freed on return.
     """
     if p < 0:
         raise DomainError("depth must be non-negative")
@@ -614,13 +617,13 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
         gammas.append(gamma)
         betas.append(beta)
         evals.append(layer_evals)
-        if layer < p:
-            expectations.append(expectation(prefix, energies))
-    if p:
         probs = probabilities(prefix)
-        del prefix
         expectations.append(weighted_sum(probs, energies))
-    else:  # the bytes of probabilities(uniform_state(n)), with no state built
+        if each_layer is not None:
+            each_layer(layer, probs)
+        if layer < p:  # not held through the next layer's evaluations
+            del probs
+    if not p:  # the bytes of probabilities(uniform_state(n)), with no state built
         r = 1.0 / np.sqrt(1 << n)
         probs = np.full(1 << n, r * r)
     records = tuple(LayerRecord(layer, *row)

@@ -107,6 +107,17 @@ def test_no_module_level_name_is_defined_twice():
     assert {name: where for name, where in defined.items() if len(where) > 1} == {}
 
 
+def test_only_qaoa_evolves_states():
+    """The simulator's evolution steps are read in ``qaoa`` alone: another
+    module that needs an evolved state gets it from ``evolve`` or from
+    training, so the circuit has one code path."""
+    steps = {"apply_phase", "apply_mixer", "uniform_state"}
+    found = {path.name: sorted(steps & read_names(path.read_text()))
+             for path in sorted((ROOT / "src" / "profitcover").glob("*.py"))
+             if path.name != "qaoa.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 def test_the_run_path_imports_no_scipy():
     """scipy is a test dependency only: importing the package, its CLI and
     its pipeline loads none of it."""

@@ -29,6 +29,7 @@ from profitcover.qaoa import (
     CHUNK,
     AngleSchedule,
     SampleDistribution,
+    evolve,
     probabilities,
     sample,
     train_layerwise,
@@ -358,8 +359,7 @@ def test_depth_sweep_p0_is_uniform(monkeypatch):
     def no_state(n):
         raise AssertionError("a depth-0 sweep built a state")
 
-    for module in (metrics, qaoa):
-        monkeypatch.setattr(module, "uniform_state", no_state)
+    monkeypatch.setattr(qaoa, "uniform_state", no_state)
     sweep = depth_sweep(m, [0], opt_profit=opt)
     assert len(sweep.points) == 1
     pt = sweep.points[0]
@@ -388,10 +388,78 @@ def test_depth_sweep_requested_depths_only():
 
 def test_depth_sweep_rejects_bad_depths(k2):
     m = build_ising(k2)
-    with pytest.raises(DomainError):
-        depth_sweep(m, [])
-    with pytest.raises(DomainError):
-        depth_sweep(m, [-1, 2])
+    for bad in ([], [-1, 2], [1.5, True], [1.5], [True], [2.0], [np.bool_(True)]):
+        with pytest.raises(DomainError):
+            depth_sweep(m, bad)
+
+
+def test_depth_sweep_takes_numpy_integers():
+    m = build_ising(random_gnp(6, 0.5, 11))
+    assert depth_sweep(m, np.arange(3)) == depth_sweep(m, [0, 1, 2])
+
+
+def test_depth_sweep_evolves_as_often_as_training(monkeypatch):
+    """The sweep reads each layer from training; replaying the trained
+    circuit to read the layers again would apply more mixers."""
+    m = build_ising(gen_regular(8, 3, 5))
+    calls = []
+    mixer = qaoa.apply_mixer
+
+    def counting_mixer(*args):
+        calls.append(args[2])
+        return mixer(*args)
+
+    for module in (qaoa, metrics):  # wherever a caller may have imported it
+        monkeypatch.setattr(module, "apply_mixer", counting_mixer, raising=False)
+    train_layerwise(m, 4)
+    trained = len(calls)
+    calls.clear()
+    depth_sweep(m, range(0, 5))
+    assert trained > 0 and len(calls) == trained
+
+
+def test_depth_sweep_points_are_the_evolved_truncated_schedules():
+    """Each depth's summary is that of the state the truncated schedule
+    evolves to, and its expectation is the log's record of that layer."""
+    g = gen_regular(10, 3, 6)
+    m = build_ising(g)
+    _, opt = max_profit_exact(g)
+    schedule, log, _ = train_layerwise(m, 5)
+    sweep = depth_sweep(m, range(0, 6), opt_profit=opt)
+    assert sweep.schedule == schedule
+    for pt in sweep.points[1:]:
+        d = pt.depth
+        probs = probabilities(evolve(m, schedule.truncated(d)))
+        assert pt.summary == summarize_exact(probs, m, opt)
+        assert pt.expectation == log.expectations[d - 1]
+        assert (pt.gamma, pt.beta) == (schedule.gammas[d - 1], schedule.betas[d - 1])
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_depth_sweep_peaks_at_training():
+    """At n=16 the sweep holds no state beside training's: it peaked at
+    3.38 states while it replayed the circuit. Its only extra objects
+    through training are the summaries it keeps, well under a 64th of a
+    state. Training itself stays at the prefix, the phased state and the
+    mixer's buffer; a layer's probability vector kept through the next
+    layer's evaluations would read about 3.5."""
+    g = gen_regular(16, 3, 2)
+    m = build_ising(g)
+    state = 16 << m.n
+    m.energies_vector()
+    trained = {p: _traced_peak(lambda: train_layerwise(m, p)) for p in (2, 3)}
+    swept = _traced_peak(lambda: depth_sweep(m, range(0, 4), opt_profit=5))
+    assert max(trained.values()) <= 3.05 * state
+    assert swept <= trained[3] + state // 64
 
 
 def test_depth_sweep_csv_round_trip(tmp_path):

@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from profitcover.errors import CapacityError, DomainError
@@ -33,6 +34,15 @@ from conftest import (
 )
 
 KARATE = "data/instances/karate.edges"
+
+
+@pytest.mark.parametrize("field", ["depth", "shots", "seed", "max_qubits"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None, np.int64(2)])
+def test_config_rejects_a_count_that_is_not_an_int(field, value):
+    """A float seed would sample like its integer but print as a float; a
+    float depth would fail in range() only after the oracle ran."""
+    with pytest.raises(DomainError, match=field):
+        PipelineConfig(**{field: value})
 
 
 def test_config_validation():
@@ -366,7 +376,7 @@ def test_reference_cover_size_consistency():
 @pytest.mark.parametrize("solver,depth", [("qaoa", 2), ("qaoa", 0), ("random", 0)])
 def test_run_pipeline_evolves_once_and_squares_once(monkeypatch, solver, depth):
     """The trained state is sampled as training left it: training squares
-    the final state of a trained layer once, besides the expectations of
+    the state after each trained layer once, besides the expectations of
     its search, and the pipeline squares nothing of its own."""
     calls = {"evolve": 0, "train_layerwise": 0, "run_pipeline": 0}
     caller = ["run_pipeline"]
@@ -402,7 +412,7 @@ def test_run_pipeline_evolves_once_and_squares_once(monkeypatch, solver, depth):
     report = run_pipeline(cycle_graph(7), config)
     assert report.status == "solver" and report.exact_summary is not None
     # at depth 0 training fills in the uniform distribution and squares nothing
-    assert calls == {"evolve": 0, "train_layerwise": int(depth > 0), "run_pipeline": 0}
+    assert calls == {"evolve": 0, "train_layerwise": depth, "run_pipeline": 0}
 
 
 def test_random_solver_builds_no_state(monkeypatch):
