@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -23,7 +24,6 @@ from pathlib import Path
 from .errors import CapacityError, DomainError, InfeasibilityBug, ParseError
 from .graph import Graph
 from .instances import load_graph, parse_gen
-from .kernel import ALL_RULES
 from .metrics import canonical_json, write_csv
 from .pipeline import (
     PROBLEMS,
@@ -57,11 +57,7 @@ def _parse_rules(value: str | list) -> tuple[str, ...]:
     items = value.split(",") if isinstance(value, str) else value
     if not all(isinstance(r, str) for r in items):
         raise ParseError(f"rules must be rule names, got {value!r}")
-    rules = tuple(r.strip() for r in items if r.strip())
-    unknown = set(rules) - set(ALL_RULES)
-    if unknown:
-        raise ParseError(f"unknown rules {sorted(unknown)}; choose from {ALL_RULES}")
-    return rules
+    return tuple(r.strip() for r in items if r.strip())
 
 
 def _job(entry: dict, where: str) -> tuple[str, Graph, PipelineConfig]:
@@ -125,10 +121,14 @@ def _writing(path: str):
 
 def check_writable(path: str | None) -> None:
     """Raise ParseError now, before any work, if ``path`` cannot be
-    written; append mode leaves an existing file's contents alone."""
+    written; append mode leaves an existing file's contents alone, and a
+    file the check creates is removed, so a failed run leaves none."""
     if path is not None:
+        existed = os.path.exists(path)
         with _writing(path), open(path, "a"):
             pass
+        if not existed:
+            os.remove(path)
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -157,6 +157,8 @@ def _cmd_run(args) -> int:
     _check_out(args.out)
     flags = {key: value for key, value in vars(args).items() if key in JOB_KEYS}
     name, g, config = _job(flags, "run")
+    for path in (args.out, args.emit_kernel, args.emit_distribution):
+        check_writable(path)  # before the job, not after it
     report = run_pipeline(g, config, name)
     _write_report(args.out, [report_csv_row(report)], report.to_json_dict())
     if args.emit_kernel:
@@ -190,7 +192,9 @@ def _jobs_from_manifest(path: str) -> list[tuple[str, Graph, PipelineConfig]]:
 
 def _cmd_batch(args) -> int:
     _check_out(args.out)
-    reports, rows = run_batch(_jobs_from_manifest(args.manifest))
+    jobs = _jobs_from_manifest(args.manifest)
+    check_writable(args.out)  # before any job, not after them all
+    reports, rows = run_batch(jobs)
     for report, row in zip(reports, rows):
         if report is None:
             print(f"{row['name']}: FAILED {row['error']}", file=sys.stderr)

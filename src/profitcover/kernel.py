@@ -177,7 +177,12 @@ def _replay_folds(cover: set[int], folds) -> None:
 
 
 def _greedy_bound(adj: Adj, counter: int) -> tuple[int, frozenset[int]]:
-    """Greedy cover: exact moves (pendant/degree-2) plus max-degree picks."""
+    """Greedy cover: exact moves (pendant/degree-2) plus max-degree picks.
+
+    The high-degree rule takes its bound from here, and the tests reach it
+    through ``greedy_upper_bound``; the exact oracle makes no greedy pass,
+    since its first descent is this loop.
+    """
     adj = {v: set(nb) for v, nb in adj.items()}
     cover: set[int] = set()
     folds: list[FoldRecord] = []
@@ -342,20 +347,15 @@ def _project_v_safe(committed: set[int], folds: list[FoldRecord],
                     reduced: Graph, original: Graph) -> frozenset[int]:
     """Resolve committed fold labels back to original vertices.
 
-    Fold chains that end in the reduced graph stay undecided (the solver
-    picks); chains ending in a committed or discarded label resolve here.
+    Safe vertices are those fold replay covers both from the committed set
+    alone and with every reduced vertex added: fold chains that end in the
+    reduced graph stay undecided (the solver picks), the rest resolve here.
     """
     safe = set(committed)
-    undecided = set(reduced.vertices)
-    for rec in reversed(folds):
-        if rec.merged_into in safe:
-            safe.discard(rec.merged_into)
-            safe.update(rec.merged_pair)
-        elif rec.merged_into in undecided:
-            undecided.discard(rec.merged_into)
-            undecided.update((rec.folded_vertex, *rec.merged_pair))
-        else:
-            safe.add(rec.folded_vertex)
+    _replay_folds(safe, folds)
+    either = set(committed) | set(reduced.vertices)
+    _replay_folds(either, folds)
+    safe &= either
     stray = safe - set(original.vertices)
     if stray:  # pragma: no cover - safety net
         raise InfeasibilityBug(f"unresolved fold labels in v_safe: {sorted(stray)}")

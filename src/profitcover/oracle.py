@@ -7,8 +7,10 @@ runs, applies the singleton, pendant and degree-2 (folding) rules
 cover, its pending folds and a clique-partition lower bound reach the
 best cover found so far; otherwise it branches on a maximum-degree
 vertex v, first with v in the cover, then with all of N(v). The search
-keeps an explicit stack, so its depth is not limited by Python's
-recursion, and it visits at most ``NODE_BUDGET`` nodes before raising
+starts from the bound |V| + 1 and makes no greedy pass of its own: its
+first descent is the kernel's greedy cover, reached unpruned. It keeps
+an explicit stack, so its depth is not limited by Python's recursion,
+and it visits at most ``NODE_BUDGET`` nodes before raising
 ``CapacityError``. Results are deterministic; they feed the property
 tests and solve residual graphs exactly.
 """
@@ -27,7 +29,6 @@ from .kernel import (
     _remove_vertex,
     _replay_folds,
     _to_adj,
-    greedy_upper_bound,
 )
 
 NODE_BUDGET = 100_000
@@ -81,15 +82,17 @@ def _solve(adj: Adj, cover: set[int], folds: list[FoldRecord], counter: int,
 
 
 def _branch_and_bound_min_cover(g: Graph) -> frozenset[int]:
-    """Depth-first branch and reduce from the greedy bound.
+    """Depth-first branch and reduce from the bound |V| + 1.
 
     A stack entry is a node's adjacency, cover, folds and next fold label,
     plus the vertex whose neighbours join the cover before it is solved
     (None for a first branch). The second branch of a node reuses the
     node's own adjacency, so the stack holds one adjacency per level.
     """
-    # any bound above the optimum gives the same first optimum in search order
-    best = [greedy_upper_bound(g)[0] + 1, set()]
+    # the first descent is _greedy_bound's loop, and no bound above the
+    # greedy size prunes it (cover + folds + clique bound <= that size), so
+    # |V| + 1 visits the same nodes as the greedy size + 1 would
+    best = [g.n + 1, set()]
     stack = [(_to_adj(g), set(), [], max(g.vertices, default=-1) + 1, None)]
     nodes = 0
     while stack:

@@ -14,7 +14,7 @@ Flow for a problem instance (cover, independent set, or clique):
 
 Reports serialize to canonical JSON (sorted keys, no timings) so two
 runs with the same config produce byte-identical files; wall-clock
-timings live in a separate section that canonical output omits.
+timings stay on ``PipelineReport.timings``, outside the JSON.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .errors import CapacityError, DomainError, InfeasibilityBug
-from .graph import Graph, complement, is_clique, is_independent_set, is_vertex_cover, profit
+from .graph import Graph, complement, is_clique, is_independent_set, is_vertex_cover
 from .instances import check_seed
 from .kernel import ALL_RULES, KernelResult, reconstruct, reduce
 from .metrics import (
@@ -40,6 +40,7 @@ from .qaoa import (
     AngleSchedule,
     SampleDistribution,
     TrainLog,
+    check_shots,
     check_width,
     sample_state,
     train_layerwise,
@@ -74,6 +75,13 @@ class PipelineConfig:
         if self.shots < 1:
             raise DomainError("shots must be positive")
         check_seed(self.seed)
+        if (not isinstance(self.rules, tuple)
+                or not all(r in ALL_RULES for r in self.rules)):
+            raise DomainError(
+                f"rules must be a tuple of names from {ALL_RULES}, got {self.rules!r}")
+        if not isinstance(self.reference_note, (str, type(None))):
+            raise DomainError(
+                f"reference_note must be a str or None, got {self.reference_note!r}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -128,8 +136,8 @@ class PipelineReport:
     sample_dist: SampleDistribution | None = None
     timings: dict[str, float] = field(default_factory=dict)
 
-    def to_json_dict(self, with_timings: bool = False) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "name": self.name,
             "config": self.config.to_json_dict(),
             "graph": {"n": self.original_n, "m": self.original_m},
@@ -162,12 +170,9 @@ class PipelineReport:
                 "depth_proxy": self.depth_proxy,
             },
         }
-        if with_timings:
-            doc["timings"] = dict(self.timings)
-        return doc
 
     def canonical_json(self) -> str:
-        return canonical_json(self.to_json_dict(with_timings=False))
+        return canonical_json(self.to_json_dict())
 
 
 def _alpha_solution(problem: str, size: int, reference: int | None) -> float | None:
@@ -212,6 +217,7 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
         if config.solver != "exact":
             # before the oracle, which a too-wide run would otherwise wait for
             check_width(residual.n, config.max_qubits)
+            check_shots(residual.n, config.shots)
         # one oracle call serves as both the reference and the exact
         # solver; only the exact solver fails when its search budget runs out
         try:
@@ -290,7 +296,8 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
         solution=solution,
         solution_size=len(solution),
         cover_size=len(full_cover),
-        cover_profit=profit(work, full_cover),
+        # reconstruct checked that full_cover covers every edge of work
+        cover_profit=work.m - len(full_cover),
         feasible=feasible,
         optimal=optimal,
         alpha_solution=_alpha_solution(config.problem, len(solution),

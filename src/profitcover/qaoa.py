@@ -104,7 +104,8 @@ as fast as the whole-array product at n=18-20 and made it about a
 quarter faster at n=22; slices of 2^16, whose temporaries and operands
 no longer fit in L2, made it 10-20 % slower at n=18-20.
 ``check_width`` refuses, before any state exists, a run whose
-``STATE_COPIES`` states exceed the machine's physical memory.
+``STATE_COPIES`` states exceed the machine's physical memory, and
+``check_shots`` one whose sampling buffers do.
 """
 
 from __future__ import annotations
@@ -219,6 +220,19 @@ def check_width(n: int, max_qubits: int) -> None:
         raise CapacityError(
             f"statevector of {n} qubits needs {need} bytes ({STATE_COPIES} states "
             f"of 16*2^{n} bytes), above the {have} bytes of physical memory"
+        )
+
+
+def check_shots(n: int, shots: int) -> None:
+    """Refuse a shot count whose sampling buffers would not fit in memory:
+    ``sample_state`` holds the sorted draws and their picks at once, 8
+    bytes a shot each, beside the cdf of 8*2^n bytes."""
+    need = 16 * shots + (8 << n)
+    have = physical_memory()
+    if have is not None and need > have:
+        raise CapacityError(
+            f"sampling {shots} shots needs {need} bytes (16 per shot and a cdf "
+            f"of 8*2^{n} bytes), above the {have} bytes of physical memory"
         )
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from profitcover import oracle, pipeline, qaoa
+from profitcover import cli, oracle, pipeline, qaoa
 from profitcover.cli import CONFIG_KEYS, _parse_rules, main
 from profitcover.errors import ParseError
 from profitcover.instances import gen_erdos_renyi_connected, gen_regular, parse_gen
@@ -49,9 +49,11 @@ def test_parse_gen_errors(spec):
 
 
 def test_parse_rules():
+    """Names are split here and checked by PipelineConfig alone."""
     assert _parse_rules("pr,sr") == ("pr", "sr")
+    assert _parse_rules(" pr, ,warp") == ("pr", "warp")
     with pytest.raises(ParseError):
-        _parse_rules("pr,warp")
+        _parse_rules(["pr", 3])
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +278,41 @@ def test_exit_4_on_a_non_cover_from_the_oracle(monkeypatch, capsys):
 def test_exit_2_on_unknown_rule(capsys):
     assert run_cli("run", "--gen", "er:n=6,p=0.5,seed=1",
                    "--rules", "pr,bogus") == 2
+    assert "'bogus'" in capsys.readouterr().err
+
+
+def _no_job(*args):
+    raise AssertionError("a job ran")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--emit-kernel", "--emit-distribution"])
+def test_run_checks_every_output_path_before_the_job(monkeypatch, tmp_path, capsys, flag):
+    monkeypatch.setattr(cli, "run_pipeline", _no_job)
+    bad = tmp_path / "missing" / "x.json"
+    assert run_cli("run", "--gen", "er:n=6,p=0.5,seed=1", flag, str(bad)) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_a_failed_run_leaves_no_output_file(monkeypatch, tmp_path, capsys):
+    """The paths are checked before the job, and the check leaves no
+    file behind for a run that then fails."""
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: 1 << 20)
+    paths = [tmp_path / name for name in ("r.json", "k.json", "d.json")]
+    assert run_cli("run", "--gen", "regular:n=8,d=3,seed=1", "--rules", "",
+                   "--solver", "random", "--shots", str(1 << 16),
+                   "--out", str(paths[0]), "--emit-kernel", str(paths[1]),
+                   "--emit-distribution", str(paths[2])) == 3
+    assert not any(path.exists() for path in paths)
+
+
+def test_batch_checks_its_output_path_before_any_job(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(pipeline, "run_pipeline", lambda *args: calls.append(args))
+    manifest = _write_manifest(tmp_path, [{"gen": "er:n=6,p=0.5,seed=1"}])
+    bad = tmp_path / "missing" / "t.csv"
+    assert run_cli("batch", "--manifest", manifest, "--out", str(bad)) == 2
+    assert calls == []
+    assert "cannot write" in capsys.readouterr().err
 
 
 # a misspelt seed and a parameter the regular generator does not take
@@ -413,6 +450,20 @@ def test_batch_default_names_match_run(tmp_path, capsys):
     assert run_cli("batch", "--manifest", manifest) == 0
     names = [doc["name"] for doc in json.loads(capsys.readouterr().out)]
     assert names == ["er_n8_p0.5_s1", "karate"]
+
+
+def test_run_with_more_shots_than_memory_exits_3_before_the_oracle(monkeypatch, capsys):
+    """10^13 shots need 160 TB of sampler buffers: one line, exit 3, and
+    neither the oracle nor training runs."""
+    monkeypatch.setattr(pipeline, "min_vertex_cover_exact", _no_job)
+    monkeypatch.setattr(pipeline, "train_layerwise", _no_job)
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: 8 << 30)
+    assert run_cli("run", "--gen", "regular:n=8,d=3,seed=1", "--rules", "",
+                   "--solver", "random", "--shots", "10000000000000") == 3
+    err = capsys.readouterr().err
+    assert err == ("capacity error: sampling 10000000000000 shots needs 160000000002048 "
+                   "bytes (16 per shot and a cdf of 8*2^8 bytes), above the 8589934592 "
+                   "bytes of physical memory\n")
 
 
 def test_run_beyond_physical_memory_exits_3(monkeypatch, capsys):

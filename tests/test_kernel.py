@@ -38,6 +38,7 @@ from conftest import (
     random_gnp,
     star_graph,
 )
+from frozen_v_safe import frozen_v_safe
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +475,42 @@ def test_v_safe_covers_everything_removed():
             if u in folded or v in folded:
                 continue
             assert u in kr.v_safe or v in kr.v_safe
+
+
+def _relabelled_gnp(labels, p, seed):
+    base = random_gnp(len(labels), p, seed)
+    return Graph(labels, [(labels[u], labels[v]) for u, v in base.edges])
+
+
+def _has_nested_folds(folds):
+    """Whether a fold merges or folds the label of an earlier fold."""
+    merged = {f.merged_into for f in folds}
+    return any(f.folded_vertex in merged or merged & set(f.merged_pair) for f in folds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(_relabelled_gnp,
+                 st.lists(st.integers(0, 10**9), min_size=1, max_size=30, unique=True),
+                 st.sampled_from((0.08, 0.12, 0.2, 0.35)), st.integers(0, 10_000)),
+       st.one_of(st.just(("d2r",)), st.just(ALL_RULES),
+                 st.lists(st.sampled_from(ALL_RULES), unique=True).map(tuple)))
+def test_v_safe_matches_the_frozen_replay(g, rules):
+    """v_safe, the intersection of two fold replays, equals the old
+    three-state replay for any labels and any rule subset."""
+    kr = reduce(g, rules)
+    assert kr.v_safe == frozen_v_safe(kr.committed, kr.folds, kr.reduced.vertices)
+
+
+def test_v_safe_matches_the_frozen_replay_on_nested_folds():
+    """Sparse seeded graphs, where folds merge earlier fold labels."""
+    nested = 0
+    for seed in range(300):
+        g = random_gnp(10 + seed % 30, (0.08, 0.12, 0.2)[seed % 3], 9100 + seed)
+        for rules in (("d2r",), ("sr", "pr", "d2r"), ALL_RULES):
+            kr = reduce(g, rules)
+            assert kr.v_safe == frozen_v_safe(kr.committed, kr.folds, kr.reduced.vertices)
+            nested += _has_nested_folds(kr.folds)
+    assert nested >= 300  # 344 of the 900 reductions nest their folds
 
 
 def test_kernel_json_round_trip():

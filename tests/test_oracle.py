@@ -6,6 +6,7 @@ package oracle uses. frozen_oracle is the branch and bound the package
 used before it ran the kernel's rules, for graphs past enumeration.
 """
 
+import hashlib
 import inspect
 import sys
 
@@ -15,7 +16,7 @@ from profitcover import oracle
 from profitcover.errors import CapacityError, InfeasibilityBug
 from profitcover.graph import complement, is_vertex_cover
 from profitcover.instances import gen_regular
-from profitcover.kernel import _to_adj, reduce
+from profitcover.kernel import _to_adj, greedy_upper_bound, reduce
 from profitcover.oracle import (
     _branch_and_bound_min_cover,
     max_profit_exact,
@@ -205,3 +206,99 @@ def test_node_reduction_is_reduce_with_the_low_degree_rules(seed):
     kr = reduce(g, ("sr", "pr", "d2r"))
     assert adj == _to_adj(kr.reduced)
     assert cover == kr.committed and tuple(folds) == kr.folds
+
+
+def _searched(monkeypatch, g):
+    """The oracle's cover of g, its number of search nodes and the size
+    of the first cover its search reached."""
+    solve, nodes, first = oracle._solve, [], []
+
+    def counting(adj, cover, folds, counter, best):
+        nodes.append(None)
+        out = solve(adj, cover, folds, counter, best)
+        if not first and best[1]:
+            first.append(best[0])
+        return out
+
+    monkeypatch.setattr(oracle, "_solve", counting)
+    cover = _branch_and_bound_min_cover(g)
+    return cover, len(nodes), first[0] if first else 0
+
+
+def _pinned_graph(kind, n, q, seed):
+    if kind == "gnp":
+        return random_gnp(n, q, seed)
+    if kind == "r4":
+        return gen_regular(n, q, seed)
+    return complement(random_gnp(n, q, seed))  # dense complements
+
+
+# (graph, cover size, search nodes, sha256 of repr(sorted(cover)) to 12
+# hex digits), as the search computed them when it started from the
+# greedy cover's size + 1 instead of |V| + 1
+PINNED_SEARCHES = [
+    (("gnp", 40, 0.15, 5100), 24, 15, "217dc5a2786c"),
+    (("gnp", 42, 0.2, 5101), 26, 19, "a7481faa047c"),
+    (("gnp", 44, 0.3, 5102), 34, 53, "7032e41e7f08"),
+    (("gnp", 46, 0.15, 5103), 28, 15, "b207a20e9dd4"),
+    (("gnp", 48, 0.2, 5104), 34, 99, "107a7ae2ba9d"),
+    (("gnp", 50, 0.3, 5105), 37, 45, "1f7ae9e47361"),
+    (("gnp", 52, 0.15, 5106), 35, 39, "50e049334a2d"),
+    (("gnp", 54, 0.2, 5107), 38, 63, "448d5abbe56a"),
+    (("gnp", 56, 0.3, 5108), 44, 131, "020d37a6a0b6"),
+    (("gnp", 58, 0.15, 5109), 40, 103, "0febc23d424e"),
+    (("gnp", 60, 0.2, 5110), 45, 289, "75b7676f0843"),
+    (("gnp", 62, 0.3, 5111), 50, 221, "7366e3c5e53d"),
+    (("gnp", 64, 0.15, 5112), 45, 191, "daad94c4a81f"),
+    (("gnp", 66, 0.2, 5113), 49, 335, "5c93f62ddfac"),
+    (("gnp", 68, 0.3, 5114), 56, 597, "1d13a4009144"),
+    (("r4", 50, 4, 5200), 31, 99, "bca154461bd5"),
+    (("r4", 52, 4, 5201), 32, 113, "e9df46a04d92"),
+    (("r4", 54, 4, 5202), 33, 111, "78e9d1864457"),
+    (("r4", 56, 4, 5203), 33, 81, "db1562bd6fd0"),
+    (("r4", 58, 4, 5204), 35, 109, "8f7a9ca40500"),
+    (("r4", 60, 4, 5205), 36, 129, "6006835c7c5e"),
+    (("r4", 62, 4, 5206), 38, 197, "b12f62042147"),
+    (("r4", 64, 4, 5207), 38, 157, "fca1e1df5199"),
+    (("r4", 50, 4, 5208), 31, 89, "aa6c8a3c6475"),
+    (("r4", 52, 4, 5209), 31, 85, "ee8de7a37990"),
+    (("r4", 54, 4, 5210), 32, 57, "a0bcf7cde343"),
+    (("r4", 56, 4, 5211), 33, 105, "52f8e76681fa"),
+    (("r4", 58, 4, 5212), 35, 151, "11e71e470f66"),
+    (("r4", 60, 4, 5213), 35, 135, "ce55888a8a25"),
+    (("r4", 62, 4, 5214), 38, 197, "a91a978cfb21"),
+    (("co", 30, 0.3, 5300), 26, 41, "13aeaab47ac1"),
+    (("co", 31, 0.4, 5301), 26, 39, "135689cccecb"),
+    (("co", 32, 0.5, 5302), 26, 39, "38214c26aa6e"),
+    (("co", 33, 0.3, 5303), 28, 49, "6bb445f51caa"),
+    (("co", 34, 0.4, 5304), 29, 45, "f1e0662268ac"),
+    (("co", 35, 0.5, 5305), 28, 43, "0575542a8f24"),
+    (("co", 36, 0.3, 5306), 32, 53, "b2aa83e76f3b"),
+    (("co", 37, 0.4, 5307), 32, 49, "420a08408562"),
+    (("co", 38, 0.5, 5308), 31, 47, "755c66abd573"),
+    (("co", 39, 0.3, 5309), 34, 57, "101b1a72a8ce"),
+    (("co", 40, 0.4, 5310), 34, 53, "7c4ed29bca55"),
+    (("co", 41, 0.5, 5311), 35, 57, "2885f1d6e25e"),
+    (("co", 42, 0.3, 5312), 37, 67, "4007c66d0a37"),
+    (("co", 43, 0.4, 5313), 37, 71, "1f977df11809"),
+    (("co", 44, 0.5, 5314), 37, 65, "86a4b8164cd9"),
+]
+
+
+@pytest.mark.parametrize("spec,size,nodes,digest", PINNED_SEARCHES,
+                         ids=["-".join(map(str, row[0])) for row in PINNED_SEARCHES])
+def test_search_visits_the_pinned_nodes_and_returns_the_pinned_cover(
+        monkeypatch, spec, size, nodes, digest):
+    cover, visited, _ = _searched(monkeypatch, _pinned_graph(*spec))
+    assert (len(cover), visited) == (size, nodes)
+    assert hashlib.sha256(repr(sorted(cover)).encode()).hexdigest()[:12] == digest
+
+
+@pytest.mark.parametrize("spec", [row[0] for row in PINNED_SEARCHES[::3]]
+                         + [("gnp", n, 0.3, 5400 + n) for n in range(0, 30, 3)])
+def test_first_leaf_is_the_greedy_cover(monkeypatch, spec):
+    """The search's first descent is the greedy bound's loop, unpruned:
+    its first cover has the greedy cover's size."""
+    g = _pinned_graph(*spec)
+    _, _, first = _searched(monkeypatch, g)
+    assert first == greedy_upper_bound(g)[0]

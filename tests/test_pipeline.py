@@ -15,6 +15,7 @@ from profitcover.graph import (
 )
 from profitcover import metrics, oracle, pipeline, qaoa
 from profitcover.instances import gen_regular, load_graph, parse_gen
+from profitcover.kernel import ALL_RULES
 from profitcover.pipeline import (
     REPORT_CSV_FIELDS,
     PipelineConfig,
@@ -43,6 +44,28 @@ def test_config_rejects_a_count_that_is_not_an_int(field, value):
     float depth would fail in range() only after the oracle ran."""
     with pytest.raises(DomainError, match=field):
         PipelineConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("rules", "sr"),                # a string, not a tuple of names
+    ("rules", ["sr", "pr"]),        # a list would make the config unhashable
+    ("rules", ("sr", "bogus")),     # not a rule
+    ("rules", ("sr", 1)),
+    ("rules", None),
+    ("reference_note", 5),          # would print into canonical JSON
+    ("reference_note", b"note"),
+    ("reference_note", ["note"]),
+])
+def test_config_rejects_bad_rules_and_notes(field, value):
+    with pytest.raises(DomainError, match=field):
+        PipelineConfig(**{field: value})
+
+
+def test_config_takes_rule_tuples_and_notes():
+    for rules in ((), ("d2r",), ("lpr", "sr"), ALL_RULES):
+        assert PipelineConfig(rules=rules).rules == rules
+    assert PipelineConfig(reference_note="from the paper").reference_note == "from the paper"
+    hash(PipelineConfig(reference_note=None))
 
 
 def test_config_validation():
@@ -250,6 +273,37 @@ def test_memory_check_runs_before_the_oracle_and_allocates_no_state(monkeypatch)
     assert peak < (16 << 20) // 16
 
 
+def _oracle_must_not_run(g):
+    raise AssertionError("the oracle ran")
+
+
+@pytest.mark.parametrize("solver", ["random", "qaoa"])
+def test_shot_check_runs_before_the_oracle(monkeypatch, solver):
+    """Physical memory patched to 1 MiB: 2^16 shots need 16 bytes each
+    beside a 2 KiB cdf of 8 qubits, so the run stops before the oracle."""
+    monkeypatch.setattr(pipeline, "min_vertex_cover_exact", _oracle_must_not_run)
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: 1 << 20)
+    config = PipelineConfig(solver=solver, rules=(), shots=1 << 16)
+    with pytest.raises(CapacityError, match="sampling 65536 shots needs 1050624 bytes "
+                                            r".*above the 1048576 bytes"):
+        run_pipeline(gen_regular(8, 3, 1), config)
+
+
+def test_shot_check_admits_buffers_that_fit_exactly(monkeypatch):
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: 1 << 20)
+    shots = ((1 << 20) - (8 << 8)) // 16
+    report = run_pipeline(gen_regular(8, 3, 1),
+                          PipelineConfig(solver="random", rules=(), shots=shots))
+    assert report.sample_dist.shots == shots
+
+
+def test_exact_runs_are_not_shot_checked(monkeypatch):
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: 1 << 20)
+    report = run_pipeline(gen_regular(8, 3, 1),
+                          PipelineConfig(solver="exact", rules=(), shots=10 ** 13))
+    assert report.optimal
+
+
 def test_report_determinism_bytewise():
     g = random_gnp(11, 0.5, 99)
     cfg = PipelineConfig(problem="maxis", solver="qaoa", depth=2,
@@ -264,8 +318,7 @@ def test_report_json_has_no_timings():
     report = run_pipeline(g, PipelineConfig(solver="exact"))
     doc = json.loads(report.canonical_json())
     assert "timings" not in doc
-    assert report.timings  # measured, available via with_timings
-    assert "timings" in report.to_json_dict(with_timings=True)
+    assert report.timings  # measured, kept on the report
 
 
 def test_alpha_solution_semantics():
