@@ -48,7 +48,12 @@ is cached as a prefix), and (gamma_k, beta_k) is optimized by
 Nelder-Mead. The search is ``_nelder_mead``, an in-package copy of
 scipy's non-adaptive Nelder-Mead for two parameters, so that running
 the package needs numpy only; the tests pin its angles, values and call
-counts to scipy's. Layer 1 restarts from a small fixed grid plus (0, 0).
+counts to scipy's. It is a generator: it yields each point it needs
+and is sent the value there, and ``_lockstep`` advances a list of runs
+together, gathering the pending point of every live run into one call
+of a batched objective. Layer 1 restarts from a small fixed grid plus
+(0, 0), five runs in lockstep, so its points (at most 201) take at
+most 41 calls, 40 steps and the (0, 0) candidate, instead of one each.
 Every later layer runs one search, started from the previous layer's
 trained angles: optimal QAOA angles change smoothly with depth (Zhou et
 al., arXiv:1812.01041), so the grid restarts there mostly repeat work.
@@ -58,8 +63,10 @@ worse as depth grows.
 Layer 1 needs no statevector: at depth 1, <Z_u> and <Z_u Z_v> have
 closed forms local to the neighbourhoods of u and v (Ozaeta, van Dam
 and McMahon, arXiv:2012.03421), so ``depth1_objective`` evaluates <H>
-in O(n+m) instead of O(2^n). Layers 2 and up evaluate one phase and
-one mixer pass on the prefix state. After each trained layer, whichever
+in O(n+m) instead of O(2^n), for a batch of angle pairs in one pass of
+a few dozen array operations; each value has the bits of the pair
+evaluated alone on numpy scalars. Layers 2 and up evaluate one phase
+and one mixer pass on the prefix state. After each trained layer, whichever
 objective trained it, training squares the state once, records the
 layer's expectation from that probability vector and hands the vector
 to an optional ``each_layer(layer, probs)`` callback (which is how
@@ -80,9 +87,12 @@ Memory is what limits the width of a run. In units of one state,
 S = 16*2^n bytes, a pipeline run holds:
 
 * all along: the model's int32 energy vector (S/4);
-* in training: the prefix state, and in a layer >= 2 evaluation the
-  phased state, the mixer's second buffer and the expectation's
-  probabilities (S/2), about 3.4 S at the peak; a
+* in training: the prefix state, and through a layer >= 2 search the
+  phased state and one work buffer, allocated once per layer and freed
+  before the trained layer is applied. The work buffer holds the
+  phase's table indices, the mixer's second buffer and the
+  expectation's probabilities (its first S/2) in turn, so an evaluation
+  allocates nothing of the state's size; about 3.25 S at the peak. A
   depth-1 run evolves one layer on the uniform state, about 2.4 S;
 * after each layer: the state, its probabilities (S/2) and the
   callback's own, dropped before the next layer's evaluations;
@@ -95,9 +105,10 @@ S = 16*2^n bytes, a pipeline run holds:
 
 ``apply_phase``, ``probabilities`` and ``weighted_sum`` work through
 their vectors in slices of ``CHUNK`` = 2^14 entries, so their
-temporaries (the gathered phase factors with their integer indices, the
-squared imaginary parts, the weighted slice) are 384 KiB at most
-instead of one to one and a half states. The
+temporaries (the phase's integer indices, the squared imaginary parts,
+the expectation's energies cast to float, the weighted slice) are
+128 KiB at most instead of one to one and a half states; the phase
+gathers its factors into its output. The
 results are elementwise, so they do not depend on the slicing. On a
 2-core machine with a 2 MiB L2 per core, slices of 2^14 kept the phase
 as fast as the whole-array product at n=18-20 and made it about a
@@ -247,18 +258,38 @@ def uniform_state(n: int) -> np.ndarray:
     return state
 
 
-def apply_phase(state: np.ndarray, ising: IsingModel, gamma: float) -> np.ndarray:
-    """Diagonal cost layer of ``ising``; returns a new array."""
+def apply_phase(state: np.ndarray, ising: IsingModel, gamma: float, *,
+                out: np.ndarray | None = None, work: np.ndarray | None = None,
+                ) -> np.ndarray:
+    """Diagonal cost layer of ``ising``, written to ``out`` (by default a
+    new array), which is returned.
+
+    Each slice's phase factors are gathered into the output slice and the
+    state is multiplied into them, so ``out`` must not overlap the state.
+    ``work``, a complex array of the state's shape whose contents are not
+    kept, holds the slice's table indices; without it they take a
+    slice-sized array.
+    """
+    if out is None:
+        out = np.empty_like(state)
+    elif np.may_share_memory(out, state):
+        raise DomainError("the phase cannot write over its input state")
     if gamma == 0.0:
-        return state.copy()
+        np.copyto(out, state)
+        return out
     energies = ising.energies_vector()
     # energies lie in [-m, n]: E = 0..n index the table directly, and
     # mode="wrap" sends E = -m..-1 to the m entries after them
     table = np.exp(-1j * gamma * np.concatenate(
         (np.arange(ising.n + 1), np.arange(-len(ising.j4), 0))))
-    out = np.empty_like(state)
+    index = (np.empty(min(state.size, CHUNK), dtype=np.intp) if work is None
+             else work.view(np.intp))
     for s in _chunks(state.size):
-        np.multiply(state[s], table.take(energies[s], mode="wrap"), out=out[s])
+        factors = out[s]
+        picks = index[:factors.size]
+        np.copyto(picks, energies[s])
+        table.take(picks, mode="wrap", out=factors)
+        np.multiply(state[s], factors, out=factors)
     return out
 
 
@@ -292,17 +323,24 @@ def _rx_power(c: float, s: float, k: int) -> np.ndarray:
     return gate
 
 
-def apply_mixer(state: np.ndarray, n: int, beta: float) -> np.ndarray:
-    """RX(2*beta) on every qubit, in place, MIXER_BLOCK qubits per pass."""
+def apply_mixer(state: np.ndarray, n: int, beta: float, *,
+                work: np.ndarray | None = None) -> np.ndarray:
+    """RX(2*beta) on every qubit, in place, MIXER_BLOCK qubits per pass.
+
+    ``work``, an array like the state whose contents are not kept, is the
+    second buffer; by default one is allocated.
+    """
     if state.shape != (1 << n,):
         # the passes rotate the index by n bits, so n must be the whole state
         raise DomainError(f"mixer needs a state of 2^{n} amplitudes, got {state.shape}")
+    if work is not None and np.may_share_memory(work, state):
+        raise DomainError("the mixer's second buffer overlaps the state")
     c = np.cos(beta)
     s = np.sin(beta)
     if s == 0.0 and c == 1.0:
         return state
     block = _rx_power(c, s, MIXER_BLOCK)
-    src, dst = state, np.empty_like(state)
+    src, dst = state, np.empty_like(state) if work is None else work
     for q in range(0, n, MIXER_BLOCK):
         k = min(MIXER_BLOCK, n - q)
         gate = block if k == MIXER_BLOCK else _rx_power(c, s, k)
@@ -325,28 +363,54 @@ def evolve(ising: IsingModel, schedule: AngleSchedule,
     return state
 
 
-def probabilities(state: np.ndarray) -> np.ndarray:
-    """|amplitude|^2 of every basis state, as real^2 + imag^2."""
+def _float_buffers(size: int, work: np.ndarray | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """A float64 vector of ``size`` entries and a spare of at least one
+    slice after it, in the bytes of ``work``, a complex array of ``size``
+    entries, or of one new array."""
+    floats = np.empty(size + min(size, CHUNK)) if work is None else work.view(np.float64)
+    return floats[:size], floats[size:]
+
+
+def _square(state: np.ndarray, probs: np.ndarray, spare: np.ndarray,
+            weights: np.ndarray | None = None) -> np.ndarray:
+    """Writes real^2 + imag^2 of ``state``, times ``weights`` if given,
+    into ``probs`` and returns it. Each slice's imag^2, and its weights
+    cast to float, go through ``spare``: numpy's mixed-type multiply
+    would cast the int32 energies in a 64 KiB buffer of its own."""
     if not np.iscomplexobj(state):
         # squaring a probability vector again would otherwise pass silently
         raise DomainError("expected a complex state, got a real array; "
                           "train_layerwise returns probabilities already")
-    probs = state.real ** 2
+    # np.square has the bits of x ** 2
+    np.square(state.real, out=probs)
     imag = state.imag
     for s in _chunks(state.size):
-        probs[s] += imag[s] ** 2
+        chunk = probs[s]
+        part = spare[:chunk.size]
+        chunk += np.square(imag[s], out=part)
+        if weights is not None:
+            np.copyto(part, weights[s])
+            chunk *= part
     return probs
 
 
-def expectation(state: np.ndarray, energies: np.ndarray) -> float:
+def probabilities(state: np.ndarray) -> np.ndarray:
+    """|amplitude|^2 of every basis state, as real^2 + imag^2."""
+    return _square(state, *_float_buffers(state.size))
+
+
+def expectation(state: np.ndarray, energies: np.ndarray, *,
+                work: np.ndarray | None = None) -> float:
     """<H> via elementwise product and pairwise sum (thread-count stable).
 
-    The product overwrites the fresh probability vector, so it needs no
-    temporary of half a state.
+    The product overwrites the probability vector, so it needs no
+    temporary of half a state. With ``work``, a complex array of the
+    state's shape whose contents are not kept, the probabilities and
+    their spare slice are its bytes and nothing is allocated.
     """
-    probs = probabilities(state)
-    probs *= energies
-    return float(np.sum(probs))
+    probs = _square(state, *_float_buffers(state.size, work), energies)
+    return float(probs.sum())
 
 
 def weighted_sum(probs: np.ndarray, values: np.ndarray) -> float:
@@ -471,23 +535,39 @@ def depth1_objective(ising: IsingModel):
     a = np.array([pos[u] for u, _ in ising.j4], dtype=np.intp)
     b = np.array([pos[v] for _, v in ising.j4], dtype=np.intp)
     common = np.array([len(nbrs[i] & nbrs[j]) for i, j in zip(a, b)], dtype=np.int64)
-    # neighbours of each endpoint besides the other endpoint, and the
-    # neighbours of exactly one endpoint
-    rest_a, rest_b = degree[a] - 1, degree[b] - 1
-    one_side = rest_a + rest_b - 2 * common
+    # neighbours of a vertex besides one of them (the other endpoint of
+    # an edge), and of exactly one endpoint of an edge
+    rest = degree - 1
+    one_side = rest[a] + rest[b] - 2 * common
     h_sum, h_diff = field[a] + field[b], field[a] - field[b]
     offset = ising.offset
 
-    def value(gamma: float, beta: float) -> float:
-        c = np.cos(gamma / 2)
-        z = np.sin(2 * beta) * np.sin(2 * gamma * field) * c ** degree
-        cos_field = np.cos(2 * gamma * field)
-        zz = (0.5 * np.sin(4 * beta) * np.sin(gamma / 2)
-              * (cos_field[a] * c ** rest_a + cos_field[b] * c ** rest_b)
-              - 0.5 * np.sin(2 * beta) ** 2 * c ** one_side
-              * (np.cos(2 * gamma * h_sum) * np.cos(gamma) ** common
-                 - np.cos(2 * gamma * h_diff)))
-        return float(offset + np.sum(field * z) + 0.25 * np.sum(zz))
+    def value(gamma, beta):
+        """One value per pair of ``gamma`` and ``beta``, arrays of one
+        shape; a float for two scalars."""
+        gamma_in = np.asarray(gamma, dtype=np.float64)
+        # one row per pair, columns over vertices or edges; every entry is
+        # the arithmetic of a one-pair call on numpy scalars, so the bits
+        # do not depend on the batch
+        g = gamma_in.reshape(-1, 1)
+        t = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
+        half, two_g = g / 2, 2 * g
+        c = np.cos(half)
+        sin_2b = np.sin(2 * t)
+        angle = two_g * field
+        z = sin_2b * np.sin(angle) * c ** degree
+        # cos(2g h_u) c^(d_u-1) per vertex, gathered at both endpoints
+        side = np.cos(angle) * c ** rest
+        # a scalar's ** 2 is C pow(), which a Python float's is too;
+        # np.square and np.power round some values differently
+        sin_2b_sq = np.array([[s ** 2] for s in sin_2b.ravel().tolist()])
+        zz = (0.5 * np.sin(4 * t) * np.sin(half)
+              * (side.take(a, axis=1) + side.take(b, axis=1))
+              - 0.5 * sin_2b_sq * c ** one_side
+              * (np.cos(two_g * h_sum) * np.cos(g) ** common
+                 - np.cos(two_g * h_diff)))
+        values = offset + (field * z).sum(axis=1) + 0.25 * zz.sum(axis=1)
+        return float(values[0]) if gamma_in.ndim == 0 else values
 
     return value
 
@@ -503,9 +583,10 @@ def _sort_simplex(sim: list, fsim: list[float]) -> tuple[list, list[float]]:
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
-def _nelder_mead(objective, start: tuple[float, float], maxfev: int,
-                 ) -> tuple[tuple[float, float], float, int]:
-    """Minimize ``objective(gamma, beta)`` from ``start``; returns (x, fun, nfev).
+def _nelder_mead(start: tuple[float, float], maxfev: int):
+    """Minimize from ``start`` as a generator of steps: it yields each
+    point (gamma, beta) it needs evaluated, is sent the objective's value
+    there, and returns (x, fun, nfev); ``_lockstep`` drives it.
 
     Nelder and Mead (Comput. J. 1965) as scipy 1.17's
     ``_minimize_neldermead`` runs it non-adaptive and unbounded, with
@@ -518,12 +599,12 @@ def _nelder_mead(objective, start: tuple[float, float], maxfev: int,
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nfev = 0
 
-    def call(x: tuple[float, float]) -> float:
+    def call(x: tuple[float, float]):
         nonlocal nfev
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        return float(objective(*x))
+        return float((yield x))
 
     sim = [start]
     for k in range(2):
@@ -533,7 +614,7 @@ def _nelder_mead(objective, start: tuple[float, float], maxfev: int,
     fsim = [inf, inf, inf]
     try:
         for k in range(3):
-            fsim[k] = call(sim[k])
+            fsim[k] = yield from call(sim[k])
     except _BudgetSpent:
         pass
     sim, fsim = _sort_simplex(sim, fsim)
@@ -546,35 +627,91 @@ def _nelder_mead(objective, start: tuple[float, float], maxfev: int,
             worst = sim[-1]
             xbar = tuple((best[i] + sim[1][i]) / 2 for i in (0, 1))
             xr = tuple((1 + rho) * xbar[i] - rho * worst[i] for i in (0, 1))
-            fxr = call(xr)
+            fxr = yield from call(xr)
             if fxr < fsim[0]:
                 xe = tuple((1 + rho * chi) * xbar[i] - rho * chi * worst[i] for i in (0, 1))
-                fxe = call(xe)
+                fxe = yield from call(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
                     xc = tuple((1 + psi * rho) * xbar[i] - psi * rho * worst[i] for i in (0, 1))
-                    fxc = call(xc)
+                    fxc = yield from call(xc)
                     shrink = not fxc <= fxr
                     if not shrink:
                         sim[-1], fsim[-1] = xc, fxc
                 else:  # inside contraction
                     xcc = tuple((1 - psi) * xbar[i] + psi * worst[i] for i in (0, 1))
-                    fxcc = call(xcc)
+                    fxcc = yield from call(xcc)
                     shrink = not fxcc < fsim[-1]
                     if not shrink:
                         sim[-1], fsim[-1] = xcc, fxcc
                 if shrink:
                     for j in (1, 2):
                         sim[j] = tuple(best[i] + sigma * (sim[j][i] - best[i]) for i in (0, 1))
-                        fsim[j] = call(sim[j])
+                        fsim[j] = yield from call(sim[j])
         except _BudgetSpent:
             pass
         sim, fsim = _sort_simplex(sim, fsim)
     fun = nan if any(isnan(f) for f in fsim) else min(fsim)
     return sim[0], fun, nfev
+
+
+def _lockstep(objective, starts, maxfev: int) -> list[tuple[tuple[float, float], float, int]]:
+    """(x, fun, nfev) of one ``_nelder_mead`` run from each start.
+
+    The runs advance together: each step evaluates the pending point of
+    every live run in one call ``objective(gammas, betas)``, on two
+    float64 arrays, which returns one value per pair. A run that stops
+    drops out; the others go on. The objective must give each pair the
+    value it gives that pair alone, as ``depth1_objective`` does bit for
+    bit, so that no run's result depends on the others.
+    """
+    runs = [_nelder_mead(start, maxfev) for start in starts]
+    results: list = [None] * len(runs)
+    pending: dict[int, tuple[float, float]] = {}
+
+    def advance(i: int, value: float | None) -> None:
+        try:
+            pending[i] = runs[i].send(value)
+        except StopIteration as stop:
+            results[i] = stop.value
+            pending.pop(i, None)
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        live = list(pending)
+        values = objective(np.array([pending[i][0] for i in live]),
+                           np.array([pending[i][1] for i in live]))
+        for i, value in zip(live, values):
+            advance(i, value)
+    return results
+
+
+def _layer_objective(ising: IsingModel, prefix: np.ndarray, energies: np.ndarray):
+    """<H> after one more layer on ``prefix``, as ``(gammas, betas) -> values``,
+    one phase, mixer and expectation per pair.
+
+    The phased state and one work buffer, which serves the phase's table
+    indices, the mixer's second buffer and the probability vector in
+    turn, are allocated here once, so an evaluation allocates nothing of
+    the state's size; they live as long as the returned function.
+    """
+    n = ising.n
+    phased = np.empty_like(prefix)
+    work = np.empty_like(prefix)
+
+    def values(gammas: np.ndarray, betas: np.ndarray) -> list[float]:
+        out = []
+        for gamma, beta in zip(gammas.tolist(), betas.tolist()):
+            state = apply_phase(prefix, ising, gamma, out=phased, work=work)
+            apply_mixer(state, n, beta, work=work)
+            out.append(expectation(state, energies, work=work))
+        return out
+
+    return values
 
 
 def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
@@ -583,11 +720,13 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
     """Greedy depth-by-depth angle optimization with a no-op fallback.
 
     Layer 1 is trained on the closed form of ``depth1_objective``, with
-    one Nelder-Mead run from (0, 0) and one from each of ``FIXED_STARTS``.
+    one Nelder-Mead run from (0, 0) and one from each of ``FIXED_STARTS``;
+    the five runs advance in lockstep, each step one batched call.
     Layer k >= 2 runs one Nelder-Mead search started from the trained
     angles of layer k-1. It sees the frozen prefix state of layers
     1..k-1, so each of its objective calls costs one phase and one mixer
-    pass regardless of k. ``MAXFEV`` bounds the evaluations of each run.
+    pass regardless of k. ``MAXFEV`` bounds the evaluations of each run,
+    and a layer's ``n_evals`` counts the points evaluated.
     Each layer's state is squared once; its expectation is read from
     that vector, which ``each_layer(layer, probs)``, if given, then sees.
     Returns the schedule, the log and the probability vector of the
@@ -606,23 +745,18 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
     betas: list[float] = []
     expectations: list[float] = []
     evals: list[int] = []
-
-    def layer_value(gamma: float, beta: float) -> float:
-        state = apply_phase(prefix, ising, gamma)
-        apply_mixer(state, n, beta)
-        return expectation(state, energies)
-
     for layer in range(1, p + 1):
         if layer == 1:
             objective, starts = depth1_objective(ising), ((0.0, 0.0),) + FIXED_STARTS
         else:
-            objective, starts = layer_value, ((gammas[-1], betas[-1]),)
-        layer_evals = 1
-        candidates = [((0.0, 0.0), objective(0.0, 0.0))]
-        for start in starts:
-            x, fun, nfev = _nelder_mead(objective, start, MAXFEV)
-            layer_evals += nfev
-            candidates.append((x, fun))
+            objective = _layer_objective(ising, prefix, energies)
+            starts = ((gammas[-1], betas[-1]),)
+        origin = np.zeros(1)
+        candidates = [((0.0, 0.0), float(objective(origin, origin)[0]))]
+        runs = _lockstep(objective, starts, MAXFEV)
+        del objective  # frees a layer's buffers before the layer is applied
+        candidates += [(x, fun) for x, fun, _ in runs]
+        layer_evals = 1 + sum(nfev for _, _, nfev in runs)
         (gamma, beta), value = min(candidates, key=lambda c: c[1])
         if not np.isfinite(value):
             raise TrainingError(f"layer {layer} expectation is not finite")

@@ -5,6 +5,9 @@ import dataclasses
 import importlib.util
 import io
 import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -580,6 +583,16 @@ def test_peak_states_reports_a_failed_run():
     peak_states = _load_script("peak_states")
     with pytest.raises(SystemExit, match="n=7 depth=1: the run exited with 1"):
         peak_states.main(["--n", "7", "--depth", "1"])  # no 3-regular graph on 7
+
+
+def test_report_digests_prints_the_same_digest_twice():
+    """Two fresh processes hash the same reports and samples."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
+    outs = [subprocess.run([sys.executable, str(script), "--workload", "qaoa-wide",
+                            "--seed", "1"], capture_output=True, text=True, check=True,
+                           timeout=300).stdout for _ in range(2)]
+    assert re.fullmatch(r"[0-9a-f]{64}\n", outs[0])
+    assert outs[1] == outs[0]
 
 
 @pytest.mark.parametrize("args", [["--seed", "-1"], ["--layers", "-1"], ["--shots", "0"]],

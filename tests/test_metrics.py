@@ -405,9 +405,9 @@ def test_depth_sweep_evolves_as_often_as_training(monkeypatch):
     calls = []
     mixer = qaoa.apply_mixer
 
-    def counting_mixer(*args):
+    def counting_mixer(*args, **kwargs):
         calls.append(args[2])
-        return mixer(*args)
+        return mixer(*args, **kwargs)
 
     for module in (qaoa, metrics):  # wherever a caller may have imported it
         monkeypatch.setattr(module, "apply_mixer", counting_mixer, raising=False)

@@ -218,6 +218,30 @@ def test_phase_and_probabilities_allocate_one_output_and_a_slice():
     assert _peak_bytes(lambda: probabilities(state)) <= 1.1 * state.nbytes / 2
 
 
+def test_layer_evaluation_reuses_its_buffers():
+    """A layer >= 2 evaluation writes into the phased state and the work
+    buffer allocated with the objective, and gives the values of fresh
+    buffers; allocating them per evaluation cost 1.5 states each time."""
+    m = build_ising(random_gnp(16, 0.2, 5201))
+    energies = m.energies_vector()
+    prefix = _random_state(16, 6)
+    values = qaoa._layer_objective(m, prefix, energies)
+    gammas, betas = np.array([0.7, -2.4, 0.0]), np.array([0.3, 1.1, 0.0])
+    want = [expectation(apply_mixer(apply_phase(prefix, m, g), 16, b), energies)
+            for g, b in zip(gammas.tolist(), betas.tolist())]
+    assert values(gammas, betas) == want
+    assert _peak_bytes(lambda: values(gammas, betas)) <= prefix.nbytes // 16
+
+
+def test_phase_and_mixer_refuse_buffers_that_overlap_the_state():
+    m = build_ising(cycle_graph(5))
+    state = _random_state(5, 7)
+    with pytest.raises(DomainError, match="input state"):
+        apply_phase(state, m, 0.3, out=state)
+    with pytest.raises(DomainError, match="overlaps"):
+        apply_mixer(state, 5, 0.3, work=state)
+
+
 def test_sample_state_frees_its_draws_before_counting():
     """With as many shots as states the cdf, the sorted draws and the picks
     are three probability vectors, the peak; the whole-array counting
@@ -228,8 +252,9 @@ def test_sample_state_frees_its_draws_before_counting():
     assert peak <= 3.25 * probs.nbytes
 
 
-def _butterfly_mixer(state, n, beta):
-    """The qubit-by-qubit RX mixer the block mixer replaced, as a reference."""
+def _butterfly_mixer(state, n, beta, *, work=None):
+    """The qubit-by-qubit RX mixer the block mixer replaced, as a reference;
+    it needs no second buffer, so ``work`` is ignored."""
     c = np.cos(beta)
     s = np.sin(beta)
     if s == 0.0 and c == 1.0:
@@ -478,14 +503,14 @@ def test_train_deterministic(k3):
 
 def test_later_layers_run_one_search_from_the_previous_angles(monkeypatch):
     calls = []
-    search = qaoa._nelder_mead
+    lockstep = qaoa._lockstep
 
-    def recording_search(objective, start, maxfev):
-        x, fun, nfev = search(objective, start, maxfev)
-        calls.append((tuple(start), nfev))
-        return x, fun, nfev
+    def recording_lockstep(objective, starts, maxfev):
+        runs = lockstep(objective, starts, maxfev)
+        calls.extend((tuple(start), nfev) for start, (_, _, nfev) in zip(starts, runs))
+        return runs
 
-    monkeypatch.setattr(qaoa, "_nelder_mead", recording_search)
+    monkeypatch.setattr(qaoa, "_lockstep", recording_lockstep)
     schedule, log, _ = train_layerwise(build_ising(gen_regular(10, 3, 4800)), 4)
     assert len(calls) == 5 + 3
     assert [start for start, _ in calls[:5]] == [(0.0, 0.0), *FIXED_STARTS]
@@ -521,6 +546,21 @@ def _same_result(a, b):
     return xa == xb and na == nb and (fa == fb or (np.isnan(fa) and np.isnan(fb)))
 
 
+def _batched(objective, sizes=None):
+    """``objective(gamma, beta)`` as ``qaoa._lockstep`` calls it, on arrays
+    of angles; appends each call's number of points to ``sizes``."""
+    def values(gammas, betas):
+        if sizes is not None:
+            sizes.append(gammas.size)
+        return [objective(g, t) for g, t in zip(gammas.tolist(), betas.tolist())]
+    return values
+
+
+def _search(objective, start, maxfev):
+    """(x, fun, nfev) of one Nelder-Mead run from ``start``, on its own."""
+    return qaoa._lockstep(_batched(objective), [start], maxfev)[0]
+
+
 def _seeded_objectives(seed):
     rng = np.random.default_rng(8800 + seed)
     a, b, c, d, e = rng.normal(size=5)
@@ -540,7 +580,7 @@ def test_nelder_mead_matches_scipy(seed):
         for start in starts:
             for maxfev in (1, 4, 5, 6, 10, 40, 200):
                 want, _ = _scipy_nelder_mead(objective, start, maxfev)
-                got = qaoa._nelder_mead(objective, start, maxfev)
+                got = _search(objective, start, maxfev)
                 assert _same_result(got, want), (name, start, maxfev, got, want)
 
 
@@ -551,7 +591,38 @@ def test_nelder_mead_matches_scipy_when_the_budget_ends_inside_a_shrink():
         want, simplex = _scipy_nelder_mead(objective, (0.0, 0.0), maxfev, seen)
         # the shrink moved a vertex that the budget left unevaluated
         assert any((float(v[0]), float(v[1])) not in seen for v in simplex)
-        assert _same_result(qaoa._nelder_mead(objective, (0.0, 0.0), maxfev), want)
+        assert _same_result(_search(objective, (0.0, 0.0), maxfev), want)
+
+
+def _shrink_budget_objective(g, t):
+    return float(np.round((g - 0.5) ** 2 + (t - 0.2) ** 2, 1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lockstep_runs_match_runs_alone(seed):
+    """Runs advanced together give each start the bits it gets alone, with
+    one objective call per step: budgets of 1-6 calls, budgets that end
+    inside a shrink (the plateau objectives and the rounded bowl) and an
+    objective that returns NaN."""
+    objectives, starts = _seeded_objectives(seed)
+    objectives["shrink"] = _shrink_budget_objective
+    starts = starts + ((0.0, 0.0), (-0.3, 2.0))  # a start twice
+    for name, objective in objectives.items():
+        for maxfev in (1, 2, 3, 4, 5, 6, 10, 40):
+            alone = [_search(objective, start, maxfev) for start in starts]
+            sizes = []
+            together = qaoa._lockstep(_batched(objective, sizes), starts, maxfev)
+            for start, a, b in zip(starts, together, alone):
+                assert _same_result(a, b), (name, start, maxfev, a, b)
+            assert len(sizes) == max(nfev for _, _, nfev in alone)
+            assert sum(sizes) == sum(nfev for _, _, nfev in alone)
+
+
+def test_lockstep_with_no_budget_evaluates_nothing():
+    sizes = []
+    runs = qaoa._lockstep(_batched(lambda g, t: 0.0, sizes), [(0.0, 0.0), (1.0, 2.0)], 0)
+    assert sizes == [] and [nfev for _, _, nfev in runs] == [0, 0]
+    assert [x for x, _, _ in runs] == [(0.0, 0.0), (1.0, 2.0)]
 
 
 def _five_start_final_expectation(m, p):
@@ -670,12 +741,103 @@ def test_layer1_training_matches_statevector_objective(g):
     assert log.expectations[0] == expectation_value(m, schedule)
 
 
+def test_layer1_training_makes_one_objective_call_per_step(monkeypatch):
+    """The five layer-1 runs advance in lockstep: at most one closed-form
+    call per step and one for the (0, 0) candidate, against one call per
+    point (201 here) when the runs went one after the other."""
+    sizes = []
+    closed_form = qaoa.depth1_objective
+
+    def counting(ising):
+        value = closed_form(ising)
+
+        def counted(gammas, betas):
+            sizes.append(np.size(gammas))
+            return value(gammas, betas)
+        return counted
+
+    monkeypatch.setattr(qaoa, "depth1_objective", counting)
+    _, log, _ = train_layerwise(build_ising(gen_regular(12, 3, 4403)), 1)
+    assert len(sizes) <= 1 + qaoa.MAXFEV
+    assert max(sizes) == 5
+    assert sum(sizes) == log.layers[0].n_evals > 100
+
+
+def _closed_form_one_pair(m, gamma, beta):
+    """The closed form as it was evaluated for one (gamma, beta) pair at a
+    time, on numpy scalars, as the reference for the batched form."""
+    pos = {v: j for j, v in enumerate(m.vertex_order)}
+    nbrs = [set() for _ in range(m.n)]
+    for u, v in m.j4:
+        nbrs[pos[u]].add(pos[v])
+        nbrs[pos[v]].add(pos[u])
+    degree = np.array([len(nb) for nb in nbrs], dtype=np.int64)
+    field = np.array([m.h4[v] for v in m.vertex_order], dtype=np.float64) / 4.0
+    a = np.array([pos[u] for u, _ in m.j4], dtype=np.intp)
+    b = np.array([pos[v] for _, v in m.j4], dtype=np.intp)
+    common = np.array([len(nbrs[i] & nbrs[j]) for i, j in zip(a, b)], dtype=np.int64)
+    rest_a, rest_b = degree[a] - 1, degree[b] - 1
+    one_side = rest_a + rest_b - 2 * common
+    h_sum, h_diff = field[a] + field[b], field[a] - field[b]
+    c = np.cos(gamma / 2)
+    z = np.sin(2 * beta) * np.sin(2 * gamma * field) * c ** degree
+    cos_field = np.cos(2 * gamma * field)
+    zz = (0.5 * np.sin(4 * beta) * np.sin(gamma / 2)
+          * (cos_field[a] * c ** rest_a + cos_field[b] * c ** rest_b)
+          - 0.5 * np.sin(2 * beta) ** 2 * c ** one_side
+          * (np.cos(2 * gamma * h_sum) * np.cos(gamma) ** common
+             - np.cos(2 * gamma * h_diff)))
+    return float(m.offset + np.sum(field * z) + 0.25 * np.sum(zz))
+
+
+_angles = st.one_of(st.sampled_from([0.0, np.pi, -np.pi, 2 * np.pi, 6.5, -9.75]),
+                    st.floats(-20.0, 20.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 14), st.sampled_from([0.3, 0.6, 0.9]), st.integers(0, 10_000),
+       st.lists(st.tuples(_angles, _angles), min_size=1, max_size=6))
+def test_batched_closed_form_has_the_bytes_of_single_calls(n, p, seed, pairs):
+    m = build_ising(random_gnp(n, p, seed))
+    value = depth1_objective(m)
+    gammas = np.array([g for g, _ in pairs])
+    betas = np.array([b for _, b in pairs])
+    batch = value(gammas, betas)
+    assert batch.shape == (len(pairs),)
+    for got, (gamma, beta) in zip(batch, pairs):
+        single = value(gamma, beta)
+        assert type(single) is float
+        want = np.float64(_closed_form_one_pair(m, gamma, beta)).tobytes()
+        assert np.float64(got).tobytes() == want, (gamma, beta)
+        assert np.float64(single).tobytes() == want, (gamma, beta)
+
+
+def test_batched_closed_form_keeps_the_scalar_square():
+    """The one-pair form squared sin(2b) as a numpy scalar, which is C
+    pow(); np.square and np.power round about one value in a thousand
+    differently. On angles where they differ, which a few of the values
+    show, the batched form still has the one-pair bits."""
+    m = build_ising(gen_regular(12, 3, 4404))
+    value = depth1_objective(m)
+    rng = np.random.default_rng(4405)
+    betas = rng.uniform(-np.pi, np.pi, 1 << 20)
+    s = np.sin(2 * betas)
+    betas = betas[np.square(s) != np.array([v ** 2 for v in s.tolist()])]
+    gammas = rng.uniform(-np.pi, np.pi, betas.size)
+    assert betas.size > 500
+    for k in range(0, betas.size, 5):
+        got = value(gammas[k:k + 5], betas[k:k + 5])
+        want = [_closed_form_one_pair(m, g, b)
+                for g, b in zip(gammas[k:k + 5].tolist(), betas[k:k + 5].tolist())]
+        assert got.tobytes() == np.array(want).tobytes(), k
+
+
 def test_layer1_training_runs_one_mixer(monkeypatch):
     calls = []
 
-    def counting_mixer(state, n, beta):
+    def counting_mixer(state, n, beta, **kwargs):
         calls.append(beta)
-        return apply_mixer(state, n, beta)
+        return apply_mixer(state, n, beta, **kwargs)
 
     monkeypatch.setattr(qaoa, "apply_mixer", counting_mixer)
     _, log, _ = train_layerwise(build_ising(gen_regular(12, 3, 4403)), 1)
