@@ -53,23 +53,6 @@ def detect_format(path: str | Path) -> str:
     return "edge_list"
 
 
-def _dedup(raw_edges: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
-    seen: set[tuple[int, int]] = set()
-    edges = []
-    dropped = 0
-    for u, v in raw_edges:
-        if u == v:
-            dropped += 1
-            continue
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            dropped += 1
-            continue
-        seen.add(e)
-        edges.append(e)
-    return edges, dropped
-
-
 def _parse_edge_list(text: str, path) -> tuple[list[int], list[tuple[int, int]]]:
     labels: dict[str, None] = {}
     raw: list[tuple[str, str]] = []
@@ -189,10 +172,12 @@ def load_graph_named(path: str | Path, fmt: str | None = None) -> tuple[Graph, t
         raise DomainError(f"unknown format {fmt!r}")
     if n == 0:
         raise DomainError(f"{path}: empty vertex set")
-    edges, dropped = _dedup(raw)
+    # Graph keeps one copy of a repeated edge; self-loops it refuses
+    graph = Graph(range(n), [(u, v) for u, v in raw if u != v])
+    dropped = len(raw) - graph.m
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} duplicate/self-loop entries", stacklevel=2)
-    return Graph(range(n), edges), names
+    return graph, names
 
 
 def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
@@ -264,6 +249,8 @@ def parse_gen(text: str) -> tuple[str, Graph]:
         key, sep, value = item.partition("=")
         if not sep:
             raise ParseError(f"generator parameter {item!r} is not key=value")
+        if key in params:
+            raise ParseError(f"generator spec {text!r} repeats parameter {key!r}")
         params[key] = value
     unknown = sorted(set(params) - set(GEN_KINDS[kind]))
     if unknown:

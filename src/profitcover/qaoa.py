@@ -24,7 +24,9 @@ product row-major moves those k qubits to the top of the index. After
 ceil(n/k) passes every qubit has moved by n places in total and is back
 where it started, so the mixer reads and writes the state ceil(n/k)
 times instead of n times, and each pass is one BLAS call. Two buffers
-take turns as input and output; the result ends in the caller's array.
+take turns as input and output, and the mixer returns the one its last
+pass wrote: the caller's array when ceil(n/k) is even, the second
+buffer when it is odd, so the result is never copied back.
 The block itself is built by indexing, not by np.kron: entry (r, q) of
 RX(2*beta)^{(x)k} is the product of the 2x2 entries RX[r_j, q_j] over
 the bits j of r and q, and ``_rx_power`` gathers those entries with
@@ -52,14 +54,21 @@ counts to scipy's. It is a generator: it yields each point it needs
 and is sent the value there, and ``_lockstep`` advances a list of runs
 together, gathering the pending point of every live run into one call
 of a batched objective. Layer 1 restarts from a small fixed grid plus
-(0, 0), five runs in lockstep, so its points (at most 201) take at
-most 41 calls, 40 steps and the (0, 0) candidate, instead of one each.
+(0, 0), five runs in lockstep, so its points (at most 200) take at
+most 40 calls, one per step, instead of one each.
 Every later layer runs one search, started from the previous layer's
 trained angles: optimal QAOA angles change smoothly with depth (Zhou et
 al., arXiv:1812.01041), so the grid restarts there mostly repeat work.
-The zero pair is also evaluated directly in every layer; since
-gamma=beta=0 is an exact no-op, the best expectation can never get
-worse as depth grows.
+The zero pair is also a candidate in every layer, and it is not
+evaluated: gamma=beta=0 is an exact no-op, so its value is the
+expectation before the layer, which training already holds. At layer 1
+that is the model's offset, which the closed form at (0, 0) gives bit
+for bit because each of its other terms carries a factor sin 0; at a
+later layer it is the previous layer's recorded expectation, which an
+evaluation at (0, 0) gives bit for bit because the phase copies the
+prefix, the mixer leaves it alone and ``expectation`` has the bits of
+``weighted_sum``. So the best expectation can never get worse as depth
+grows.
 Layer 1 needs no statevector: at depth 1, <Z_u> and <Z_u Z_v> have
 closed forms local to the neighbourhoods of u and v (Ozaeta, van Dam
 and McMahon, arXiv:2012.03421), so ``depth1_objective`` evaluates <H>
@@ -90,8 +99,9 @@ S = 16*2^n bytes, a pipeline run holds:
 * in training: the prefix state, and through a layer >= 2 search the
   phased state and one work buffer, allocated once per layer and freed
   before the trained layer is applied. The work buffer holds the
-  phase's table indices, the mixer's second buffer and the
-  expectation's probabilities (its first S/2) in turn, so an evaluation
+  phase's table indices and then serves as the mixer's second buffer;
+  whichever of the two buffers the mixer did not finish in holds the
+  expectation's probabilities (its first S/2), so an evaluation
   allocates nothing of the state's size; about 3.25 S at the peak. A
   depth-1 run evolves one layer on the uniform state, about 2.4 S;
 * after each layer: the state, its probabilities (S/2) and the
@@ -325,10 +335,15 @@ def _rx_power(c: float, s: float, k: int) -> np.ndarray:
 
 def apply_mixer(state: np.ndarray, n: int, beta: float, *,
                 work: np.ndarray | None = None) -> np.ndarray:
-    """RX(2*beta) on every qubit, in place, MIXER_BLOCK qubits per pass.
+    """RX(2*beta) on every qubit, MIXER_BLOCK qubits per pass; returns
+    the mixed state, which callers must use in place of ``state``.
 
     ``work``, an array like the state whose contents are not kept, is the
-    second buffer; by default one is allocated.
+    second buffer; by default one is allocated. The passes alternate
+    between the two, and the result is the buffer the last one wrote:
+    ``state`` when the number of passes, ceil(n / MIXER_BLOCK), is even
+    (or beta is a no-op), the second buffer when it is odd, in which
+    case ``state``'s contents are not kept.
     """
     if state.shape != (1 << n,):
         # the passes rotate the index by n bits, so n must be the whole state
@@ -346,9 +361,7 @@ def apply_mixer(state: np.ndarray, n: int, beta: float, *,
         gate = block if k == MIXER_BLOCK else _rx_power(c, s, k)
         np.matmul(gate, src.reshape(-1, 1 << k).T, out=dst.reshape(1 << k, -1))
         src, dst = dst, src
-    if src is not state:
-        np.copyto(state, src)
-    return state
+    return src
 
 
 def evolve(ising: IsingModel, schedule: AngleSchedule,
@@ -359,7 +372,7 @@ def evolve(ising: IsingModel, schedule: AngleSchedule,
     state = uniform_state(n)
     for gamma, beta in zip(schedule.gammas, schedule.betas):
         state = apply_phase(state, ising, gamma)
-        apply_mixer(state, n, beta)
+        state = apply_mixer(state, n, beta)
     return state
 
 
@@ -694,10 +707,11 @@ def _layer_objective(ising: IsingModel, prefix: np.ndarray, energies: np.ndarray
     """<H> after one more layer on ``prefix``, as ``(gammas, betas) -> values``,
     one phase, mixer and expectation per pair.
 
-    The phased state and one work buffer, which serves the phase's table
-    indices, the mixer's second buffer and the probability vector in
-    turn, are allocated here once, so an evaluation allocates nothing of
-    the state's size; they live as long as the returned function.
+    The phased state and one work buffer are allocated here once, so an
+    evaluation allocates nothing of the state's size; they live as long
+    as the returned function. The work buffer holds the phase's table
+    indices and is then the mixer's second buffer; the mixer finishes in
+    one of the two, and the other holds the probability vector.
     """
     n = ising.n
     phased = np.empty_like(prefix)
@@ -706,9 +720,10 @@ def _layer_objective(ising: IsingModel, prefix: np.ndarray, energies: np.ndarray
     def values(gammas: np.ndarray, betas: np.ndarray) -> list[float]:
         out = []
         for gamma, beta in zip(gammas.tolist(), betas.tolist()):
-            state = apply_phase(prefix, ising, gamma, out=phased, work=work)
-            apply_mixer(state, n, beta, work=work)
-            out.append(expectation(state, energies, work=work))
+            apply_phase(prefix, ising, gamma, out=phased, work=work)
+            state = apply_mixer(phased, n, beta, work=work)
+            spare = work if state is phased else phased
+            out.append(expectation(state, energies, work=spare))
         return out
 
     return values
@@ -725,8 +740,12 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
     Layer k >= 2 runs one Nelder-Mead search started from the trained
     angles of layer k-1. It sees the frozen prefix state of layers
     1..k-1, so each of its objective calls costs one phase and one mixer
-    pass regardless of k. ``MAXFEV`` bounds the evaluations of each run,
-    and a layer's ``n_evals`` counts the points evaluated.
+    pass regardless of k. ``MAXFEV`` bounds the evaluations of each run.
+    Every layer also weighs the no-op (0, 0), first so that it wins ties,
+    at the expectation before the layer (the offset at layer 1, the
+    previous record after it) without evaluating it; a layer's
+    ``n_evals`` counts the points the objective evaluated, the searches'
+    alone.
     Each layer's state is squared once; its expectation is read from
     that vector, which ``each_layer(layer, probs)``, if given, then sees.
     Returns the schedule, the log and the probability vector of the
@@ -751,20 +770,20 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
         else:
             objective = _layer_objective(ising, prefix, energies)
             starts = ((gammas[-1], betas[-1]),)
-        origin = np.zeros(1)
-        candidates = [((0.0, 0.0), float(objective(origin, origin)[0]))]
         runs = _lockstep(objective, starts, MAXFEV)
         del objective  # frees a layer's buffers before the layer is applied
-        candidates += [(x, fun) for x, fun, _ in runs]
-        layer_evals = 1 + sum(nfev for _, _, nfev in runs)
+        # gamma = beta = 0 is the identity, so the no-op keeps the value
+        # before this layer; listed first, it wins every tie
+        noop = expectations[-1] if expectations else ising.offset
+        candidates = [((0.0, 0.0), noop)] + [(x, fun) for x, fun, _ in runs]
         (gamma, beta), value = min(candidates, key=lambda c: c[1])
         if not np.isfinite(value):
             raise TrainingError(f"layer {layer} expectation is not finite")
         prefix = apply_phase(prefix, ising, gamma)
-        apply_mixer(prefix, n, beta)
+        prefix = apply_mixer(prefix, n, beta)
         gammas.append(gamma)
         betas.append(beta)
-        evals.append(layer_evals)
+        evals.append(sum(nfev for _, _, nfev in runs))
         probs = probabilities(prefix)
         expectations.append(weighted_sum(probs, energies))
         if each_layer is not None:

@@ -322,6 +322,17 @@ def test_batch_checks_its_output_path_before_any_job(monkeypatch, tmp_path, caps
 UNKNOWN_GEN_PARAMS = [("er:n=8,p=0.5,sede=4", "sede"), ("regular:n=8,d=3,p=0.5", "'p'")]
 
 
+@pytest.mark.parametrize("spec,key", [("regular:n=10,d=3,seed=1,seed=2", "'seed'"),
+                                      ("er:n=6,p=0.5,n=8", "'n'")])
+def test_exit_2_on_a_repeated_gen_parameter(capsys, spec, key):
+    """A repeated parameter is refused, not read as its last value."""
+    with pytest.raises(ParseError, match=f"repeats parameter {key}"):
+        parse_gen(spec)
+    assert run_cli("run", "--gen", spec, "--solver", "exact") == 2
+    captured = capsys.readouterr()
+    assert f"repeats parameter {key}" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("spec,key", UNKNOWN_GEN_PARAMS)
 def test_exit_2_on_unknown_gen_parameter(capsys, spec, key):
     assert run_cli("run", "--gen", spec, "--solver", "exact") == 2
@@ -551,6 +562,22 @@ def test_depth_sweep_checks_an_unwritable_out_before_the_sweep(tmp_path, monkeyp
                              "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+def test_depth_sweep_checks_every_width_before_the_first_sweep(monkeypatch, capsys):
+    """A graph too wide for the statevector ends the run with exit 3, as
+    ``profitcover run`` does, before any instance is swept."""
+    depth_sweep = _load_script("depth_sweep")
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before every width was checked")
+
+    monkeypatch.setattr(depth_sweep, "depth_sweep", no_sweep)
+    assert depth_sweep.main(["--gen", "er:n=8,p=0.5,seed=1", "--gen", "er:n=30,p=0.3,seed=1",
+                             "--depths", "1", "--skip-oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("capacity error: er_n30_p0.3_s1: statevector needs 30 qubits")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 @pytest.mark.parametrize("flag", ["--out", "--json"])

@@ -118,6 +118,36 @@ def test_only_qaoa_evolves_states():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def dropped_calls(source: str, name: str) -> list[int]:
+    """Lines of the expression statements that call ``name``, bare or as
+    an attribute, and so drop what it returns."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_dropped_calls_are_flagged():
+    source = ("apply_mixer(s, 3, 0.1)\ns = apply_mixer(s, 3, 0.1)\n"
+              "qaoa.apply_mixer(s, 3, 0.1)\nf(apply_mixer(s, 3, 0.1))\n"
+              "def g():\n    apply_mixer(s, 3, 0.1)\n    return apply_mixer(s, 3, 0.1)\n")
+    assert dropped_calls(source, "apply_mixer") == [1, 3, 6]
+
+
+def test_every_mixer_result_is_used():
+    """``apply_mixer`` returns whichever of its two buffers its last pass
+    wrote, which need not be the array it was given; a caller that drops
+    the result goes on with a half-mixed state."""
+    found = [f"{path.relative_to(ROOT)} line {line}"
+             for top in ("src", "scripts")
+             for path in sorted((ROOT / top).rglob("*.py"))
+             for line in dropped_calls(path.read_text(), "apply_mixer")]
+    assert found == []
+
+
 def test_the_run_path_imports_no_scipy():
     """scipy is a test dependency only: importing the package, its CLI and
     its pipeline loads none of it."""

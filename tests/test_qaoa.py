@@ -221,16 +221,20 @@ def test_phase_and_probabilities_allocate_one_output_and_a_slice():
 def test_layer_evaluation_reuses_its_buffers():
     """A layer >= 2 evaluation writes into the phased state and the work
     buffer allocated with the objective, and gives the values of fresh
-    buffers; allocating them per evaluation cost 1.5 states each time."""
-    m = build_ising(random_gnp(16, 0.2, 5201))
-    energies = m.energies_vector()
-    prefix = _random_state(16, 6)
-    values = qaoa._layer_objective(m, prefix, energies)
+    buffers; allocating them per evaluation cost 1.5 states each time.
+    At n=16 the mixer's six passes end in the phased state, at n=15 its
+    five end in the work buffer, and the other buffer holds the
+    probabilities."""
     gammas, betas = np.array([0.7, -2.4, 0.0]), np.array([0.3, 1.1, 0.0])
-    want = [expectation(apply_mixer(apply_phase(prefix, m, g), 16, b), energies)
-            for g, b in zip(gammas.tolist(), betas.tolist())]
-    assert values(gammas, betas) == want
-    assert _peak_bytes(lambda: values(gammas, betas)) <= prefix.nbytes // 16
+    for n in (15, 16):
+        m = build_ising(random_gnp(n, 0.2, 5185 + n))
+        energies = m.energies_vector()
+        prefix = _random_state(n, n - 10)
+        values = qaoa._layer_objective(m, prefix, energies)
+        want = [expectation(apply_mixer(apply_phase(prefix, m, g), n, b), energies)
+                for g, b in zip(gammas.tolist(), betas.tolist())]
+        assert values(gammas, betas) == want, n
+        assert _peak_bytes(lambda: values(gammas, betas)) <= prefix.nbytes // 16, n
 
 
 def test_phase_and_mixer_refuse_buffers_that_overlap_the_state():
@@ -514,12 +518,52 @@ def test_later_layers_run_one_search_from_the_previous_angles(monkeypatch):
     schedule, log, _ = train_layerwise(build_ising(gen_regular(10, 3, 4800)), 4)
     assert len(calls) == 5 + 3
     assert [start for start, _ in calls[:5]] == [(0.0, 0.0), *FIXED_STARTS]
-    assert log.layers[0].n_evals == 1 + sum(nfev for _, nfev in calls[:5])
+    assert log.layers[0].n_evals == sum(nfev for _, nfev in calls[:5])
     for k, (start, nfev) in enumerate(calls[5:], start=2):
         previous = (schedule.gammas[k - 2], schedule.betas[k - 2])
         assert previous != (0.0, 0.0)
         assert start == previous
-        assert log.layers[k - 1].n_evals == 1 + nfev
+        assert log.layers[k - 1].n_evals == nfev
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 12, 13, 15])
+def test_noop_of_a_later_layer_has_the_previous_record(n):
+    """Training weighs a later layer's (0, 0) at the previous layer's
+    recorded expectation instead of evaluating it. Evaluated on the
+    prefix, (0, 0) gives those bits: the phase copies the prefix, the
+    mixer leaves it alone and ``expectation`` has the bits of
+    ``weighted_sum``. The mixer takes an odd number of passes at n = 7-9
+    and 13-15 and an even one at n = 12."""
+    m = build_ising(random_gnp(n, 0.4, 5400 + n))
+    energies = m.energies_vector()
+    schedule, log, _ = train_layerwise(m, 4)
+    zero = np.zeros(1)
+    for depth in (2, 3, 4):
+        prefix = evolve(m, schedule.truncated(depth - 1))
+        value = qaoa._layer_objective(m, prefix, energies)(zero, zero)[0]
+        assert np.float64(value).tobytes() == np.float64(log.expectations[depth - 2]).tobytes()
+
+
+def test_later_layers_evaluate_the_points_they_count(monkeypatch):
+    """Each layer >= 2 objective evaluates exactly its layer's ``n_evals``
+    points, all of them the search's."""
+    points: dict[int, list[int]] = {}
+    layer_objective = qaoa._layer_objective
+
+    def counting(ising, prefix, energies):
+        values = layer_objective(ising, prefix, energies)
+        sizes = points.setdefault(len(points) + 2, [])
+
+        def counted(gammas, betas):
+            sizes.append(gammas.size)
+            return values(gammas, betas)
+        return counted
+
+    monkeypatch.setattr(qaoa, "_layer_objective", counting)
+    _, log, _ = train_layerwise(build_ising(gen_regular(10, 3, 4800)), 4)
+    assert sorted(points) == [2, 3, 4]
+    for layer, sizes in points.items():
+        assert sum(sizes) == log.layers[layer - 1].n_evals > 0
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +677,7 @@ def _five_start_final_expectation(m, p):
 
     def layer_value(gamma, beta):
         state = apply_phase(prefix, m, gamma)
-        apply_mixer(state, m.n, beta)
+        state = apply_mixer(state, m.n, beta)
         return expectation(state, energies)
 
     for layer in range(1, p + 1):
@@ -649,7 +693,7 @@ def _five_start_final_expectation(m, p):
             candidates.append(((float(res.x[0]), float(res.x[1])), float(res.fun)))
         (gamma, beta), _ = min(candidates, key=lambda c: c[1])
         prefix = apply_phase(prefix, m, gamma)
-        apply_mixer(prefix, m.n, beta)
+        prefix = apply_mixer(prefix, m.n, beta)
     return expectation(prefix, energies)
 
 
@@ -688,12 +732,16 @@ def _closed_form_family():
 
 
 def test_depth1_closed_form_matches_statevector():
+    """The closed form agrees with the statevector, and at (0, 0) it has
+    the bytes of the offset, since every other term carries a factor
+    sin 0: training weighs layer 1's no-op there without evaluating it."""
     rng = np.random.default_rng(2012_03421)
     graphs = _closed_form_family()
     assert len(graphs) == 200
     for k, g in enumerate(graphs):
         m = build_ising(g)
         value = depth1_objective(m)
+        assert np.float64(value(0.0, 0.0)).tobytes() == np.float64(m.offset).tobytes(), k
         angles = [(0.0, 0.0), (-0.5, 7.0), (7.5, -1.2)]
         angles += [tuple(rng.uniform(-3 * np.pi, 3 * np.pi, 2)) for _ in range(3)]
         for gamma, beta in angles:
@@ -708,7 +756,7 @@ def _statevector_layer1(m):
 
     def layer_value(gamma, beta):
         state = apply_phase(prefix, m, gamma)
-        apply_mixer(state, m.n, beta)
+        state = apply_mixer(state, m.n, beta)
         return expectation(state, energies)
 
     evals = 1
@@ -736,15 +784,17 @@ def test_layer1_training_matches_statevector_objective(g):
     gamma, beta, evals = _statevector_layer1(m)
     assert schedule.gammas[0] == pytest.approx(gamma, abs=1e-9)
     assert schedule.betas[0] == pytest.approx(beta, abs=1e-9)
-    assert log.layers[0].n_evals == evals
+    # the reference also evaluates the (0, 0) candidate, which training
+    # takes from the offset instead
+    assert log.layers[0].n_evals == evals - 1
     # the recorded expectation is still the statevector's
     assert log.expectations[0] == expectation_value(m, schedule)
 
 
 def test_layer1_training_makes_one_objective_call_per_step(monkeypatch):
     """The five layer-1 runs advance in lockstep: at most one closed-form
-    call per step and one for the (0, 0) candidate, against one call per
-    point (201 here) when the runs went one after the other."""
+    call per step and none for the (0, 0) candidate, against one call per
+    point (200 here) when the runs went one after the other."""
     sizes = []
     closed_form = qaoa.depth1_objective
 
@@ -758,7 +808,7 @@ def test_layer1_training_makes_one_objective_call_per_step(monkeypatch):
 
     monkeypatch.setattr(qaoa, "depth1_objective", counting)
     _, log, _ = train_layerwise(build_ising(gen_regular(12, 3, 4403)), 1)
-    assert len(sizes) <= 1 + qaoa.MAXFEV
+    assert len(sizes) <= qaoa.MAXFEV
     assert max(sizes) == 5
     assert sum(sizes) == log.layers[0].n_evals > 100
 
@@ -897,6 +947,38 @@ def test_rx_power_matches_kron_bytes():
             got, ref = qaoa._rx_power(c, s, k), _kron_rx_power(c, s, k)
             assert got.dtype == ref.dtype and got.shape == ref.shape == (1 << k, 1 << k)
             assert got.tobytes() == ref.tobytes(), (k, c, s)
+
+
+def _kron_mixer(state, n, beta):
+    """The block mixer's passes on fresh arrays, with blocks built by
+    np.kron: the arithmetic ``apply_mixer`` does, without its buffers."""
+    c, s = np.cos(beta), np.sin(beta)
+    for q in range(0, n, qaoa.MIXER_BLOCK):
+        k = min(qaoa.MIXER_BLOCK, n - q)
+        state = (_kron_rx_power(c, s, k) @ state.reshape(-1, 1 << k).T).ravel()
+    return state
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_mixer_returns_the_buffer_its_last_pass_wrote(n):
+    """ceil(n/3) passes alternate between the state and the second
+    buffer; the result is the caller's array after an even number of
+    passes and the second buffer after an odd one, and nothing is copied
+    back. Either way it has the bytes of the reference passes."""
+    state = _random_state(n, 5300 + n)
+    want = _kron_mixer(state, n, 0.3123)
+    even = -(-n // qaoa.MIXER_BLOCK) % 2 == 0
+    work = np.empty_like(state)
+    mine = state.copy()
+    got = apply_mixer(mine, n, 0.3123, work=work)
+    assert got is (mine if even else work)
+    assert got.tobytes() == want.tobytes()
+    mine = state.copy()
+    got = apply_mixer(mine, n, 0.3123)
+    assert (got is mine) if even else not np.shares_memory(got, mine)
+    assert got.tobytes() == want.tobytes()
+    # a no-op beta leaves the state where it is, whatever the parity
+    assert apply_mixer(mine, n, 0.0, work=work) is mine
 
 
 @pytest.mark.parametrize("n", [9, 10, 11])
