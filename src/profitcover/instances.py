@@ -9,9 +9,11 @@ cannot ask for a graph that fills memory.
 
 Generators cover the two synthetic families used throughout: connected
 Erdős–Rényi graphs (rejection sampling until connected) and d-regular
-graphs (pairing model with restart). Each call derives its own
-counter-based RNG stream from the seed, so results are reproducible and
-independent of call order. ``parse_gen`` is the one reader of the text
+graphs (pairing model with restart). A spec whose one attempt would
+draw over more than ``MAX_GEN_DRAWS`` vertex pairs (er) or stubs
+(regular) is refused before anything is allocated. Each call derives
+its own counter-based RNG stream from the seed, so results are
+reproducible and independent of call order. ``parse_gen`` is the one reader of the text
 specs (``er:n=10,p=0.3,seed=4``, ``regular:n=8,d=3``) that the command
 line, batch manifests and scripts accept.
 """
@@ -31,6 +33,10 @@ _PAIRING_ATTEMPTS = 2000
 # largest vertex count a DIMACS or MatrixMarket header may declare: a graph
 # costs about 0.9 KiB per vertex, so this caps a loaded file near 90 MiB
 MAX_DECLARED_VERTICES = 100_000
+# most random draws one generator attempt may take: the vertex pairs of an
+# er spec or the stubs of a regular one; a graph on this many edges takes
+# a few hundred MiB, and a spec above it is refused before anything is built
+MAX_GEN_DRAWS = 2_000_000
 
 
 def check_seed(seed: int) -> None:
@@ -191,11 +197,16 @@ def gen_erdos_renyi_connected(n: int, p: float, seed: int) -> Graph:
         raise DomainError("need n >= 2")
     if not 0.0 < p <= 1.0:
         raise DomainError("need 0 < p <= 1")
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_GEN_DRAWS:
+        raise DomainError(f"er with n={n} draws over {pairs} vertex pairs, above the limit"
+                          f" of {MAX_GEN_DRAWS}")
     rng = _rng(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # the pairs (i, j), i < j, in row-major order, one draw each
+    rows, cols = np.triu_indices(n, 1)
     for _ in range(_CONNECT_ATTEMPTS):
-        mask = rng.random(len(pairs)) < p
-        g = Graph(range(n), [e for e, keep in zip(pairs, mask) if keep])
+        keep = np.flatnonzero(rng.random(pairs) < p)
+        g = Graph(range(n), zip(rows[keep].tolist(), cols[keep].tolist()))
         if is_connected(g):
             return g
     raise DomainError(
@@ -207,6 +218,9 @@ def gen_regular(n: int, d: int, seed: int) -> Graph:
     """d-regular simple graph via the pairing model, restarting on collisions."""
     if d < 0 or d >= n or (n * d) % 2 != 0:
         raise DomainError(f"no {d}-regular graph on {n} vertices")
+    if n * d > MAX_GEN_DRAWS:
+        raise DomainError(f"regular with n={n}, d={d} pairs {n * d} stubs, above the limit"
+                          f" of {MAX_GEN_DRAWS}")
     if d == 0:
         return Graph(range(n), [])
     rng = _rng(seed)

@@ -16,10 +16,10 @@ optimum stops being a meaningful threshold.
 from __future__ import annotations
 
 import csv
-import json
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 from numbers import Integral
 
 import numpy as np
@@ -36,9 +36,97 @@ from .qaoa import (
 )
 
 
+_INF = float("inf")
+_INT_ONLY = {int}
+
+
 def canonical_json(obj) -> str:
-    """Stable serialization: sorted keys, fixed indent, no NaN, newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Stable serialization: sorted keys, fixed indent, no NaN, newline.
+
+    The text is byte for byte
+    ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``,
+    so the standard ``json`` module reproduces any report. The function
+    does not call ``json.dumps`` because CPython encodes with C only
+    when ``indent`` is None and takes a pure-Python path otherwise.
+    Here the scalars go through the C routines that path calls
+    (``encode_basestring_ascii``, ``int.__repr__``, ``float.__repr__``)
+    in ``json``'s order of ``isinstance`` tests, and a list or tuple of
+    exact ints, most of a report's bytes, is written by one ``repr``.
+    NaN and infinities raise ``ValueError`` and unsupported types
+    ``TypeError``, as in ``json``; a circular container exhausts the
+    recursion limit instead of raising ``ValueError``.
+    """
+    chunks: list[str] = []
+    _emit(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _float_text(x: float) -> str:
+    if -_INF < x < _INF:
+        return float.__repr__(x)
+    raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` converts it before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _emit(o, newline: str, put) -> None:
+    """Append the text of ``o`` at the indent that ``newline`` ends in."""
+    if isinstance(o, str):
+        put(encode_basestring_ascii(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, float):
+        put(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = newline + "  "
+        # exact ints only: a bool or an IntEnum has a repr json does not print
+        if {*map(type, o)} == _INT_ONLY:
+            put("[" + inner + repr(list(o))[1:-1].replace(", ", "," + inner) + newline + "]")
+            return
+        sep = "[" + inner
+        for value in o:
+            put(sep)
+            sep = "," + inner
+            _emit(value, inner, put)
+        put(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            put(sep + encode_basestring_ascii(_key_text(key)) + ": ")
+            sep = "," + inner
+            _emit(value, inner, put)
+        put(newline + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def lex_min_index(indices: np.ndarray, n: int) -> int:

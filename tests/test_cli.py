@@ -133,6 +133,13 @@ def test_exit_2_on_bad_gen(capsys):
     assert run_cli("run", "--gen", "er:n=10") == 2
 
 
+@pytest.mark.parametrize("spec", ["er:n=1000000,p=0.001", "regular:n=1000000,d=3"])
+def test_exit_2_on_a_gen_spec_above_the_cap(capsys, spec):
+    assert run_cli("run", "--gen", spec, "--solver", "exact") == 2
+    captured = capsys.readouterr()
+    assert "above the limit" in captured.err and captured.out == ""
+
+
 def test_exit_2_on_missing_file(capsys):
     assert run_cli("run", "--input", "/no/such/file.edges") == 2
 

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -299,6 +300,49 @@ def test_er_rejects_bad_args():
         gen_erdos_renyi_connected(5, 0.5, seed=-1)
     with pytest.raises(DomainError, match="seed"):
         gen_regular(6, 3, seed=2 ** 128)
+
+
+def _er_by_pair_list(n, p, seed):
+    """The pair-list selection the numpy one replaced: one draw per pair
+    (i, j), i < j, in row-major order, on the same stream."""
+    rng = instances._rng(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    while True:
+        mask = rng.random(len(pairs)) < p
+        g = Graph(range(n), [e for e, keep in zip(pairs, mask) if keep])
+        if is_connected(g):
+            return g
+
+
+@pytest.mark.parametrize("n,p,seed", [(16, 0.3, 2), (60, 0.5, 7), (200, 0.05, 1), (9, 0.2, 3)])
+def test_er_draws_match_the_pair_list(n, p, seed):
+    assert gen_erdos_renyi_connected(n, p, seed).edges == _er_by_pair_list(n, p, seed).edges
+
+
+@pytest.mark.parametrize("spec", ["er:n=1000000,p=0.001", "regular:n=1000000,d=3"])
+def test_oversized_gen_spec_is_refused_fast(spec):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(DomainError, match="above the limit"):
+            instances.parse_gen(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 1 << 20  # refused before a pair or stub is allocated
+
+
+def test_gen_draws_at_the_cap_are_built(monkeypatch):
+    # a small cap, so the boundary is checked without a 2*10^6-pair graph
+    monkeypatch.setattr(instances, "MAX_GEN_DRAWS", 45)
+    assert gen_erdos_renyi_connected(10, 0.5, seed=1).n == 10  # 45 pairs
+    with pytest.raises(DomainError, match="55 vertex pairs, above the limit of 45"):
+        gen_erdos_renyi_connected(11, 0.5, seed=1)
+    monkeypatch.setattr(instances, "MAX_GEN_DRAWS", 44)
+    assert gen_regular(22, 2, seed=1).m == 22  # 44 stubs
+    with pytest.raises(DomainError, match="46 stubs, above the limit of 44"):
+        gen_regular(23, 2, seed=1)
 
 
 def test_regular_k4():

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -342,8 +343,79 @@ def test_canonical_json_stable():
 
 
 def test_canonical_json_rejects_nan():
-    with pytest.raises(ValueError):
-        canonical_json({"x": float("nan")})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for doc in ({"x": bad}, [1.0, [bad]], {"a": [0, {"b": bad}]}, {bad: 1}, bad):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                canonical_json(doc)
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _outcome(encode, obj):
+    """The text, or the type of the exception raised."""
+    try:
+        return encode(obj)
+    except Exception as err:  # noqa: BLE001 - the type is the outcome
+        return type(err)
+
+
+_JSON_INTS = st.integers() | st.booleans() | st.sampled_from([2**70, -2**70, 2**63])
+_JSON_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e300, 1e-300, float("nan"), float("inf"), -float("inf")])
+# any code point: non-ASCII, control characters and lone surrogates
+_JSON_STRS = st.text(st.characters(exclude_categories=()), max_size=8)
+_JSON_SCALARS = st.none() | _JSON_INTS | _JSON_FLOATS | _JSON_STRS
+_JSON_KEYS = st.none() | _JSON_INTS | _JSON_FLOATS | _JSON_STRS
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS | st.lists(st.integers(), max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        # one key type per dict, or any mix, which sorting mostly refuses
+        | st.dictionaries(_JSON_STRS, inner, max_size=4)
+        | st.dictionaries(_JSON_INTS | _JSON_FLOATS, inner, max_size=4)
+        | st.dictionaries(_JSON_KEYS, inner, max_size=3)),
+    max_leaves=24)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_JSON_DOCS)
+def test_canonical_json_is_json_dumps(doc):
+    assert _outcome(canonical_json, doc) == _outcome(_json_dumps, doc)
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 20
+
+
+@pytest.mark.parametrize("doc,text", [
+    ({}, "{}\n"),
+    ([], "[]\n"),
+    ((), "[]\n"),
+    ({"a": {}, "b": []}, '{\n  "a": {},\n  "b": []\n}\n'),
+    (3, "3\n"),
+    (-0.0, "-0.0\n"),
+    ("\u00e9\n", '"\\u00e9\\n"\n'),
+    (None, "null\n"),
+    ({10: "a", 9: "b", 2.5: "c"}, '{\n  "2.5": "c",\n  "9": "b",\n  "10": "a"\n}\n'),
+    ({True: 1, None: 2}, TypeError),
+    ({"a": 1, 2: 3}, TypeError),
+    ({(1, 2): 0}, TypeError),
+    ({"x": np.float64(0.1), "y": [np.float64(-2.5)]}, '{\n  "x": 0.1,\n  "y": [\n    -2.5\n  ]\n}\n'),
+    (np.int64(3), TypeError),
+    ([1, np.int64(3)], TypeError),
+    ({"s": {1, 2}}, TypeError),
+    # an IntEnum is written by int.__repr__, not by its own repr
+    ([1, _Level.HIGH], "[\n  1,\n  20\n]\n"),
+    ({_Level.LOW: _Level.HIGH}, '{\n  "1": 20\n}\n'),
+    ([2, True, 3], "[\n  2,\n  true,\n  3\n]\n"),
+    ({"v": (5, -1, 2**70)}, '{\n  "v": [\n    5,\n    -1,\n    1180591620717411303424\n  ]\n}\n'),
+])
+def test_canonical_json_pinned_cases(doc, text):
+    assert _outcome(canonical_json, doc) == _outcome(_json_dumps, doc) == text
 
 
 # ---------------------------------------------------------------------------
