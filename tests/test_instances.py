@@ -307,11 +307,12 @@ def _er_by_pair_list(n, p, seed):
     (i, j), i < j, in row-major order, on the same stream."""
     rng = instances._rng(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    while True:
+    for _ in range(instances._CONNECT_ATTEMPTS):
         mask = rng.random(len(pairs)) < p
         g = Graph(range(n), [e for e, keep in zip(pairs, mask) if keep])
         if is_connected(g):
             return g
+    raise AssertionError("no connected sample")
 
 
 @pytest.mark.parametrize("n,p,seed", [(16, 0.3, 2), (60, 0.5, 7), (200, 0.05, 1), (9, 0.2, 3)])

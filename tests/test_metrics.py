@@ -367,7 +367,6 @@ _JSON_FLOATS = st.floats() | st.sampled_from(
 # any code point: non-ASCII, control characters and lone surrogates
 _JSON_STRS = st.text(st.characters(exclude_categories=()), max_size=8)
 _JSON_SCALARS = st.none() | _JSON_INTS | _JSON_FLOATS | _JSON_STRS
-_JSON_KEYS = st.none() | _JSON_INTS | _JSON_FLOATS | _JSON_STRS
 _JSON_DOCS = st.recursive(
     _JSON_SCALARS | st.lists(st.integers(), max_size=6),
     lambda inner: (
@@ -376,7 +375,7 @@ _JSON_DOCS = st.recursive(
         # one key type per dict, or any mix, which sorting mostly refuses
         | st.dictionaries(_JSON_STRS, inner, max_size=4)
         | st.dictionaries(_JSON_INTS | _JSON_FLOATS, inner, max_size=4)
-        | st.dictionaries(_JSON_KEYS, inner, max_size=3)),
+        | st.dictionaries(_JSON_SCALARS, inner, max_size=3)),
     max_leaves=24)
 
 
