@@ -11,7 +11,9 @@ Generators cover the two synthetic families used throughout: connected
 Erdős–Rényi graphs (rejection sampling until connected) and d-regular
 graphs (pairing model with restart). A spec whose one attempt would
 draw over more than ``MAX_GEN_DRAWS`` vertex pairs (er) or stubs
-(regular) is refused before anything is allocated. Each call derives
+(regular) is refused before anything is allocated, and so is an er spec
+too sparse to be connected, one that expects ``MAX_ISOLATED_EXPECTED``
+or more isolated vertices a draw. Each call derives
 its own counter-based RNG stream from the seed, so results are
 reproducible and independent of call order. ``parse_gen`` is the one reader of the text
 specs (``er:n=10,p=0.3,seed=4``, ``regular:n=8,d=3``) that the command
@@ -37,6 +39,12 @@ MAX_DECLARED_VERTICES = 100_000
 # er spec or the stubs of a regular one; a graph on this many edges takes
 # a few hundred MiB, and a spec above it is refused before anything is built
 MAX_GEN_DRAWS = 2_000_000
+# most isolated vertices an er spec may expect in one draw, n(1-p)^(n-1).
+# A connected draw has none, and at 35 or more expected, inclusion-exclusion
+# over the isolated vertices puts the chance that any of the 1000 attempts
+# has none below 1e-11 on a grid of n up to the pair cap's 2000 (worst near
+# n=240; at 30 it is 6e-10), so such a spec is refused before any draw
+MAX_ISOLATED_EXPECTED = 35
 
 
 def check_seed(seed: int) -> None:
@@ -201,6 +209,11 @@ def gen_erdos_renyi_connected(n: int, p: float, seed: int) -> Graph:
     if pairs > MAX_GEN_DRAWS:
         raise DomainError(f"er with n={n} draws over {pairs} vertex pairs, above the limit"
                           f" of {MAX_GEN_DRAWS}")
+    isolated = n * (1.0 - p) ** (n - 1)
+    if isolated >= MAX_ISOLATED_EXPECTED:
+        raise DomainError(f"er with n={n}, p={p} expects {isolated:.1f} isolated vertices a"
+                          f" draw, at or above the limit of {MAX_ISOLATED_EXPECTED}: no draw"
+                          f" would be connected")
     rng = _rng(seed)
     # the pairs (i, j), i < j, in row-major order, one draw each
     rows, cols = np.triu_indices(n, 1)

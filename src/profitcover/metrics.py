@@ -187,10 +187,16 @@ class DistributionSummary:
 
 
 def _summarize(kind: str, shots: int | None, indices: np.ndarray | None,
-               weights: np.ndarray, profits: np.ndarray, n: int,
+               weights: np.ndarray, energies: np.ndarray, n: int,
                m_edges: int, opt_profit: int | None) -> DistributionSummary:
     """Summary of a distribution over the sorted, unique basis ``indices``;
-    ``indices=None`` means every basis state, in order."""
+    ``indices=None`` means every basis state, in order.
+
+    A profit is a negated energy, so the energies are read as they are
+    and only scalars and cut-offs are negated. With ``indices`` given,
+    ``weights`` belongs to the summary: the mean's products are written
+    over them once the masses are read.
+    """
     if weights.size == 0:
         raise DomainError("empty distribution")
     full = indices is None
@@ -198,27 +204,31 @@ def _summarize(kind: str, shots: int | None, indices: np.ndarray | None,
     def lex_min(mask: np.ndarray) -> int:
         return lex_min_of_mask(mask) if full else lex_min_index(indices[mask], n)
 
-    best_profit = float(np.max(profits))
-    best_idx = lex_min(profits == best_profit)
+    low = np.min(energies)
+    best_profit = float(-int(low))
+    best_idx = lex_min(energies == low)
     top_w = np.max(weights)
     likely_idx = lex_min(weights == top_w)
-    likely_profit = float(profits[likely_idx if full
-                                  else np.searchsorted(indices, likely_idx)])
-    # a support is rarely a power of two long, so only the full vectors
-    # take the chunked sum; both give the bits of np.sum(weights * profits)
-    mean_profit = (weighted_sum(weights, profits) if full
-                   else float(np.sum(weights * profits)))
+    likely_profit = float(-int(energies[likely_idx if full
+                                        else np.searchsorted(indices, likely_idx)]))
 
     alpha = mass_opt = mass_90 = mass_80 = None
     if opt_profit is not None:
-        mass_opt = float(np.sum(weights[profits == opt_profit]))
+        mass_opt = float(np.sum(weights[energies == -opt_profit]))
         if opt_profit > 0:
             alpha = best_profit / opt_profit
-            # profits and the optimum are integers, so 10p >= 9 opt holds
-            # exactly when p >= ceil(9 opt / 10), and 5p >= 4 opt when
-            # p >= ceil(4 opt / 5): no inexact 0.9 or 0.8, no scaled copy
-            mass_90 = float(np.sum(weights[profits >= -(-9 * opt_profit // 10)]))
-            mass_80 = float(np.sum(weights[profits >= -(-4 * opt_profit // 5)]))
+            # profits and the optimum are integers, so a profit -E has
+            # 10(-E) >= 9 opt exactly when E <= floor(-9 opt / 10), and
+            # 5(-E) >= 4 opt when E <= floor(-4 opt / 5): no inexact 0.9
+            # or 0.8, no scaled copy
+            mass_90 = float(np.sum(weights[energies <= -9 * opt_profit // 10]))
+            mass_80 = float(np.sum(weights[energies <= -4 * opt_profit // 5]))
+    # the sum of weight * energy is minus the sum of weight * profit in
+    # bits, term by term and node by node; 0.0 - x keeps a zero mean +0.0.
+    # A support is rarely a power of two long, so only the full vectors
+    # take the chunked sum; both give the bits of np.sum(weights * energies)
+    mean_profit = 0.0 - (weighted_sum(weights, energies) if full
+                         else float(np.sum(np.multiply(weights, energies, out=weights))))
     return DistributionSummary(
         kind=kind,
         shots=shots,
@@ -241,10 +251,10 @@ def _summarize(kind: str, shots: int | None, indices: np.ndarray | None,
 def summarize(dist: SampleDistribution, ising: IsingModel,
               opt_profit: int | None = None) -> DistributionSummary:
     """Summary of a sampled (finite-shot) distribution."""
-    profits = -ising.energies_vector()[dist.indices]
+    energies = ising.energies_vector()[dist.indices]
     weights = dist.counts / dist.shots
     return _summarize("sampled", dist.shots, dist.indices, weights,
-                      profits, ising.n, len(ising.j4), opt_profit)
+                      energies, ising.n, len(ising.j4), opt_profit)
 
 
 def summarize_exact(probs: np.ndarray, ising: IsingModel,
@@ -254,21 +264,21 @@ def summarize_exact(probs: np.ndarray, ising: IsingModel,
 
     A trained or uniform state usually has no zero amplitude. Then the
     support is every basis state, and the summary reads ``probs`` and the
-    negated energy vector directly. It builds no index: ties resolve by
+    energy vector directly. It builds no index: ties resolve by
     narrowing boolean masks (``lex_min_of_mask``), the mean is the
     chunked ``weighted_sum`` and the masses compact only the weights at
-    or above their cut-off. So it allocates the int32 profits (half a
-    probability vector), one boolean mask (an eighth) at a time and the
-    selected weights. Either way the arrays summed are the same, so the
-    summary has the same bits.
+    or below their energy cut-off. So it allocates one boolean mask (an
+    eighth of a probability vector) at a time and the selected weights.
+    Either way the arrays summed are the same, so the summary has the
+    same bits.
     """
     check_probabilities(probs)
     energies = ising.energies_vector()
     if probs.size and probs.min() > 0.0:
-        return _summarize("exact", None, None, probs, -energies, ising.n,
+        return _summarize("exact", None, None, probs, energies, ising.n,
                           len(ising.j4), opt_profit)
     support = np.flatnonzero(probs > 0.0)
-    return _summarize("exact", None, support, probs[support], -energies[support],
+    return _summarize("exact", None, support, probs[support], energies[support],
                       ising.n, len(ising.j4), opt_profit)
 
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .errors import CapacityError, DomainError, InfeasibilityBug
 from .graph import Graph, complement, is_clique, is_independent_set, is_vertex_cover
 from .instances import check_seed
@@ -42,7 +44,8 @@ from .qaoa import (
     TrainLog,
     check_shots,
     check_width,
-    sample_state,
+    count_runs,
+    invert_cdf,
     train_layerwise,
 )
 
@@ -241,12 +244,15 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
                 max_qubits=config.max_qubits)
             timings["train_s"] = time.perf_counter() - t
 
-            # the exact summary runs before sampling so their buffers
-            # never overlap
+            # the exact summary reads the probabilities before they become
+            # the cdf in place, and the cdf is freed once the draws are
+            # inverted, before their runs are counted
             exact_summary = summarize_exact(probs, ising, residual_opt_profit)
             t = time.perf_counter()
-            dist = sample_state(probs, ising.vertex_order, config.shots,
-                                config.seed)
+            picks = invert_cdf(np.cumsum(probs, out=probs), config.shots, config.seed)
+            del probs
+            dist = count_runs(picks, ising.vertex_order, config.seed)
+            del picks
             timings["sample_s"] = time.perf_counter() - t
             sampled_summary = summarize(dist, ising, residual_opt_profit)
             raw = subset_of_index(index_of_bitstring(sampled_summary.best_bitstring),

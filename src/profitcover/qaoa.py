@@ -106,12 +106,15 @@ S = 16*2^n bytes, a pipeline run holds:
   depth-1 run evolves one layer on the uniform state, about 2.4 S;
 * after each layer: the state, its probabilities (S/2) and the
   callback's own, dropped before the next layer's evaluations;
-* in the readout: the probabilities; the exact summary's negated
-  energies (S/4), a boolean mask (S/16) at a time and the weights it
-  selects for a mass (at most S/2, usually far less); then sampling's
-  cumulative distribution (S/2) with 8 bytes per shot for the draws and
-  as many for the picks, the draws and the cdf freed before the runs
-  are counted.
+* in the readout: the probabilities, which the exact summary reads
+  beside the energies with a boolean mask (S/16) at a time and the
+  weights it selects for a mass (at most S/2, usually far less). Then
+  the probabilities become the cdf in place, and sampling holds 8 bytes
+  a shot for the sorted draws, over which the picks are written; the
+  cdf is freed before the runs of equal picks are counted, which takes
+  one byte a shot for a mask and 8 bytes for each run's start, then 8
+  more for each run's index, the counts written over the starts, with
+  at most min(shots, 2^n) runs.
 
 ``apply_phase``, ``probabilities`` and ``weighted_sum`` work through
 their vectors in slices of ``CHUNK`` = 2^14 entries, so their
@@ -151,6 +154,10 @@ MIXER_BLOCK = 3
 # weighted sum): their temporaries are one slice, not one state; see the
 # module docstring
 CHUNK = 1 << 14
+
+# sorted draws that ``invert_cdf`` searches at a time, in the slice of the
+# cdf they span
+SAMPLE_BLOCK = 1 << 12
 
 # state-sized buffers a run needs at its peak, for the memory pre-flight
 # check; a depth-1 run peaks at about 2.4 states, a deeper one at 3.4
@@ -245,15 +252,22 @@ def check_width(n: int, max_qubits: int) -> None:
 
 
 def check_shots(n: int, shots: int) -> None:
-    """Refuse a shot count whose sampling buffers would not fit in memory:
-    ``sample_state`` holds the sorted draws and their picks at once, 8
-    bytes a shot each, beside the cdf of 8*2^n bytes."""
-    need = 16 * shots + (8 << n)
+    """Refuse a shot count whose sampling buffers would not fit in memory.
+
+    The cdf is the run's own probability vector, so sampling adds the
+    sorted draws, 8 bytes a shot, which ``invert_cdf`` overwrites with
+    the picks. ``count_runs`` holds them with, for r = min(shots, 2^n)
+    runs at most, first a one-byte mask a shot and the r run starts,
+    then the starts and the r indices, 8 bytes each.
+    """
+    runs = min(shots, 1 << n)
+    need = 8 * shots + max(shots + 8 * runs, 16 * runs)
     have = physical_memory()
     if have is not None and need > have:
         raise CapacityError(
-            f"sampling {shots} shots needs {need} bytes (16 per shot and a cdf "
-            f"of 8*2^{n} bytes), above the {have} bytes of physical memory"
+            f"sampling {shots} shots needs {need} bytes (8 a shot for the draws, "
+            f"then 1 a shot and 8 a run, or 16 a run, to count at most {runs} runs), "
+            f"above the {have} bytes of physical memory"
         )
 
 
@@ -479,36 +493,63 @@ def check_probabilities(probs: np.ndarray) -> None:
                           "pass probabilities(state)")
 
 
-def sample_state(probs: np.ndarray, vertex_order: tuple[int, ...], shots: int,
-                 seed: int) -> SampleDistribution:
-    """Draw measurement outcomes from the probability vector ``probs`` of
-    a state by inverting its cumulative distribution."""
-    check_probabilities(probs)
+def invert_cdf(cdf: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Sorted basis-state indices of ``shots`` draws, int64, by inverting
+    the cumulative distribution ``cdf`` of a probability vector.
+
+    The draws are sorted, so each block of ``SAMPLE_BLOCK`` of them is
+    searched in the slice of the cdf between its first and last draw,
+    and its picks are written over the draws it read: the result is the
+    draws' buffer. Searching ``cdf[:-1]`` sends a draw at or above the
+    last entry, which rounding can leave below 1.0, to the last index.
+    """
+    check_probabilities(cdf)
     if shots <= 0:
         raise DomainError("shots must be positive")
-    cdf = np.cumsum(probs)
     draws = _rng(seed).random(shots)
-    # sorted draws map to the same indices, but the searches walk the
-    # cdf in order instead of missing cache at random
     draws.sort()
-    picks = np.searchsorted(cdf, draws, side="right")
-    del cdf, draws
-    np.clip(picks, 0, probs.size - 1, out=picks)
-    # the picks are sorted, so each distinct index is one run of equal picks
+    picks = draws.view(np.int64)
+    inner = cdf[:-1]
+    for s in range(0, shots, SAMPLE_BLOCK):
+        block = draws[s:s + SAMPLE_BLOCK]
+        lo, hi = np.searchsorted(inner, block[[0, -1]], side="right").tolist()
+        found = np.searchsorted(inner[lo:hi], block, side="right")
+        np.add(found, lo, out=picks[s:s + SAMPLE_BLOCK])
+    return picks
+
+
+def count_runs(picks: np.ndarray, vertex_order: tuple[int, ...],
+               seed: int) -> SampleDistribution:
+    """The distribution of the sorted int64 ``picks`` of ``invert_cdf``:
+    each distinct index is one run of equal picks. The mask of run
+    starts is freed once they are found, and the counts are written over
+    the starts."""
+    shots = picks.size
     first = np.empty(shots, dtype=bool)
     first[0] = True
     np.not_equal(picks[1:], picks[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    counts = np.empty(starts.size, dtype=np.int64)
+    del first
+    indices = picks[starts]
+    # numpy reads each start ahead of the one it overwrites, with no copy
+    counts = starts
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     counts[-1] = shots - starts[-1]
     return SampleDistribution(
         vertex_order=vertex_order,
         shots=shots,
         seed=seed,
-        indices=picks[starts].astype(np.int64, copy=False),
+        indices=indices,
         counts=counts,
     )
+
+
+def sample_state(probs: np.ndarray, vertex_order: tuple[int, ...], shots: int,
+                 seed: int) -> SampleDistribution:
+    """Draw measurement outcomes from the probability vector ``probs`` of
+    a state: ``invert_cdf`` on a new cdf, then ``count_runs``."""
+    picks = invert_cdf(np.cumsum(probs), shots, seed)
+    return count_runs(picks, vertex_order, seed)
 
 
 def sample(ising: IsingModel, schedule: AngleSchedule, shots: int, seed: int,

@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,28 @@ def test_exit_2_on_a_gen_spec_above_the_cap(capsys, spec):
     assert run_cli("run", "--gen", spec, "--solver", "exact") == 2
     captured = capsys.readouterr()
     assert "above the limit" in captured.err and captured.out == ""
+
+
+def test_exit_2_on_a_too_sparse_er_spec(capsys):
+    """Refused before any draw; all 1000 attempts took 20 s."""
+    start = time.perf_counter()
+    assert run_cli("run", "--gen", "er:n=2000,p=0.001", "--solver", "exact") == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert "expects 270.7 isolated vertices" in captured.err and captured.out == ""
+
+
+def test_batch_exit_2_on_a_too_sparse_er_spec_before_any_job(tmp_path, capsys, monkeypatch):
+    def no_jobs(jobs):
+        raise AssertionError("a job ran")
+
+    monkeypatch.setattr(cli, "run_batch", no_jobs)
+    manifest = _write_manifest(tmp_path, [{"gen": "er:n=6,p=0.5,seed=1", "solver": "exact"},
+                                          {"gen": "er:n=2000,p=0.001", "solver": "exact"}])
+    start = time.perf_counter()
+    assert run_cli("batch", "--manifest", manifest) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "expects 270.7 isolated vertices" in capsys.readouterr().err
 
 
 def test_exit_2_on_missing_file(capsys):
@@ -309,7 +332,7 @@ def test_a_failed_run_leaves_no_output_file(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(qaoa, "physical_memory", lambda: 1 << 20)
     paths = [tmp_path / name for name in ("r.json", "k.json", "d.json")]
     assert run_cli("run", "--gen", "regular:n=8,d=3,seed=1", "--rules", "",
-                   "--solver", "random", "--shots", str(1 << 16),
+                   "--solver", "random", "--shots", str(1 << 17),
                    "--out", str(paths[0]), "--emit-kernel", str(paths[1]),
                    "--emit-distribution", str(paths[2])) == 3
     assert not any(path.exists() for path in paths)
@@ -474,7 +497,7 @@ def test_batch_default_names_match_run(tmp_path, capsys):
 
 
 def test_run_with_more_shots_than_memory_exits_3_before_the_oracle(monkeypatch, capsys):
-    """10^13 shots need 160 TB of sampler buffers: one line, exit 3, and
+    """10^13 shots need 90 TB of sampler buffers: one line, exit 3, and
     neither the oracle nor training runs."""
     monkeypatch.setattr(pipeline, "min_vertex_cover_exact", _no_job)
     monkeypatch.setattr(pipeline, "train_layerwise", _no_job)
@@ -482,9 +505,10 @@ def test_run_with_more_shots_than_memory_exits_3_before_the_oracle(monkeypatch, 
     assert run_cli("run", "--gen", "regular:n=8,d=3,seed=1", "--rules", "",
                    "--solver", "random", "--shots", "10000000000000") == 3
     err = capsys.readouterr().err
-    assert err == ("capacity error: sampling 10000000000000 shots needs 160000000002048 "
-                   "bytes (16 per shot and a cdf of 8*2^8 bytes), above the 8589934592 "
-                   "bytes of physical memory\n")
+    assert err == ("capacity error: sampling 10000000000000 shots needs 90000000002048 "
+                   "bytes (8 a shot for the draws, then 1 a shot and 8 a run, or 16 a run, "
+                   "to count at most 256 runs), above the 8589934592 bytes of physical "
+                   "memory\n")
 
 
 def test_run_beyond_physical_memory_exits_3(monkeypatch, capsys):

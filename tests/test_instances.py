@@ -4,6 +4,7 @@ import itertools
 import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,6 +22,8 @@ from profitcover.instances import (
 )
 
 from conftest import complete_graph
+
+ROOT = Path(__file__).resolve().parents[1]
 
 KARATE = "data/instances/karate.edges"
 
@@ -332,6 +335,83 @@ def test_oversized_gen_spec_is_refused_fast(spec):
         tracemalloc.stop()
     assert time.perf_counter() - start < 0.5
     assert peak < 1 << 20  # refused before a pair or stub is allocated
+
+
+def test_too_sparse_er_spec_is_refused_before_any_draw(monkeypatch):
+    """n=2000, p=0.001 expects n(1-p)^(n-1) = 270.7 isolated vertices a
+    draw, so none of 1000 attempts would be connected; they took 20 s."""
+    def no_draws(seed):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(instances, "_rng", no_draws)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="expects 270.7 isolated vertices a draw, "
+                                          "at or above the limit of 35"):
+        instances.parse_gen("er:n=2000,p=0.001")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_er_isolated_limit_is_inclusive(monkeypatch):
+    # n=4, p=0.5 expects exactly 4 / 2^3 = 0.5 isolated vertices
+    monkeypatch.setattr(instances, "MAX_ISOLATED_EXPECTED", 0.5)
+    with pytest.raises(DomainError, match="expects 0.5 isolated"):
+        gen_erdos_renyi_connected(4, 0.5, seed=1)
+    assert gen_erdos_renyi_connected(4, 0.51, seed=1).n == 4
+
+
+def test_er_pair_cap_is_checked_before_sparsity():
+    # both limits apply; the pair count is named
+    with pytest.raises(DomainError, match="vertex pairs, above the limit"):
+        instances.parse_gen("er:n=1000000,p=0.000000001")
+
+
+_SPEC_SOURCES = [*sorted(Path(__file__).parent.glob("*.py")),
+                 *sorted((ROOT / "scripts").glob("*.py")), ROOT / "perfbench" / "workloads.py"]
+_ER_TEXT = re.compile(r"er:n=(\d+),p=([\d.]+)(?:,seed=(\d+))?")
+_ER_CALL = re.compile(r"gen_erdos_renyi_connected\((\d+), ([\d.]+), (?:seed=)?(\d+)\)")
+
+
+def _written_er_specs():
+    """(n, p, seed) of every er spec written out in the tests, the scripts
+    and the benchmark's workloads, as text or as a call, leaving out those
+    written to be refused for n < 2, p outside (0, 1] or the pair cap."""
+    found = set()
+    for path in _SPEC_SOURCES:
+        for regex in (_ER_TEXT, _ER_CALL):
+            for n, p, seed in regex.findall(path.read_text()):
+                n, p = int(n), float(p)
+                if n >= 2 and 0 < p <= 1 and n * (n - 1) // 2 <= instances.MAX_GEN_DRAWS:
+                    found.add((n, p, int(seed or 0)))
+    return sorted(found)
+
+
+def test_written_er_specs_still_build():
+    """Only the spec written to be refused as too sparse is; every other
+    one expects fewer than 2 isolated vertices a draw and builds."""
+    specs = _written_er_specs()
+    assert len(specs) >= 20 and (16, 0.3, 2) in specs
+    sparse = [(n, p) for n, p, _ in specs
+              if n * (1 - p) ** (n - 1) >= instances.MAX_ISOLATED_EXPECTED]
+    assert sparse == [(2000, 0.001)]
+    for n, p, seed in specs:
+        if (n, p) not in sparse:
+            assert n * (1 - p) ** (n - 1) < 2
+            assert gen_erdos_renyi_connected(n, p, seed).n == n
+
+
+# er parameters that tests and the benchmark's workloads build in loops
+_LOOPED_ER = [
+    *itertools.product(range(4, 13), (0.2, 0.3, 0.5, 0.7)),
+    *itertools.product((10, 12, 14), (0.1, 0.3, 0.5, 0.8)),
+    *itertools.product(range(50, 61), (0.5,)),
+    *itertools.product((8, 9, 10), (0.3, 0.4, 0.5, 0.6)),
+    *itertools.product((6, 12), (0.2, 0.6)),
+]
+
+
+def test_looped_er_parameters_are_far_from_the_isolated_limit():
+    worst = max(n * (1 - p) ** (n - 1) for n, p in _LOOPED_ER)
+    assert worst < instances.MAX_ISOLATED_EXPECTED / 8  # 3.9, at n=10, p=0.1
 
 
 def test_gen_draws_at_the_cap_are_built(monkeypatch):

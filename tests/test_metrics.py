@@ -26,6 +26,7 @@ from profitcover.metrics import (
 )
 from profitcover.model import bitstring_of_index, build_ising
 from profitcover.oracle import max_profit_exact
+from profitcover.pipeline import PipelineConfig, run_pipeline
 from profitcover.qaoa import (
     CHUNK,
     AngleSchedule,
@@ -37,7 +38,8 @@ from profitcover.qaoa import (
     uniform_state,
 )
 
-from conftest import complete_graph, random_gnp
+from conftest import complete_graph, path_graph, random_gnp
+from frozen_summary import summarize_profits
 from profitcover.instances import gen_regular
 
 
@@ -185,14 +187,13 @@ def test_threshold_is_integer_exact():
     s = summarize(d, m, opt_profit=prof)  # pretend this is 90% of opt...
     # direct construction: opt = 10*prof/9 only when divisible; instead
     # assert the rule on a fabricated pair (27, 30)
-    weights = np.array([1.0])
-    from profitcover.metrics import _summarize
-
-    out = _summarize("sampled", 1, np.array([0], dtype=np.int64), weights,
-                     np.array([27.0]), 1, 40, opt_profit=30)
+    # _summarize takes energies, minus the profits, and writes over its
+    # weights, so each call gets its own
+    out = _summarize("sampled", 1, np.array([0], dtype=np.int64), np.array([1.0]),
+                     np.array([-27], dtype=np.int32), 1, 40, opt_profit=30)
     assert out.mass_90 == 1.0  # 27 >= 0.9*30 exactly
-    out = _summarize("sampled", 1, np.array([0], dtype=np.int64), weights,
-                     np.array([26.0]), 1, 40, opt_profit=30)
+    out = _summarize("sampled", 1, np.array([0], dtype=np.int64), np.array([1.0]),
+                     np.array([-26], dtype=np.int32), 1, 40, opt_profit=30)
     assert out.mass_90 == 0.0
     assert s.mass_optimal == 1.0
 
@@ -278,7 +279,7 @@ def _gathered_summary(probs, ising, opt_profit):
     """summarize_exact as it gathered the support for every distribution."""
     support = np.flatnonzero(probs > 0.0)
     return _summarize("exact", None, support, probs[support],
-                      -ising.energies_vector()[support], ising.n, len(ising.j4),
+                      ising.energies_vector()[support], ising.n, len(ising.j4),
                       opt_profit)
 
 
@@ -301,14 +302,88 @@ def test_exact_summary_dense_path_matches_the_gather(seed):
     assert summarize_exact(sparse, m, opt).n_distinct == probs.size - 1
 
 
+def _same_bits(got, want) -> bool:
+    """Equal field by field in bits: the canonical text tells -0.0 from 0.0."""
+    return canonical_json(got.to_json_dict()) == canonical_json(want.to_json_dict())
+
+
+# weights that tie often, and any positive double down to the least subnormal
+_WEIGHTS = st.one_of(st.sampled_from([0.5, 0.25, 0.125, 1 / 3]),
+                     st.floats(min_value=5e-324, max_value=1.0))
+
+
+@st.composite
+def _distributions(draw):
+    """(n, weights, int32 energies) over all 2^n basis states; energies from
+    a small range, so that several outcomes tie on the best one."""
+    n = draw(st.integers(0, 6))
+    size = 1 << n
+    weights = np.array(draw(st.lists(_WEIGHTS, min_size=size, max_size=size)))
+    energies = np.array(draw(st.lists(st.integers(-6, 4), min_size=size, max_size=size)),
+                        dtype=np.int32)
+    return n, weights, energies
+
+
+@settings(max_examples=300, deadline=None)
+@given(_distributions(), st.one_of(st.none(), st.integers(-2, 8)), st.data())
+def test_energy_summary_matches_the_frozen_profit_summary(dist, opt, data):
+    """Reading energies and negating only scalars and cut-offs gives the
+    bits of the summary that read negated profits, on the dense path
+    (every basis state) and on the gathered one (a support of them)."""
+    n, weights, energies = dist
+    profits = -energies
+    got = _summarize("exact", None, None, weights, energies, n, 9, opt)
+    want = summarize_profits("exact", None, None, weights, profits, n, 9, opt)
+    assert _same_bits(got, want)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=weights.size,
+                                       max_size=weights.size)))
+    keep[data.draw(st.integers(0, weights.size - 1))] = True  # not empty
+    support = np.flatnonzero(keep)
+    got = _summarize("sampled", 7, support, weights[support], energies[support], n, 9, opt)
+    want = summarize_profits("sampled", 7, support, weights[support], profits[support],
+                             n, 9, opt)
+    assert _same_bits(got, want)
+
+
+def test_energy_summary_resolves_ties_as_the_profit_summary():
+    """Outcomes 1, 2 and 3 tie on the best profit and 0, 2 and 3 on the
+    probability. Bit j is display position j, so the best is 2, "01",
+    not the lower index 1, "10"."""
+    energies = np.array([0, -2, -2, -2], dtype=np.int32)
+    weights = np.array([0.25, 0.125, 0.25, 0.25])
+    for support in (None, np.arange(4), np.array([1, 2, 3])):
+        w = weights if support is None else weights[support]
+        e = energies if support is None else energies[support]
+        got = _summarize("exact", None, support, w.copy(), e, 2, 3, 2)
+        assert _same_bits(got, summarize_profits("exact", None, support, w, -e, 2, 3, 2))
+        assert got.best_bitstring == "01"
+    assert _summarize("exact", None, None, weights, energies, 2, 3, 2).most_likely_bitstring == "00"
+
+
+def test_zero_mean_profit_stays_positive_zero():
+    """The uniform distribution on the path 0-1-2 has profits summing to
+    zero: its mean is 0.0, not -0.0, in the exact summary, in the frozen
+    profit summary and in a run's report."""
+    m = build_ising(path_graph(3))
+    probs = train_layerwise(m, 0)[2]
+    got = summarize_exact(probs, m, 1)
+    assert repr(got.weighted_average_profit) == "0.0"
+    assert _same_bits(got, summarize_profits("exact", None, None, probs,
+                                             -m.energies_vector(), 3, 2, 1))
+    report = run_pipeline(path_graph(3), PipelineConfig(solver="random", rules=(), shots=64))
+    assert repr(report.exact_summary.weighted_average_profit) == "0.0"
+    assert "-0.0" not in report.canonical_json()
+
+
 @pytest.mark.parametrize("uniform", [False, True], ids=["trained", "uniform"])
 def test_dense_exact_summary_allocates_two_probability_vectors(uniform):
-    """At n=16, below two probability vectors above the inputs: the
-    negated energies (half a vector), one boolean mask at a time and the
-    weights a mass selects, which at the low optimum given here are about
-    one vector. Ties build no index, so the uniform state, where every
-    basis state ties on probability, costs no more than a trained one;
-    with an index it took 2.63 vectors, and the gather took 5.1."""
+    """At n=16, 1.13 probability vectors above the inputs: one boolean
+    mask at a time and the weights a mass selects, which at the low
+    optimum given here are about one vector. A negated copy of the
+    energies took half a vector more, 1.63. Ties build no index, so the
+    uniform state, where every basis state ties on probability, costs no
+    more than a trained one; with an index it took 2.63 vectors, and the
+    gather took 5.1."""
     m = build_ising(gen_regular(16, 3, 2))
     probs = probabilities(uniform_state(16)) if uniform else train_layerwise(m, 1)[2]
     m.energies_vector()
@@ -319,7 +394,7 @@ def test_dense_exact_summary_allocates_two_probability_vectors(uniform):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 2 * probs.nbytes
+    assert peak < 1.25 * probs.nbytes
 
 
 def test_exact_summary_kind_and_shots(k3):

@@ -16,6 +16,7 @@ from profitcover.graph import (
 from profitcover import metrics, oracle, pipeline, qaoa
 from profitcover.instances import gen_regular, load_graph, parse_gen
 from profitcover.kernel import ALL_RULES
+from profitcover.model import build_ising
 from profitcover.pipeline import (
     REPORT_CSV_FIELDS,
     PipelineConfig,
@@ -279,22 +280,63 @@ def _oracle_must_not_run(g):
 
 @pytest.mark.parametrize("solver", ["random", "qaoa"])
 def test_shot_check_runs_before_the_oracle(monkeypatch, solver):
-    """Physical memory patched to 1 MiB: 2^16 shots need 16 bytes each
-    beside a 2 KiB cdf of 8 qubits, so the run stops before the oracle."""
+    """Physical memory patched to 1 MiB: 2^17 shots on 8 qubits need 9
+    bytes each for the draws and the run mask, and 8 for each of the at
+    most 256 run starts, so the run stops before the oracle."""
     monkeypatch.setattr(pipeline, "min_vertex_cover_exact", _oracle_must_not_run)
     monkeypatch.setattr(qaoa, "physical_memory", lambda: 1 << 20)
-    config = PipelineConfig(solver=solver, rules=(), shots=1 << 16)
-    with pytest.raises(CapacityError, match="sampling 65536 shots needs 1050624 bytes "
+    config = PipelineConfig(solver=solver, rules=(), shots=1 << 17)
+    with pytest.raises(CapacityError, match="sampling 131072 shots needs 1181696 bytes "
                                             r".*above the 1048576 bytes"):
         run_pipeline(gen_regular(8, 3, 1), config)
 
 
 def test_shot_check_admits_buffers_that_fit_exactly(monkeypatch):
-    monkeypatch.setattr(qaoa, "physical_memory", lambda: 1 << 20)
-    shots = ((1 << 20) - (8 << 8)) // 16
-    report = run_pipeline(gen_regular(8, 3, 1),
-                          PipelineConfig(solver="random", rules=(), shots=shots))
+    """9 bytes a shot and 8 a run of 2^8 states fill the patched memory
+    exactly; one shot more is refused."""
+    shots = 116_280
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: 9 * shots + 8 * 256)
+    g = gen_regular(8, 3, 1)
+    report = run_pipeline(g, PipelineConfig(solver="random", rules=(), shots=shots))
     assert report.sample_dist.shots == shots
+    with pytest.raises(CapacityError, match="sampling 116281 shots needs 1048577 bytes "
+                                            r".*above the 1048568 bytes"):
+        run_pipeline(g, PipelineConfig(solver="random", rules=(), shots=shots + 1))
+
+
+@pytest.mark.parametrize("solver,depth", [("random", 0), ("qaoa", 1), ("qaoa", 2)])
+def test_in_place_readout_samples_as_sample_state(solver, depth):
+    """The run turns its probability vector into the cdf in place and
+    writes the picks over the draws; sample_state on the same trained
+    vector gives the same int64 indices and counts."""
+    g = gen_regular(12, 3, 4)
+    config = PipelineConfig(solver=solver, depth=depth, rules=(), shots=20_000, seed=6)
+    report = run_pipeline(g, config)
+    ising = build_ising(g)
+    probs = qaoa.train_layerwise(ising, report.schedule.p)[2]
+    want = qaoa.sample_state(probs, ising.vertex_order, config.shots, config.seed)
+    got = report.sample_dist
+    assert got.indices.dtype == got.counts.dtype == np.int64
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.counts, want.counts)
+
+
+def test_random_run_readout_peak():
+    """A random-solver run at n=16 with 2^16 shots peaks in the readout,
+    at 2.91 probability vectors: the energies (half a vector), the picks
+    written over the draws, and the starts and indices of about 0.63*2^16
+    runs. Sampling from a second cdf with separate picks, beside the
+    probabilities and a negated copy of the energies, peaked at 4.54."""
+    g = gen_regular(16, 3, 1)
+    config = PipelineConfig(solver="random", rules=(), shots=1 << 16, seed=1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_pipeline(g, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (8 << 16)
 
 
 def test_exact_runs_are_not_shot_checked(monkeypatch):

@@ -114,6 +114,22 @@ def test_memory_check_refuses_a_state_that_does_not_fit(monkeypatch):
     check_width(20, 25)  # an unknown figure checks nothing
 
 
+@pytest.mark.parametrize("shots,need", [
+    (100, 800 + 16 * 100),  # fewer shots than states: 16 a run, one run a shot
+    (1000, 8000 + 16 * 256),  # the starts and indices of all 256 states
+    (4000, 32000 + 4000 + 8 * 256),  # the run mask and the starts
+])
+def test_shot_check_states_the_larger_counting_peak(monkeypatch, shots, need):
+    """On 8 qubits: the draws, 8 bytes a shot, and the larger of counting's
+    two peaks, a one-byte mask a shot with 8 bytes a run start, or 8
+    bytes a start and 8 an index, for at most min(shots, 256) runs."""
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: need)
+    qaoa.check_shots(8, shots)
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: need - 1)
+    with pytest.raises(CapacityError, match=f"sampling {shots} shots needs {need} bytes"):
+        qaoa.check_shots(8, shots)
+
+
 def test_physical_memory_is_positive():
     assert qaoa.physical_memory() is None or qaoa.physical_memory() > 0
 
@@ -247,13 +263,14 @@ def test_phase_and_mixer_refuse_buffers_that_overlap_the_state():
 
 
 def test_sample_state_frees_its_draws_before_counting():
-    """With as many shots as states the cdf, the sorted draws and the picks
-    are three probability vectors, the peak; the whole-array counting
-    reached 4.2."""
+    """With as many shots as states the cdf and the sorted draws, which
+    become the picks, are two probability vectors, and counting half as
+    many runs adds no more once the cdf is freed: 2.13 vectors at the
+    peak. Separate picks took 3, and the whole-array counting 4.2."""
     probs = probabilities(_random_state(16, 4))
     probs /= probs.sum()
     peak = _peak_bytes(lambda: sample_state(probs, tuple(range(16)), 1 << 16, 5))
-    assert peak <= 3.25 * probs.nbytes
+    assert peak <= 2.25 * probs.nbytes
 
 
 def _butterfly_mixer(state, n, beta, *, work=None):
@@ -1041,6 +1058,23 @@ def _unique_picks(probs, shots, seed):
     return np.unique(picks, return_counts=True)
 
 
+def _thirds(gap):
+    """Three outcomes of 1/3 with ``gap`` zeros after each of the first
+    two: with 12 289 shots, three blocks of 4096 and one draw, the block
+    edges fall near cdf values 1/3 and 2/3, on those flat runs."""
+    probs = np.zeros(2 * gap + 3)
+    probs[::gap + 1] = 1 / 3
+    return probs
+
+
+def _long_cdf():
+    """Seven outcomes whose cumulative sum ends above 1.0."""
+    probs = np.full(7, 1 / 7)
+    probs[-1] += 1e-15
+    assert np.cumsum(probs)[-1] > 1.0
+    return probs
+
+
 @pytest.mark.parametrize("probs", [
     np.random.default_rng(3).dirichlet(np.ones(64)),
     np.random.default_rng(4).dirichlet(np.full(16, 0.05)),  # a few heavy outcomes
@@ -1048,10 +1082,17 @@ def _unique_picks(probs, shots, seed):
     np.array([0.5, 0.0, 0.0, 0.5]),  # ties at the ends
     np.array([0.0, 0.5, 0.5, 0.0]),
     np.full(10, 0.1),  # the cumulative sum stops short of 1.0
+    _long_cdf(),
+    _thirds(1), _thirds(40),  # zero-probability runs at the block edges
+    np.where(np.arange(512) % 64 < 40, 0.0, 1 / 192),  # many flat runs
 ], ids=["dirichlet", "sparse", "mass-first", "mass-middle", "mass-last",
-        "ends", "inner", "short-cdf"])
-@pytest.mark.parametrize("shots", [1, 7, 10_000])
+        "ends", "inner", "short-cdf", "long-cdf", "thirds-1", "thirds-40", "flat-runs"])
+@pytest.mark.parametrize("shots", [1, 7, 4095, 4096, 4097, 10_000, 12_289])
 def test_sample_state_counts_runs_like_unique(probs, shots):
+    """The blocked search of the sorted draws, 4096 at a time in the
+    slice of the cdf they span, picks what one search of the whole cdf
+    does, and the runs of equal picks count what np.unique does."""
+    assert qaoa.SAMPLE_BLOCK == 4096
     d = sample_state(probs, tuple(range(len(probs))), shots=shots, seed=11)
     indices, counts = _unique_picks(probs, shots, 11)
     assert d.indices.dtype == d.counts.dtype == np.int64
