@@ -3,25 +3,33 @@
 File formats: whitespace edge lists (# comments), DIMACS (p/e lines,
 1-based) and Matrix Market symmetric patterns (1-based). Loaded graphs are
 relabelled to dense 0..n-1 indices; the original labels are returned
-alongside so reports can translate back. A DIMACS or MatrixMarket header
+alongside so reports can translate back. The two 1-based formats share
+one count check and one entry reader: a DIMACS or MatrixMarket header
 may declare at most ``MAX_DECLARED_VERTICES`` vertices, so a tiny file
-cannot ask for a graph that fills memory.
+cannot ask for a graph that fills memory, and an entry ``u v`` must have
+both ends in 1..n.
 
 Generators cover the two synthetic families used throughout: connected
 Erdős–Rényi graphs (rejection sampling until connected) and d-regular
-graphs (pairing model with restart). A spec whose one attempt would
-draw over more than ``MAX_GEN_DRAWS`` vertex pairs (er) or stubs
-(regular) is refused before anything is allocated, and so is an er spec
-too sparse to be connected, one that expects ``MAX_ISOLATED_EXPECTED``
-or more isolated vertices a draw. Each call derives
-its own counter-based RNG stream from the seed, so results are
-reproducible and independent of call order. ``parse_gen`` is the one reader of the text
-specs (``er:n=10,p=0.3,seed=4``, ``regular:n=8,d=3``) that the command
-line, batch manifests and scripts accept.
+graphs (pairing model with restart). The pairing model succeeds on about
+exp(-(d^2-1)/4) of its restarts, so only once all ``_PAIRING_ATTEMPTS``
+are spent are stubs paired one edge at a time on the same stream
+(Steger and Wormald), at most ``_STUB_ATTEMPTS`` times: every spec the
+pairing model builds gives the same graph, and one of moderate degree
+such as n=100, d=10 is built too. A spec whose one attempt would draw
+over more than ``MAX_GEN_DRAWS`` vertex pairs (er) or stubs (regular) is
+refused before anything is allocated, and so is an er spec too sparse to
+be connected, one that expects ``MAX_ISOLATED_EXPECTED`` or more
+isolated vertices a draw. Each call derives its own counter-based RNG
+stream from the seed, so results are reproducible and independent of
+call order. ``parse_gen`` is the one reader of the text specs
+(``er:n=10,p=0.3,seed=4``, ``regular:n=8,d=3``) that the command line,
+batch manifests and scripts accept.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from pathlib import Path
 
@@ -32,6 +40,7 @@ from .graph import Graph, is_connected
 
 _CONNECT_ATTEMPTS = 1000
 _PAIRING_ATTEMPTS = 2000
+_STUB_ATTEMPTS = 100
 # largest vertex count a DIMACS or MatrixMarket header may declare: a graph
 # costs about 0.9 KiB per vertex, so this caps a loaded file near 90 MiB
 MAX_DECLARED_VERTICES = 100_000
@@ -91,36 +100,46 @@ def _parse_edge_list(text: str, path) -> tuple[list[int], list[tuple[int, int]]]
     return order, [(index[u], index[v]) for u, v in raw]
 
 
+def _declared_count(token: str, path, lineno: int) -> int:
+    """A vertex count a header declares: an integer in 0..MAX_DECLARED_VERTICES."""
+    try:
+        n = int(token)
+    except ValueError:
+        raise ParseError(f"bad vertex count {token!r}", path, lineno) from None
+    if n < 0:
+        raise ParseError(f"negative vertex count {n}", path, lineno)
+    if n > MAX_DECLARED_VERTICES:
+        raise ParseError(f"vertex count {n} is above the limit of {MAX_DECLARED_VERTICES}",
+                         path, lineno)
+    return n
+
+
+def _one_based_entry(parts: list[str], n: int, path, lineno: int) -> tuple[int, int]:
+    """The 0-based edge of an entry ``u v`` with both ends in 1..n."""
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except (IndexError, ValueError):
+        raise ParseError("malformed entry", path, lineno) from None
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ParseError(f"entry ({u},{v}) out of range 1..{n}", path, lineno)
+    return u - 1, v - 1
+
+
 def _parse_dimacs(text: str, path) -> tuple[int, list[tuple[int, int]]]:
     n = None
     edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
         parts = line.split()
+        if not parts or parts[0].startswith("c"):
+            continue
         if parts[0] == "p":
             if len(parts) < 4:
                 raise ParseError("malformed problem line", path, lineno)
-            try:
-                n = int(parts[2])
-            except ValueError:
-                raise ParseError("bad vertex count in problem line", path, lineno)
-            if n < 0:
-                raise ParseError(f"negative vertex count {n} in problem line", path, lineno)
-            if n > MAX_DECLARED_VERTICES:
-                raise ParseError(f"vertex count {n} in problem line is above the limit"
-                                 f" of {MAX_DECLARED_VERTICES}", path, lineno)
+            n = _declared_count(parts[2], path, lineno)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line before problem line", path, lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except (IndexError, ValueError):
-                raise ParseError("malformed edge line", path, lineno)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"edge ({u},{v}) out of range 1..{n}", path, lineno)
-            edges.append((u - 1, v - 1))
+            edges.append(_one_based_entry(parts[1:], n, path, lineno))
     if n is None:
         raise ParseError("missing problem line", path)
     return n, edges
@@ -130,37 +149,25 @@ def _parse_matrix_market(text: str, path) -> tuple[int, list[tuple[int, int]]]:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ParseError("missing %%MatrixMarket header", path, 1)
-    dims = None
+    n = None
     edges = []
     for lineno, line in enumerate(lines[1:], start=2):
-        body = line.strip()
-        if not body or body.startswith("%"):
+        parts = line.split()
+        if not parts or parts[0].startswith("%"):
             continue
-        parts = body.split()
-        if dims is None:
-            if len(parts) < 3:
-                raise ParseError("malformed size line", path, lineno)
-            try:
-                rows, cols = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("bad size line", path, lineno)
-            if rows < 0 or cols < 0:
-                raise ParseError(f"negative size {rows} x {cols} in size line", path, lineno)
-            dims = max(rows, cols)
-            if dims > MAX_DECLARED_VERTICES:
-                raise ParseError(f"size {rows} x {cols} in size line is above the limit"
-                                 f" of {MAX_DECLARED_VERTICES} vertices", path, lineno)
+        if n is not None:
+            edges.append(_one_based_entry(parts, n, path, lineno))
+        elif len(parts) < 3:
+            raise ParseError("malformed size line", path, lineno)
         else:
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except (IndexError, ValueError):
-                raise ParseError("malformed entry", path, lineno)
-            if not (1 <= u <= dims and 1 <= v <= dims):
-                raise ParseError(f"entry ({u},{v}) out of range", path, lineno)
-            edges.append((u - 1, v - 1))
-    if dims is None:
+            n = max(_declared_count(parts[0], path, lineno),
+                    _declared_count(parts[1], path, lineno))
+    if n is None:
         raise ParseError("missing size line", path)
-    return dims, edges
+    return n, edges
+
+
+_ONE_BASED_PARSERS = {"dimacs": _parse_dimacs, "matrix_market": _parse_matrix_market}
 
 
 def load_graph_named(path: str | Path, fmt: str | None = None) -> tuple[Graph, tuple[str, ...]]:
@@ -174,24 +181,19 @@ def load_graph_named(path: str | Path, fmt: str | None = None) -> tuple[Graph, t
         raise ParseError(f"not UTF-8 text: {err}", str(path)) from None
     if fmt == "edge_list":
         labels, raw = _parse_edge_list(text, str(path))
-        n = len(labels)
-        names = tuple(labels)
-    elif fmt == "dimacs":
-        n, raw = _parse_dimacs(text, str(path))
-        names = tuple(str(i + 1) for i in range(n))
-    elif fmt == "matrix_market":
-        n, raw = _parse_matrix_market(text, str(path))
-        names = tuple(str(i + 1) for i in range(n))
+    elif fmt in _ONE_BASED_PARSERS:
+        n, raw = _ONE_BASED_PARSERS[fmt](text, str(path))
+        labels = [str(i) for i in range(1, n + 1)]
     else:
         raise DomainError(f"unknown format {fmt!r}")
-    if n == 0:
+    if not labels:
         raise DomainError(f"{path}: empty vertex set")
     # Graph keeps one copy of a repeated edge; self-loops it refuses
-    graph = Graph(range(n), [(u, v) for u, v in raw if u != v])
+    graph = Graph(range(len(labels)), [(u, v) for u, v in raw if u != v])
     dropped = len(raw) - graph.m
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} duplicate/self-loop entries", stacklevel=2)
-    return graph, names
+    return graph, tuple(labels)
 
 
 def load_graph(path: str | Path, fmt: str | None = None) -> Graph:
@@ -228,7 +230,8 @@ def gen_erdos_renyi_connected(n: int, p: float, seed: int) -> Graph:
 
 
 def gen_regular(n: int, d: int, seed: int) -> Graph:
-    """d-regular simple graph via the pairing model, restarting on collisions."""
+    """d-regular simple graph via the pairing model, restarting on collisions,
+    and stub by stub once the restarts are spent."""
     if d < 0 or d >= n or (n * d) % 2 != 0:
         raise DomainError(f"no {d}-regular graph on {n} vertices")
     if n * d > MAX_GEN_DRAWS:
@@ -239,23 +242,46 @@ def gen_regular(n: int, d: int, seed: int) -> Graph:
     rng = _rng(seed)
     stubs = np.repeat(np.arange(n), d)
     for _ in range(_PAIRING_ATTEMPTS):
-        perm = rng.permutation(stubs)
-        pairs = perm.reshape(-1, 2)
-        edges = set()
-        ok = True
-        for u, v in pairs:
-            u, v = int(u), int(v)
-            if u == v:
-                ok = False
-                break
-            e = (u, v) if u < v else (v, u)
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if ok:
+        u, v = np.sort(rng.permutation(stubs).reshape(-1, 2), axis=1).T
+        # kept with no loop and no edge twice; np.unique is not used, as its
+        # first call imports numpy.ma, about 10 ms of a fresh process's set-up
+        if (u != v).all() and np.diff(np.sort(u * n + v)).all():
+            return Graph(range(n), zip(u.tolist(), v.tolist()))
+    for _ in range(_STUB_ATTEMPTS):
+        edges = _pair_stub_by_stub(stubs.tolist(), rng)
+        if edges is not None:
             return Graph(range(n), edges)
-    raise DomainError(f"pairing model failed after {_PAIRING_ATTEMPTS} restarts")
+    raise DomainError(f"pairing model failed after {_PAIRING_ATTEMPTS} restarts and stub-by-stub"
+                      f" pairing after {_STUB_ATTEMPTS}")
+
+
+def _pair_stub_by_stub(free: list[int], rng: np.random.Generator) -> set[tuple[int, int]] | None:
+    """Pair two random free stubs at a time (Steger and Wormald, 1999),
+    redrawing a pair that would be a loop or a repeated edge; None once no
+    free pair is left that could be kept."""
+    # uniforms in [0, 1), drawn from rng in blocks
+    uniforms = itertools.chain.from_iterable(iter(lambda: rng.random(4096).tolist(), None))
+    edges: set[tuple[int, int]] = set()
+    misses = 0
+    while free:
+        # two distinct positions in free, each pair of them equally likely
+        i = int(next(uniforms) * len(free))
+        j = int(next(uniforms) * (len(free) - 1))
+        j += j >= i
+        u, v = sorted((free[i], free[j]))
+        if u != v and (u, v) not in edges:
+            edges.add((u, v))
+            for k in (max(i, j), min(i, j)):
+                free[k] = free[-1]
+                free.pop()
+            misses = 0
+            continue
+        misses += 1
+        # after each run of 64 redraws, look for a pair that could be kept
+        if misses % 64 == 0 and all(
+                pair in edges for pair in itertools.combinations(sorted(set(free)), 2)):
+            return None
+    return edges
 
 
 # generator kind -> the parameters its spec accepts

@@ -112,13 +112,14 @@ def _apply_pendants(adj: Adj, cover: set[int]) -> int:
         if nb is None or len(nb) != 1:
             continue
         w = next(iter(nb))
-        neighbors_of_w = list(adj[w])
-        _remove_vertex(adj, w)
         cover.add(w)
         count += 1
-        for x in neighbors_of_w:
-            if x != v and len(adj[x]) == 1:
-                queue.append(x)
+        for x in adj.pop(w):
+            if x != v:
+                nb_x = adj[x]
+                nb_x.discard(w)
+                if len(nb_x) == 1:
+                    queue.append(x)
         del adj[v]
     return count
 

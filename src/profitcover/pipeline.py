@@ -34,7 +34,7 @@ from .metrics import (
     summarize,
     summarize_exact,
 )
-from .model import build_ising, index_of_bitstring, subset_of_index
+from .model import _bits_to_subset, build_ising
 from .oracle import min_vertex_cover_exact
 from .postprocess import RefinedSolution, check_refined, finalize, refine
 from .qaoa import (
@@ -255,8 +255,7 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
             del picks
             timings["sample_s"] = time.perf_counter() - t
             sampled_summary = summarize(dist, ising, residual_opt_profit)
-            raw = subset_of_index(index_of_bitstring(sampled_summary.best_bitstring),
-                                  ising.vertex_order)
+            raw = _bits_to_subset(sampled_summary.best_bitstring, ising.vertex_order)
             refined = refine(residual, raw)
             check_refined(residual, raw, refined)
             two_qubit = schedule.p * residual.m

@@ -22,6 +22,7 @@ from profitcover.instances import (
 )
 
 from conftest import complete_graph
+from frozen_pairing import frozen_pairing
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,8 +105,9 @@ def test_dimacs_edge_before_header(tmp_path):
 def test_dimacs_out_of_range(tmp_path):
     f = tmp_path / "g.col"
     f.write_text("p edge 2 1\ne 1 5\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"entry \(1,5\) out of range 1..2") as exc:
         load_graph(f)
+    assert exc.value.line == 2
 
 
 def test_matrix_market_symmetric_pattern(tmp_path):
@@ -125,8 +127,9 @@ def test_matrix_market_symmetric_pattern(tmp_path):
 def test_matrix_market_missing_header(tmp_path):
     f = tmp_path / "g.mtx"
     f.write_text("3 3 1\n1 2\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="missing %%MatrixMarket header") as exc:
         load_graph(f)
+    assert exc.value.line == 1
 
 
 def test_detect_format():
@@ -160,6 +163,32 @@ def test_negative_vertex_count_is_parse_error(tmp_path, name, text, line):
     f = tmp_path / name
     f.write_text(text)
     with pytest.raises(ParseError, match="negative") as exc:
+        load_graph(f)
+    assert exc.value.line == line
+
+
+_MM = "%%MatrixMarket matrix coordinate pattern symmetric\n"
+
+
+@pytest.mark.parametrize("name,text,line,match", [
+    ("g.col", "p edge x 1\n", 1, "bad vertex count 'x'"),
+    ("g.mtx", _MM + "3 x 1\n", 2, "bad vertex count 'x'"),
+    ("g.col", "p edge 3 1\ne 1\n", 2, "malformed entry"),
+    ("g.col", "p edge 3 1\ne 1 z\n", 2, "malformed entry"),
+    ("g.mtx", _MM + "3 3 1\n1 z\n", 3, "malformed entry"),
+    ("g.mtx", _MM + "3 3 1\n0 2\n", 3, r"entry \(0,2\) out of range 1..3"),
+    ("g.mtx", _MM + "1 2\n3 3 1\n", 2, "malformed size line"),
+    ("g.col", "c no problem line\n", None, "missing problem line"),
+    ("g.mtx", _MM + "% no size line\n", None, "missing size line"),
+], ids=["dimacs-bad-count", "mtx-bad-count", "dimacs-short-entry", "dimacs-bad-entry",
+        "mtx-bad-entry", "mtx-out-of-range", "mtx-entry-before-size-line",
+        "dimacs-missing-header", "mtx-missing-size-line"])
+def test_one_based_refusal_names_its_line(tmp_path, name, text, line, match):
+    """The refusals of the two 1-based readers that no test beside this
+    one checks for that format."""
+    f = tmp_path / name
+    f.write_text(text)
+    with pytest.raises(ParseError, match=match) as exc:
         load_graph(f)
     assert exc.value.line == line
 
@@ -451,6 +480,58 @@ def test_regular_infeasible():
 def test_regular_zero_degree():
     g = gen_regular(6, 0, seed=0)
     assert g.m == 0 and g.n == 6
+
+
+def _is_simple_regular(g, n, d):
+    # Graph refuses self-loops and keeps one copy of a repeated edge
+    return g.n == n and g.m == n * d // 2 and all(g.degree(v) == d for v in g.vertices)
+
+
+def test_regular_graphs_match_the_frozen_pairing():
+    """Where the per-pair loop builds, the array check takes the same
+    permutation; where it fails, the stub-by-stub fallback builds."""
+    specs = [(n, d, seed) for n in range(4, 27) for d in range(1, 6) for seed in (0, 1)
+             if d < n and n * d % 2 == 0]
+    fallbacks = 0
+    for n, d, seed in specs:
+        edges = frozen_pairing(n, d, seed)
+        g = gen_regular(n, d, seed)
+        if edges is None:
+            fallbacks += 1
+            assert _is_simple_regular(g, n, d), (n, d, seed)
+        else:
+            assert g.edges == tuple(sorted(edges)), (n, d, seed)
+    assert len(specs) == 160 and fallbacks == 3  # (6, 5, 1), (8, 5, 1), (12, 5, 1)
+
+
+@pytest.mark.parametrize("n,d", [(100, 10), (60, 8), (1000, 12)])
+def test_moderate_degree_regular_graphs_are_built(monkeypatch, n, d):
+    """The pairing model succeeds about exp(-(d^2-1)/4) of its restarts, so
+    these specs spend all of them and are built stub by stub."""
+    spent = []
+    pair_stub_by_stub = instances._pair_stub_by_stub
+
+    def timed(free, rng):
+        start = time.perf_counter()
+        edges = pair_stub_by_stub(free, rng)
+        spent.append(time.perf_counter() - start)
+        return edges
+
+    monkeypatch.setattr(instances, "_pair_stub_by_stub", timed)
+    g = gen_regular(n, d, seed=1)
+    assert _is_simple_regular(g, n, d)
+    assert spent and sum(spent) < 0.5
+    assert gen_regular(n, d, seed=1) == g
+
+
+def test_regular_fallback_gives_up_after_its_attempts(monkeypatch):
+    attempts = []
+    monkeypatch.setattr(instances, "_PAIRING_ATTEMPTS", 0)
+    monkeypatch.setattr(instances, "_pair_stub_by_stub", lambda free, rng: attempts.append(1))
+    with pytest.raises(DomainError, match="pairing model failed after 0 restarts and"
+                                          " stub-by-stub pairing after 100"):
+        gen_regular(6, 4, seed=0)
+    assert len(attempts) == instances._STUB_ATTEMPTS
 
 
 def test_generated_graphs_are_simple():
