@@ -12,15 +12,15 @@ both ends in 1..n.
 Generators cover the two synthetic families used throughout: connected
 Erdős–Rényi graphs (rejection sampling until connected) and d-regular
 graphs (pairing model with restart). The pairing model succeeds on about
-exp(-(d^2-1)/4) of its restarts, so only once all ``_PAIRING_ATTEMPTS``
-are spent are stubs paired one edge at a time on the same stream
-(Steger and Wormald), at most ``_STUB_ATTEMPTS`` times: every spec the
-pairing model builds gives the same graph, and one of moderate degree
-such as n=100, d=10 is built too. A spec whose one attempt would draw
-over more than ``MAX_GEN_DRAWS`` vertex pairs (er) or stubs (regular) is
-refused before anything is allocated, and so is an er spec too sparse to
-be connected, one that expects ``MAX_ISOLATED_EXPECTED`` or more
-isolated vertices a draw. Each call derives its own counter-based RNG
+exp(-(d^2-1)/4) of its restarts. Only when all ``_PAIRING_ATTEMPTS`` fail
+are stubs paired one edge at a time on the same stream (Steger and
+Wormald), at most ``_STUB_ATTEMPTS`` times; so every spec the pairing
+model builds keeps its graph, and one of moderate degree, such as n=100,
+d=10, is built too. A spec whose one attempt would draw over more than
+``MAX_GEN_DRAWS`` vertex pairs (er) or stubs (regular) is refused before
+anything is allocated, and so is an er spec too sparse to be connected,
+one that expects ``MAX_ISOLATED_EXPECTED`` or more isolated vertices a
+draw. Each call derives its own counter-based RNG
 stream from the seed, so results are reproducible and independent of
 call order. ``parse_gen`` is the one reader of the text specs
 (``er:n=10,p=0.3,seed=4``, ``regular:n=8,d=3``) that the command line,
