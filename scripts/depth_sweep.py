@@ -36,7 +36,7 @@ from profitcover.metrics import (  # noqa: E402
 )
 from profitcover.model import build_ising  # noqa: E402
 from profitcover.oracle import max_profit_exact  # noqa: E402
-from profitcover.qaoa import MAX_QUBITS, check_width  # noqa: E402
+from profitcover.qaoa import MAX_QUBITS, check_memory  # noqa: E402
 
 
 def parse_depths(text: str) -> list[int]:
@@ -84,9 +84,9 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    for name, g in instances:  # every width before the first sweep
+    for name, g in instances:  # every run before the first sweep
         try:
-            check_width(g.n, MAX_QUBITS)
+            check_memory(g.n, MAX_QUBITS, max(depths))
         except CapacityError as err:
             print(f"capacity error: {name}: {err}", file=sys.stderr)
             return 3

@@ -6,7 +6,9 @@ process. The process imports the package and reads its peak resident
 set size (``ru_maxrss``), then runs ``run_pipeline`` on a connected
 3-regular graph on n vertices with ``rules=()``, so that the statevector
 has all n qubits, and reads the peak again. The script prints the
-difference in MiB and in states of 16*2^n bytes, with the run time.
+difference in MiB and in states of 16*2^n bytes, beside the ``model``
+column, ``qaoa.peak_bytes`` for the same run in states, and the run
+time.
 
 Examples:
     python scripts/peak_states.py --n 22 --n 24 --depth 1 --depth 2
@@ -20,6 +22,9 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from profitcover.qaoa import peak_bytes  # noqa: E402
 
 # run in the child: argv is n, depth, shots, seed
 CHILD = """
@@ -73,13 +78,15 @@ def main(argv=None) -> int:
 
     mib = 1 << 20
     print(f"{'n':>3} {'depth':>5} {'import MiB':>10} {'above MiB':>9} "
-          f"{'states':>6} {'run s':>6}")
+          f"{'states':>6} {'model':>6} {'run s':>6}")
     for n in args.n:
         for depth in args.depth:
             r = measure(n, depth, args.shots, args.seed)
             above = r["peak"] - r["imported"]
+            model = peak_bytes(n, depth, args.shots)
             print(f"{n:>3} {depth:>5} {r['imported'] / mib:>10.1f} {above / mib:>9.1f} "
-                  f"{above / (16 << n):>6.2f} {r['run_s']:>6.2f}", flush=True)
+                  f"{above / (16 << n):>6.2f} {model / (16 << n):>6.2f} {r['run_s']:>6.2f}",
+                  flush=True)
     return 0
 
 

@@ -9,7 +9,7 @@ samples into feasible covers, independent sets, or cliques.
 from .graph import Graph, complement, is_clique, is_independent_set, is_vertex_cover, profit
 from .kernel import KernelResult, reconstruct
 from .kernel import reduce as reduce_graph
-from .model import build_ising, build_qubo
+from .model import build_ising
 from .oracle import max_profit_exact, min_vertex_cover_exact
 from .pipeline import PipelineConfig, run_pipeline
 
@@ -18,7 +18,6 @@ __all__ = [
     "KernelResult",
     "PipelineConfig",
     "build_ising",
-    "build_qubo",
     "complement",
     "is_clique",
     "is_independent_set",

@@ -16,7 +16,9 @@ exp(-(d^2-1)/4) of its restarts. Only when all ``_PAIRING_ATTEMPTS`` fail
 are stubs paired one edge at a time on the same stream (Steger and
 Wormald), at most ``_STUB_ATTEMPTS`` times; so every spec the pairing
 model builds keeps its graph, and one of moderate degree, such as n=100,
-d=10, is built too. A spec whose one attempt would draw over more than
+d=10, is built too. A dense spec, 2d > n-1, on which both fail is built
+as the complement of an (n-1-d)-regular graph, whose degree is lower.
+A spec whose one attempt would draw over more than
 ``MAX_GEN_DRAWS`` vertex pairs (er) or stubs (regular) is refused before
 anything is allocated, and so is an er spec too sparse to be connected,
 one that expects ``MAX_ISOLATED_EXPECTED`` or more isolated vertices a
@@ -36,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .graph import Graph, is_connected
+from .graph import Graph, complement, is_connected
 
 _CONNECT_ATTEMPTS = 1000
 _PAIRING_ATTEMPTS = 2000
@@ -231,7 +233,8 @@ def gen_erdos_renyi_connected(n: int, p: float, seed: int) -> Graph:
 
 def gen_regular(n: int, d: int, seed: int) -> Graph:
     """d-regular simple graph via the pairing model, restarting on collisions,
-    and stub by stub once the restarts are spent."""
+    and stub by stub once the restarts are spent; a dense one on which both
+    fail is the complement of an (n-1-d)-regular graph."""
     if d < 0 or d >= n or (n * d) % 2 != 0:
         raise DomainError(f"no {d}-regular graph on {n} vertices")
     if n * d > MAX_GEN_DRAWS:
@@ -251,6 +254,8 @@ def gen_regular(n: int, d: int, seed: int) -> Graph:
         edges = _pair_stub_by_stub(stubs.tolist(), rng)
         if edges is not None:
             return Graph(range(n), edges)
+    if 2 * d > n - 1:
+        return complement(gen_regular(n, n - 1 - d, seed))
     raise DomainError(f"pairing model failed after {_PAIRING_ATTEMPTS} restarts and stub-by-stub"
                       f" pairing after {_STUB_ATTEMPTS}")
 

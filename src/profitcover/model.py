@@ -12,6 +12,7 @@ The spin form (x = (1-z)/2, bit 1 mapped to z = -1) is
     H = 1/4 sum_{uv} (z_u z_v + z_u + z_v) - 1/2 sum_v z_v + offset
 
 with offset = |V|/2 - 3|E|/4, and satisfies H(x) = -profit(x) exactly.
+The module builds the spin form, which the simulator reads.
 All coefficients are quarter-integers, so they are stored as integers
 scaled by 4. Every basis energy is the integer |S| - |covered edges|,
 so the energy vector is int32 and lies in [-|E|, |V|].
@@ -31,28 +32,8 @@ from .errors import DomainError
 from .graph import Graph
 
 
-def index_of_subset(subset, vertex_order: tuple[int, ...]) -> int:
-    pos = {v: j for j, v in enumerate(vertex_order)}
-    idx = 0
-    for v in subset:
-        idx |= 1 << pos[v]
-    return idx
-
-
-def subset_of_index(idx: int, vertex_order: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(v for j, v in enumerate(vertex_order) if idx >> j & 1)
-
-
 def bitstring_of_index(idx: int, n: int) -> str:
     return "".join("1" if idx >> j & 1 else "0" for j in range(n))
-
-
-def index_of_bitstring(bits: str) -> int:
-    idx = 0
-    for j, c in enumerate(bits):
-        if c == "1":
-            idx |= 1 << j
-    return idx
 
 
 def _bits_to_subset(bits: str, vertex_order: tuple[int, ...]) -> frozenset[int]:
@@ -60,33 +41,6 @@ def _bits_to_subset(bits: str, vertex_order: tuple[int, ...]) -> frozenset[int]:
         raise DomainError(
             f"bitstring length {len(bits)} does not match {len(vertex_order)} vertices")
     return frozenset(v for c, v in zip(bits, vertex_order) if c == "1")
-
-
-@dataclass(frozen=True)
-class Qubo:
-    """Profit objective as a maximization QUBO over 0/1 variables."""
-
-    vertex_order: tuple[int, ...]
-    linear: dict[int, int]  # v -> deg(v) - 1
-    quadratic: dict[tuple[int, int], int]  # (u, v) -> -1 per edge
-
-    def value(self, subset) -> int:
-        s = set(subset)
-        total = sum(c for v, c in self.linear.items() if v in s)
-        total += sum(c for (u, v), c in self.quadratic.items() if u in s and v in s)
-        return total
-
-    def value_of_bits(self, bits: str) -> int:
-        return self.value(_bits_to_subset(bits, self.vertex_order))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": len(self.vertex_order),
-            "sense": "maximize",
-            "vertex_order": list(self.vertex_order),
-            "linear": {str(v): c for v, c in sorted(self.linear.items())},
-            "quadratic": [[u, v, c] for (u, v), c in sorted(self.quadratic.items())],
-        }
 
 
 @dataclass(frozen=True)
@@ -160,14 +114,6 @@ class IsingModel:
             np.add(energy[:half], 1 - degree[j], out=upper)
             upper += np.bitwise_count(idx[:half] & lower[j])
         return energy
-
-
-def build_qubo(g: Graph) -> Qubo:
-    if g.n == 0:
-        raise DomainError("cannot build a model over an empty vertex set")
-    linear = {v: g.degree(v) - 1 for v in g.vertices}
-    quadratic = {e: -1 for e in g.edges}
-    return Qubo(g.vertices, linear, quadratic)
 
 
 def build_ising(g: Graph) -> IsingModel:

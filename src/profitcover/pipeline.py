@@ -42,8 +42,7 @@ from .qaoa import (
     AngleSchedule,
     SampleDistribution,
     TrainLog,
-    check_shots,
-    check_width,
+    check_memory,
     count_runs,
     invert_cdf,
     train_layerwise,
@@ -217,10 +216,11 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
         residual_opt_profit = 0
     else:
         status = "solver"
+        # depth 0, and the random solver, give the uniform distribution
+        depth = config.depth if config.solver == "qaoa" else 0
         if config.solver != "exact":
-            # before the oracle, which a too-wide run would otherwise wait for
-            check_width(residual.n, config.max_qubits)
-            check_shots(residual.n, config.shots)
+            # before the oracle, which a run too large would otherwise wait for
+            check_memory(residual.n, config.max_qubits, depth, config.shots)
         # one oracle call serves as both the reference and the exact
         # solver; only the exact solver fails when its search budget runs out
         try:
@@ -237,11 +237,9 @@ def run_pipeline(g: Graph, config: PipelineConfig, name: str = "instance") -> Pi
             ising = build_ising(residual)
             t = time.perf_counter()
             # training ends on the trained state's probabilities; the
-            # state is not evolved or squared again. Depth 0, and the
-            # random solver, give the uniform distribution.
+            # state is not evolved or squared again
             schedule, train_log, probs = train_layerwise(
-                ising, config.depth if config.solver == "qaoa" else 0,
-                max_qubits=config.max_qubits)
+                ising, depth, max_qubits=config.max_qubits)
             timings["train_s"] = time.perf_counter() - t
 
             # the exact summary reads the probabilities before they become

@@ -92,29 +92,10 @@ added in pairs, are the nodes of the same tree. Sampling inverts the
 cumulative distribution of the probability vector with a counter-based
 Philox generator, and the exact summary reads the same vector.
 
-Memory is what limits the width of a run. In units of one state,
-S = 16*2^n bytes, a pipeline run holds:
-
-* all along: the model's int32 energy vector (S/4);
-* in training: the prefix state, and through a layer >= 2 search the
-  phased state and one work buffer, allocated once per layer and freed
-  before the trained layer is applied. The work buffer holds the
-  phase's table indices and then serves as the mixer's second buffer;
-  whichever of the two buffers the mixer did not finish in holds the
-  expectation's probabilities (its first S/2), so an evaluation
-  allocates nothing of the state's size; about 3.25 S at the peak. A
-  depth-1 run evolves one layer on the uniform state, about 2.4 S;
-* after each layer: the state, its probabilities (S/2) and the
-  callback's own, dropped before the next layer's evaluations;
-* in the readout: the probabilities, which the exact summary reads
-  beside the energies with a boolean mask (S/16) at a time and the
-  weights it selects for a mass (at most S/2, usually far less). Then
-  the probabilities become the cdf in place, and sampling holds 8 bytes
-  a shot for the sorted draws, over which the picks are written; the
-  cdf is freed before the runs of equal picks are counted, which takes
-  one byte a shot for a mask and 8 bytes for each run's start, then 8
-  more for each run's index, the counts written over the starts, with
-  at most min(shots, 2^n) runs.
+Memory is what limits the width of a run. ``peak_bytes`` gives the
+bytes a run holds at its peak, buffer by buffer, and ``check_memory``
+refuses, before any state exists, a run whose peak would not fit in
+the machine's physical memory.
 
 ``apply_phase``, ``probabilities`` and ``weighted_sum`` work through
 their vectors in slices of ``CHUNK`` = 2^14 entries, so their
@@ -127,9 +108,6 @@ results are elementwise, so they do not depend on the slicing. On a
 as fast as the whole-array product at n=18-20 and made it about a
 quarter faster at n=22; slices of 2^16, whose temporaries and operands
 no longer fit in L2, made it 10-20 % slower at n=18-20.
-``check_width`` refuses, before any state exists, a run whose
-``STATE_COPIES`` states exceed the machine's physical memory, and
-``check_shots`` one whose sampling buffers do.
 """
 
 from __future__ import annotations
@@ -158,10 +136,6 @@ CHUNK = 1 << 14
 # sorted draws that ``invert_cdf`` searches at a time, in the slice of the
 # cdf they span
 SAMPLE_BLOCK = 1 << 12
-
-# state-sized buffers a run needs at its peak, for the memory pre-flight
-# check; a depth-1 run peaks at about 2.4 states, a deeper one at 3.4
-STATE_COPIES = 4
 
 # Restart grid for the layer-1 search, covering the gamma period [0, pi)
 # and the beta period [0, pi/2) at their quarter points. Later layers
@@ -236,39 +210,70 @@ def physical_memory() -> int | None:
         return None
 
 
-def check_width(n: int, max_qubits: int) -> None:
-    """Refuse a statevector run that is too wide or would not fit in memory."""
-    if n > max_qubits:
-        raise CapacityError(
-            f"statevector needs {n} qubits, above the limit of {max_qubits}"
-        )
-    need = STATE_COPIES * 16 << n
-    have = physical_memory()
-    if have is not None and need > have:
-        raise CapacityError(
-            f"statevector of {n} qubits needs {need} bytes ({STATE_COPIES} states "
-            f"of 16*2^{n} bytes), above the {have} bytes of physical memory"
-        )
+def peak_bytes(n: int, depth: int, shots: int = 0) -> int:
+    """Bytes that a run on ``n`` qubits holds at its peak: training to
+    ``depth`` layers, then the readout of ``shots`` draws.
 
+    With S = 16*2^n bytes for a state, a run holds the model's int32
+    energies (S/4) all along, and beside them the larger of two peaks.
 
-def check_shots(n: int, shots: int) -> None:
-    """Refuse a shot count whose sampling buffers would not fit in memory.
+    Training holds nothing of the state's size at depth 0. From layer 1
+    on it holds the prefix state and the phased state with a slice of
+    table indices, then after each layer the prefix beside the layer's
+    probability vector (S/2 and a spare slice) and whatever reads that
+    vector: the weighted sum's slice, or the exact summary of
+    ``each_layer``. Through a layer >= 2 search it holds the prefix, the
+    phased state and the work buffer, 3 S.
 
-    The cdf is the run's own probability vector, so sampling adds the
-    sorted draws, 8 bytes a shot, which ``invert_cdf`` overwrites with
-    the picks. ``count_runs`` holds them with, for r = min(shots, 2^n)
-    runs at most, first a one-byte mask a shot and the r run starts,
-    then the starts and the r indices, 8 bytes each.
+    The readout is the largest of four steps:
+
+    * the exact summary: the probability vector with a boolean mask
+      (S/16) and the weights a mass selects, counted as all of them
+      (S/2), or with the weighted sum's slice and numpy's buffer for
+      casting the energies;
+    * inverting the cdf, which is the probability vector itself, for 8
+      bytes a draw and the picks of one ``SAMPLE_BLOCK``;
+    * counting, once the cdf is freed: the picks written over the draws
+      and, for r = min(shots, 2^n) runs at most, a one-byte mask a shot
+      with the r run starts, or the starts and the r indices;
+    * the sampled summary: the r indices and counts, the r energies and
+      weights, 28 bytes a run, with a one-byte mask a run, or numpy's
+      cast buffer for the weighted mean. Its masses' selected weights
+      are not counted: on a spread distribution, near shots = 2^n, r
+      overcounts the runs by more than they take, and elsewhere another
+      step is larger. Nor are the indices of runs tied on the best or
+      likeliest outcome, which are few unless every draw is distinct,
+      as it is only for shots far below 2^n.
+
+    Building the energies (S/4, and 9 S/32 of temporaries) stays below
+    the readout's first step.
     """
-    runs = min(shots, 1 << n)
-    need = 8 * shots + max(shots + 8 * runs, 16 * runs)
+    size = 1 << n
+    state = 16 * size
+    chunk = 8 * min(size, CHUNK)
+    # training's vector has a spare slice (_float_buffers); depth 0's has none
+    probs = state // 2 + (chunk if depth else 0)
+    exact = probs + max(size + state // 2, chunk + 8 * min(size, np.getbufsize()))
+    train = max(2 * state + chunk, state + exact, 3 * state if depth > 1 else 0) if depth else 0
+    runs = min(shots, size)
+    readout = max(exact,
+                  probs + 8 * shots + 8 * min(shots, SAMPLE_BLOCK),
+                  8 * shots + max(shots + 8 * runs, 16 * runs),
+                  28 * runs + max(runs, 8 * min(runs, np.getbufsize())))
+    return state // 4 + max(train, readout)
+
+
+def check_memory(n: int, max_qubits: int, depth: int, shots: int = 0) -> None:
+    """Refuse a statevector run that is too wide, or whose ``peak_bytes``
+    exceed the machine's physical memory; an unknown figure checks
+    nothing."""
+    if n > max_qubits:
+        raise CapacityError(f"statevector needs {n} qubits, above the limit of {max_qubits}")
+    need = peak_bytes(n, depth, shots)
     have = physical_memory()
     if have is not None and need > have:
-        raise CapacityError(
-            f"sampling {shots} shots needs {need} bytes (8 a shot for the draws, "
-            f"then 1 a shot and 8 a run, or 16 a run, to count at most {runs} runs), "
-            f"above the {have} bytes of physical memory"
-        )
+        raise CapacityError(f"a run of {n} qubits at depth {depth} with {shots} shots needs "
+                            f"{need} bytes at its peak, above the {have} bytes of physical memory")
 
 
 def _chunks(size: int):
@@ -382,7 +387,9 @@ def evolve(ising: IsingModel, schedule: AngleSchedule,
            max_qubits: int = MAX_QUBITS) -> np.ndarray:
     """Statevector after the full alternating sequence, from |+...+>."""
     n = ising.n
-    check_width(n, max_qubits)
+    # checked as at least one layer: a run builds the uniform state only
+    # from depth 1 on, and the caller squares the result beside it
+    check_memory(n, max_qubits, max(schedule.p, 1))
     state = uniform_state(n)
     for gamma, beta in zip(schedule.gammas, schedule.betas):
         state = apply_phase(state, ising, gamma)
@@ -513,8 +520,9 @@ def invert_cdf(cdf: np.ndarray, shots: int, seed: int) -> np.ndarray:
     for s in range(0, shots, SAMPLE_BLOCK):
         block = draws[s:s + SAMPLE_BLOCK]
         lo, hi = np.searchsorted(inner, block[[0, -1]], side="right").tolist()
-        found = np.searchsorted(inner[lo:hi], block, side="right")
-        np.add(found, lo, out=picks[s:s + SAMPLE_BLOCK])
+        # the block's indices are a temporary, not held beside the next block's
+        np.add(np.searchsorted(inner[lo:hi], block, side="right"), lo,
+               out=picks[s:s + SAMPLE_BLOCK])
     return picks
 
 
@@ -554,8 +562,14 @@ def sample_state(probs: np.ndarray, vertex_order: tuple[int, ...], shots: int,
 
 def sample(ising: IsingModel, schedule: AngleSchedule, shots: int, seed: int,
            max_qubits: int = MAX_QUBITS) -> SampleDistribution:
+    """Draws from the evolved state, read out as a run reads its trained
+    state: the probabilities become the cdf in place, which is freed
+    before the runs are counted. The draws are those of ``sample_state``."""
+    check_memory(ising.n, max_qubits, max(schedule.p, 1), shots)
     probs = probabilities(evolve(ising, schedule, max_qubits))
-    return sample_state(probs, ising.vertex_order, shots, seed)
+    picks = invert_cdf(np.cumsum(probs, out=probs), shots, seed)
+    del probs
+    return count_runs(picks, ising.vertex_order, seed)
 
 
 def depth1_objective(ising: IsingModel):
@@ -798,7 +812,7 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
     if p < 0:
         raise DomainError("depth must be non-negative")
     n = ising.n
-    check_width(n, max_qubits)
+    check_memory(n, max_qubits, p)
     energies = ising.energies_vector()
     prefix = uniform_state(n) if p else None
     gammas: list[float] = []

@@ -118,6 +118,30 @@ def test_only_qaoa_evolves_states():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def functions_reading(source: str, name: str) -> list[str]:
+    """Names of the top-level functions and classes that read ``name``,
+    bare or as an attribute; ``<module>`` for a read outside them."""
+    return [getattr(node, "name", "<module>") for node in ast.parse(source).body
+            if name in read_names(ast.unparse(node))]
+
+
+def test_functions_reading_are_flagged():
+    source = ("def f():\n    return g()\ndef h():\n    return m.g + 1\n"
+              "def g():\n    return 0\nx = g\n")
+    assert functions_reading(source, "g") == ["f", "h", "<module>"]
+
+
+def test_only_the_memory_check_reads_physical_memory():
+    """The memory policy is ``qaoa.peak_bytes``, and ``check_memory`` is
+    the one function that holds it against the machine's memory; a
+    second reader would be a second policy."""
+    found = [f"{path.relative_to(ROOT)} {fn}"
+             for top in ("src", "scripts")
+             for path in sorted((ROOT / top).rglob("*.py"))
+             for fn in functions_reading(path.read_text(), "physical_memory")]
+    assert found == ["src/profitcover/qaoa.py check_memory"]
+
+
 def dropped_calls(source: str, name: str) -> list[int]:
     """Lines of the expression statements that call ``name``, bare or as
     an attribute, and so drop what it returns."""

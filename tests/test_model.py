@@ -2,8 +2,8 @@
 
 The load-bearing identity is energy(x) = -profit(x) for every bitstring,
 held exactly because all coefficients are quarter-integers. Tests verify
-it exhaustively against the plain profit definition, not against the
-package's own vectorized evaluator.
+it exhaustively against the plain profit definition and the frozen QUBO
+of ``frozen_qubo``, not against the package's own vectorized evaluator.
 """
 
 import itertools
@@ -15,14 +15,7 @@ from hypothesis import strategies as st
 
 from profitcover.errors import DomainError
 from profitcover.graph import Graph
-from profitcover.model import (
-    bitstring_of_index,
-    build_ising,
-    build_qubo,
-    index_of_bitstring,
-    index_of_subset,
-    subset_of_index,
-)
+from profitcover.model import bitstring_of_index, build_ising
 
 from conftest import (
     brute_min_cover_size,
@@ -30,6 +23,7 @@ from conftest import (
     complete_graph,
     random_gnp,
 )
+from frozen_qubo import build_qubo, index_of_bitstring, index_of_subset, subset_of_index
 
 
 # ---------------------------------------------------------------------------

@@ -256,16 +256,19 @@ def test_width_is_checked_before_the_oracle(monkeypatch):
 
 
 def test_memory_check_runs_before_the_oracle_and_allocates_no_state(monkeypatch):
-    """Physical memory patched below STATE_COPIES states of 20 qubits:
-    the run stops before the oracle, having allocated far less than one
-    16 MiB state."""
+    """Physical memory patched to 32 MiB, below the peak of a depth-1 run
+    of 20 qubits (2.32 states of 16 MiB: the energies, the prefix beside
+    its probabilities and their exact summary): the run stops before the
+    oracle, having allocated far less than one state."""
     calls = []
     monkeypatch.setattr(pipeline, "min_vertex_cover_exact", lambda g: calls.append(g.n))
     monkeypatch.setattr(qaoa, "physical_memory", lambda: 1 << 25)
     g = gen_regular(20, 3, 1)
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError, match="33554432 bytes of physical memory"):
+        with pytest.raises(CapacityError, match="a run of 20 qubits at depth 1 with 100000 "
+                                                "shots needs 38928384 bytes at its peak, "
+                                                "above the 33554432 bytes of physical memory"):
             run_pipeline(g, PipelineConfig(rules=()))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -281,27 +284,113 @@ def _oracle_must_not_run(g):
 @pytest.mark.parametrize("solver", ["random", "qaoa"])
 def test_shot_check_runs_before_the_oracle(monkeypatch, solver):
     """Physical memory patched to 1 MiB: 2^17 shots on 8 qubits need 9
-    bytes each for the draws and the run mask, and 8 for each of the at
-    most 256 run starts, so the run stops before the oracle."""
+    bytes each for the draws and the run mask, 8 for each of the at most
+    256 run starts, and the 1 KiB of energies, at depth 0 and at depth 1
+    alike, so the run stops before the oracle."""
     monkeypatch.setattr(pipeline, "min_vertex_cover_exact", _oracle_must_not_run)
     monkeypatch.setattr(qaoa, "physical_memory", lambda: 1 << 20)
     config = PipelineConfig(solver=solver, rules=(), shots=1 << 17)
-    with pytest.raises(CapacityError, match="sampling 131072 shots needs 1181696 bytes "
-                                            r".*above the 1048576 bytes"):
+    with pytest.raises(CapacityError, match="with 131072 shots needs 1182720 bytes "
+                                            r"at its peak, above the 1048576 bytes"):
         run_pipeline(gen_regular(8, 3, 1), config)
 
 
 def test_shot_check_admits_buffers_that_fit_exactly(monkeypatch):
-    """9 bytes a shot and 8 a run of 2^8 states fill the patched memory
-    exactly; one shot more is refused."""
+    """9 bytes a shot, 8 a run of 2^8 states and 4 for each state's energy
+    fill the patched memory exactly; one byte less is refused."""
     shots = 116_280
-    monkeypatch.setattr(qaoa, "physical_memory", lambda: 9 * shots + 8 * 256)
+    need = 9 * shots + 8 * 256 + 4 * 256
+    assert need == qaoa.peak_bytes(8, 0, shots) == 1_049_592
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: need)
     g = gen_regular(8, 3, 1)
     report = run_pipeline(g, PipelineConfig(solver="random", rules=(), shots=shots))
     assert report.sample_dist.shots == shots
-    with pytest.raises(CapacityError, match="sampling 116281 shots needs 1048577 bytes "
-                                            r".*above the 1048568 bytes"):
-        run_pipeline(g, PipelineConfig(solver="random", rules=(), shots=shots + 1))
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: need - 1)
+    with pytest.raises(CapacityError, match="with 116280 shots needs 1049592 bytes "
+                                            r"at its peak, above the 1049591 bytes"):
+        run_pipeline(g, PipelineConfig(solver="random", rules=(), shots=shots))
+
+
+# Python-side objects beside the arrays that peak_bytes counts: the
+# graph's copies, the kernel's and the oracle's sets, the optimizer's
+# points and the report; the grid below reaches about 28 KiB
+PYTHON_SLACK = 64 << 10
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_bytes_bounds_every_traced_peak():
+    """run_pipeline and depth_sweep on 3-regular graphs of 12 to 16
+    qubits, at depths 0 to 3 and with shots on both sides of 2^n: every
+    traced peak is at most peak_bytes plus PYTHON_SLACK, and at n=16
+    peak_bytes exceeds it by at most 0.75 states."""
+    for n in (12, 14, 16):
+        g = gen_regular(n, 3, 1)
+        ising = build_ising(g)
+        opt = oracle.max_profit_exact(g)[1]
+        size, state = 1 << n, 16 << n
+        runs = [("random", 0, shots) for shots in (100, size // 8, size, 4 * size)]
+        runs += [("qaoa", depth, shots) for depth in (1, 2, 3) for shots in (size // 2, 2 * size)]
+        points = []
+        for solver, depth, shots in runs:
+            config = PipelineConfig(solver=solver, depth=depth, shots=shots, rules=(),
+                                    max_qubits=n)
+            points.append((f"run {solver} {depth} {shots}", qaoa.peak_bytes(n, depth, shots),
+                           _traced_peak(lambda: run_pipeline(g, config))))
+        for depth in (0, 1, 3):
+            sweep = lambda: metrics.depth_sweep(ising, range(depth + 1), opt_profit=opt,
+                                                max_qubits=n)
+            points.append((f"sweep {depth}", qaoa.peak_bytes(n, depth), _traced_peak(sweep)))
+        for name, model, peak in points:
+            assert peak <= model + PYTHON_SLACK, (n, name, model, peak)
+            if n == 16:
+                assert model - peak <= 0.75 * state, (n, name, model, peak)
+
+
+def test_a_readout_beyond_memory_is_refused_before_the_oracle(monkeypatch):
+    """A random run at n=12 with 30 000 shots holds the energies, 8 bytes a
+    draw and 16 for each of the 2^12 runs, 321 920 bytes. Physical memory
+    patched to 305 536 bytes, which the shot buffers alone fit, stops it
+    before the oracle; patched to its peak, it runs and its traced peak
+    fits."""
+    g = gen_regular(12, 3, 1)
+    config = PipelineConfig(solver="random", rules=(), shots=30_000)
+    need = qaoa.peak_bytes(12, 0, 30_000)
+    assert need == (4 << 12) + 8 * 30_000 + (16 << 12) == 321_920
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: 305_536)
+    exact = pipeline.min_vertex_cover_exact
+    monkeypatch.setattr(pipeline, "min_vertex_cover_exact", _oracle_must_not_run)
+    with pytest.raises(CapacityError, match="needs 321920 bytes at its peak, "
+                                            "above the 305536 bytes"):
+        run_pipeline(g, config)
+    monkeypatch.setattr(pipeline, "min_vertex_cover_exact", exact)
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: need)
+    assert _traced_peak(lambda: run_pipeline(g, config)) <= need + PYTHON_SLACK
+
+
+def test_a_depth_1_run_below_four_states_is_admitted(monkeypatch):
+    """A depth-1 run at n=16 peaks at 2.4375 states: the energies, and the
+    prefix beside its probabilities and their exact summary. With physical
+    memory patched to that figure, below the four states once asked of
+    every run, it runs and its traced peak fits; one byte less is
+    refused."""
+    g = gen_regular(16, 3, 1)
+    config = PipelineConfig(depth=1, rules=(), shots=1000)
+    need = qaoa.peak_bytes(16, 1, 1000)
+    assert need == 2.4375 * (16 << 16) == 2_555_904 < 4 * (16 << 16)
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: need)
+    assert _traced_peak(lambda: run_pipeline(g, config)) <= need + PYTHON_SLACK
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: need - 1)
+    with pytest.raises(CapacityError, match="needs 2555904 bytes at its peak"):
+        run_pipeline(g, config)
 
 
 @pytest.mark.parametrize("solver,depth", [("random", 0), ("qaoa", 1), ("qaoa", 2)])

@@ -27,7 +27,7 @@ from profitcover.qaoa import (
     AngleSchedule,
     apply_mixer,
     apply_phase,
-    check_width,
+    check_memory,
     depth1_objective,
     evolve,
     expectation,
@@ -93,7 +93,7 @@ def test_norm_preserved(seed):
 
 def test_capacity_error_names_count():
     with pytest.raises(CapacityError, match="30"):
-        check_width(30, 25)
+        check_memory(30, 25, 1)
     g = random_gnp(7, 0.6, 1)
     m = build_ising(g)
     with pytest.raises(CapacityError):
@@ -102,32 +102,88 @@ def test_capacity_error_names_count():
         train_layerwise(m, 1, max_qubits=5)
 
 
+@pytest.mark.parametrize("depth,states", [
+    # the energies (1/4), the probabilities (1/2) with the exact summary's
+    # mask (1/16) and every weight a mass may select (1/2)
+    (0, 1 + 5 / 16),
+    # the energies, the prefix beside the trained layer's probabilities
+    # (1/2 and a spare slice of 1/128) and an exact summary of them
+    (1, 1 / 4 + 1 + 1 / 2 + 1 / 128 + 1 / 16 + 1 / 2),
+    # the energies, the prefix, the phased state and the work buffer
+    (2, 3 + 1 / 4),
+    (5, 3 + 1 / 4),
+])
+def test_peak_bytes_of_training_and_the_exact_summary(depth, states):
+    """At n=20 a state is 16 MiB and a slice of 2^14 floats 1/128 of one."""
+    assert qaoa.peak_bytes(20, depth) == states * (16 << 20)
+
+
+@pytest.mark.parametrize("shots,states", [
+    # the exact summary: the energies, the probabilities, a mask, the weights
+    (1 << 19, 1 + 5 / 16),
+    # the sampled summary: the energies, and 29 bytes a run for 2^20 runs
+    (1 << 20, 1 / 4 + 29 / 16),
+])
+def test_peak_bytes_of_the_readout(shots, states):
+    assert qaoa.peak_bytes(20, 0, shots) == states * (16 << 20)
+
+
 def test_memory_check_refuses_a_state_that_does_not_fit(monkeypatch):
-    """check_width compares STATE_COPIES states with physical memory,
-    whose figure is patched down here; nothing is allocated."""
-    need = qaoa.STATE_COPIES * 16 << 20
-    monkeypatch.setattr(qaoa, "physical_memory", lambda: need - 1)
-    with pytest.raises(CapacityError, match=f"needs {need} bytes.* {need - 1} bytes"):
-        check_width(20, 25)
-    check_width(19, 25)  # half the bytes fits
-    monkeypatch.setattr(qaoa, "physical_memory", lambda: None)
-    check_width(20, 25)  # an unknown figure checks nothing
+    """check_memory compares peak_bytes with physical memory, whose figure
+    is patched here: a run of 20 qubits is admitted at exactly its peak
+    and refused one byte below; nothing is allocated."""
+    for depth, shots in [(0, 0), (1, 0), (2, 0), (0, 1 << 22), (1, 1 << 22)]:
+        need = qaoa.peak_bytes(20, depth, shots)
+        monkeypatch.setattr(qaoa, "physical_memory", lambda: need)
+        check_memory(20, 25, depth, shots)
+        monkeypatch.setattr(qaoa, "physical_memory", lambda: need - 1)
+        with pytest.raises(CapacityError, match=f"a run of 20 qubits at depth {depth} with "
+                                                f"{shots} shots needs {need} bytes at its "
+                                                f"peak, above the {need - 1} bytes"):
+            check_memory(20, 25, depth, shots)
+        monkeypatch.setattr(qaoa, "physical_memory", lambda: None)
+        check_memory(20, 25, depth, shots)  # an unknown figure checks nothing
 
 
 @pytest.mark.parametrize("shots,need", [
-    (100, 800 + 16 * 100),  # fewer shots than states: 16 a run, one run a shot
-    (1000, 8000 + 16 * 256),  # the starts and indices of all 256 states
-    (4000, 32000 + 4000 + 8 * 256),  # the run mask and the starts
+    # 2^16 shots, four for each of the 2^14 states: the energies (4 bytes
+    # a state), the picks (8 a shot), and the starts and indices of 2^14
+    # runs (16 a run)
+    (1 << 16, (4 << 14) + (8 << 16) + (16 << 14)),
+    # 2^17 shots: the run mask and the starts take as much as that
+    (1 << 17, (4 << 14) + (8 << 17) + (16 << 14)),
+    # 2^18 shots: the run mask (1 byte a shot) and the starts (8 a run)
+    (1 << 18, (4 << 14) + (8 << 18) + (1 << 18) + (8 << 14)),
 ])
 def test_shot_check_states_the_larger_counting_peak(monkeypatch, shots, need):
-    """On 8 qubits: the draws, 8 bytes a shot, and the larger of counting's
-    two peaks, a one-byte mask a shot with 8 bytes a run start, or 8
-    bytes a start and 8 an index, for at most min(shots, 256) runs."""
+    """On 14 qubits, with four to sixteen shots a state, counting is the
+    readout's largest step: the picks written over the draws, and the
+    larger of a one-byte mask a shot with 8 bytes a run start, or 8 bytes
+    a start and 8 an index, for at most min(shots, 2^14) runs."""
+    assert qaoa.peak_bytes(14, 0, shots) == need
     monkeypatch.setattr(qaoa, "physical_memory", lambda: need)
-    qaoa.check_shots(8, shots)
+    check_memory(14, 25, 0, shots)
     monkeypatch.setattr(qaoa, "physical_memory", lambda: need - 1)
-    with pytest.raises(CapacityError, match=f"sampling {shots} shots needs {need} bytes"):
-        qaoa.check_shots(8, shots)
+    with pytest.raises(CapacityError, match=f"with {shots} shots needs {need} bytes"):
+        check_memory(14, 25, 0, shots)
+
+
+def test_sample_checks_its_shots_before_evolving(monkeypatch):
+    """``sample`` refuses shots whose readout would not fit before it
+    builds the state, and reads out in place as a run does."""
+    m = build_ising(random_gnp(8, 0.5, 3))
+    schedule = _rand_schedule(1, 4)
+    want = sample_state(probabilities(evolve(m, schedule)), m.vertex_order, 3000, 7)
+    got = sample(m, schedule, shots=3000, seed=7)
+    assert np.array_equal(got.indices, want.indices) and np.array_equal(got.counts, want.counts)
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(qaoa, "uniform_state", no_state)
+    monkeypatch.setattr(qaoa, "physical_memory", lambda: qaoa.peak_bytes(8, 1, 1 << 20) - 1)
+    with pytest.raises(CapacityError, match="with 1048576 shots needs"):
+        sample(m, schedule, shots=1 << 20, seed=7)
 
 
 def test_physical_memory_is_positive():
