@@ -221,7 +221,7 @@ def peak_bytes(n: int, depth: int, shots: int = 0) -> int:
     on it holds the prefix state and the phased state with a slice of
     table indices, then after each layer the prefix beside the layer's
     probability vector (S/2 and a spare slice) and whatever reads that
-    vector: the weighted sum's slice, or the exact summary of
+    vector: the weighted sum's buffers, or the exact summary of
     ``each_layer``. Through a layer >= 2 search it holds the prefix, the
     phased state and the work buffer, 3 S.
 

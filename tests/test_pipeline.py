@@ -346,9 +346,9 @@ def test_peak_bytes_bounds_every_traced_peak():
             points.append((f"run {solver} {depth} {shots}", qaoa.peak_bytes(n, depth, shots),
                            _traced_peak(lambda: run_pipeline(g, config))))
         for depth in (0, 1, 3):
-            sweep = lambda: metrics.depth_sweep(ising, range(depth + 1), opt_profit=opt,
-                                                max_qubits=n)
-            points.append((f"sweep {depth}", qaoa.peak_bytes(n, depth), _traced_peak(sweep)))
+            points.append((f"sweep {depth}", qaoa.peak_bytes(n, depth), _traced_peak(
+                lambda: metrics.depth_sweep(ising, range(depth + 1), opt_profit=opt,
+                                            max_qubits=n))))
         for name, model, peak in points:
             assert peak <= model + PYTHON_SLACK, (n, name, model, peak)
             if n == 16:
