@@ -72,6 +72,8 @@ def _job(entry: dict, where: str) -> tuple[str, Graph, PipelineConfig]:
         raise ParseError(f"{where}: unknown keys {unknown}; choose from {list(JOB_KEYS)}")
     if ("input" in entry) == ("gen" in entry):
         raise ParseError(f"{where} needs exactly one of input/gen")
+    if "format" in entry and "gen" in entry:
+        raise ParseError(f"{where}: format applies to input only, not to gen")
     for key, value in entry.items():
         want = CONFIG_KEYS[key][1] if key in CONFIG_KEYS else str
         if not isinstance(value, want) or (want is int and isinstance(value, bool)):

@@ -254,7 +254,7 @@ def summarize(dist: SampleDistribution, ising: IsingModel,
     energies = ising.energies_vector()[dist.indices]
     weights = dist.counts / dist.shots
     return _summarize("sampled", dist.shots, dist.indices, weights,
-                      energies, ising.n, len(ising.j4), opt_profit)
+                      energies, ising.n, ising.graph.m, opt_profit)
 
 
 def summarize_exact(probs: np.ndarray, ising: IsingModel,
@@ -276,10 +276,10 @@ def summarize_exact(probs: np.ndarray, ising: IsingModel,
     energies = ising.energies_vector()
     if probs.size and probs.min() > 0.0:
         return _summarize("exact", None, None, probs, energies, ising.n,
-                          len(ising.j4), opt_profit)
+                          ising.graph.m, opt_profit)
     support = np.flatnonzero(probs > 0.0)
     return _summarize("exact", None, support, probs[support], energies[support],
-                      ising.n, len(ising.j4), opt_profit)
+                      ising.n, ising.graph.m, opt_profit)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ The spin form (x = (1-z)/2, bit 1 mapped to z = -1) is
     H = 1/4 sum_{uv} (z_u z_v + z_u + z_v) - 1/2 sum_v z_v + offset
 
 with offset = |V|/2 - 3|E|/4, and satisfies H(x) = -profit(x) exactly.
-The module builds the spin form, which the simulator reads.
-All coefficients are quarter-integers, so they are stored as integers
-scaled by 4. Every basis energy is the integer |S| - |covered edges|,
-so the energy vector is int32 and lies in [-|E|, |V|].
+The module builds the spin form, which the simulator reads. Its
+coefficients are functions of the graph (h_v = (deg(v) - 2)/4 and
+J_uv = 1/4 per edge), so the model holds the graph alone and derives
+them. Every basis energy is the integer |S| - |covered edges|, so the
+energy vector is int32 and lies in [-|E|, |V|].
 
 Basis-state indexing: bit j (least significant) of a state index holds
 the indicator of ``vertex_order[j]``, and the display bitstring writes
@@ -45,32 +46,25 @@ def _bits_to_subset(bits: str, vertex_order: tuple[int, ...]) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class IsingModel:
-    """Spin Hamiltonian with H(x) = -profit(x), coefficients times 4."""
+    """Spin Hamiltonian of ``graph``'s profit, with H(x) = -profit(x)."""
 
-    vertex_order: tuple[int, ...]
-    h4: dict[int, int]  # 4*h_v = deg(v) - 2
-    j4: dict[tuple[int, int], int]  # 4*J_uv = 1 per edge
-    const4: int  # 4*offset = 2|V| - 3|E|
+    graph: Graph
+
+    @property
+    def vertex_order(self) -> tuple[int, ...]:
+        return self.graph.vertices
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return self.graph.edges
 
     @property
     def n(self) -> int:
-        return len(self.vertex_order)
+        return self.graph.n
 
     @property
     def offset(self) -> float:
-        return self.const4 / 4.0
-
-    def energy(self, subset) -> float:
-        """Exact energy of the computational basis state for a subset."""
-        s = set(subset)
-        z = {v: -1 if v in s else 1 for v in self.vertex_order}
-        e4 = self.const4
-        e4 += sum(c * z[v] for v, c in self.h4.items())
-        e4 += sum(c * z[u] * z[v] for (u, v), c in self.j4.items())
-        return e4 / 4.0
-
-    def energy_of_bits(self, bits: str) -> float:
-        return self.energy(_bits_to_subset(bits, self.vertex_order))
+        return (2 * self.n - 3 * self.graph.m) / 4.0
 
     def energies_vector(self) -> np.ndarray:
         """Energies of all 2^n basis states, exactly -profit per state.
@@ -101,7 +95,7 @@ class IsingModel:
         pos = {v: j for j, v in enumerate(self.vertex_order)}
         degree = [0] * n
         lower = [0] * n
-        for u, v in self.j4:
+        for u, v in self.edges:
             a, b = sorted((pos[u], pos[v]))
             degree[a] += 1
             degree[b] += 1
@@ -119,6 +113,4 @@ class IsingModel:
 def build_ising(g: Graph) -> IsingModel:
     if g.n == 0:
         raise DomainError("cannot build a model over an empty vertex set")
-    h4 = {v: g.degree(v) - 2 for v in g.vertices}
-    j4 = {e: 1 for e in g.edges}
-    return IsingModel(g.vertices, h4, j4, 2 * g.n - 3 * g.m)
+    return IsingModel(g)

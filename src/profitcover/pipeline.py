@@ -77,10 +77,10 @@ class PipelineConfig:
         if self.shots < 1:
             raise DomainError("shots must be positive")
         check_seed(self.seed)
-        if (not isinstance(self.rules, tuple)
-                or not all(r in ALL_RULES for r in self.rules)):
-            raise DomainError(
-                f"rules must be a tuple of names from {ALL_RULES}, got {self.rules!r}")
+        if (not isinstance(self.rules, tuple) or not all(r in ALL_RULES for r in self.rules)
+                or len(set(self.rules)) != len(self.rules)):
+            raise DomainError(f"rules must be a tuple of distinct names from {ALL_RULES},"
+                              f" got {self.rules!r}")
         if not isinstance(self.reference_note, (str, type(None))):
             raise DomainError(
                 f"reference_note must be a str or None, got {self.reference_note!r}")

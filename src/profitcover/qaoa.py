@@ -310,7 +310,7 @@ def apply_phase(state: np.ndarray, ising: IsingModel, gamma: float, *,
     # energies lie in [-m, n]: E = 0..n index the table directly, and
     # mode="wrap" sends E = -m..-1 to the m entries after them
     table = np.exp(-1j * gamma * np.concatenate(
-        (np.arange(ising.n + 1), np.arange(-len(ising.j4), 0))))
+        (np.arange(ising.n + 1), np.arange(-ising.graph.m, 0))))
     index = (np.empty(min(state.size, CHUNK), dtype=np.intp) if work is None
              else work.view(np.intp))
     for s in _chunks(state.size):
@@ -586,22 +586,16 @@ def depth1_objective(ising: IsingModel):
                     - 1/2 sin(2b)^2 c^(d_u+d_v-2-2t_uv)
                       [cos(2g(h_u+h_v)) cos(g)^t_uv - cos(2g(h_u-h_v))]
 
-    The degrees, fields, edge endpoints and common-neighbour counts are
-    computed here once, so each call is O(n+m). Every coupling must be
-    1/4, as ``build_ising`` makes them; any other raises DomainError.
+    The profit model's fields are h_u = (d_u - 2)/4. The degrees, fields,
+    edge endpoints and common-neighbour counts are computed here once, so
+    each call is O(n+m).
     """
-    other = sorted({c for c in ising.j4.values() if c != 1})
-    if other:
-        raise DomainError(f"closed-form depth 1 needs every 4*J_uv = 1, got {other}")
     pos = {v: j for j, v in enumerate(ising.vertex_order)}
-    nbrs: list[set[int]] = [set() for _ in range(ising.n)]
-    for u, v in ising.j4:
-        nbrs[pos[u]].add(pos[v])
-        nbrs[pos[v]].add(pos[u])
+    nbrs = [{pos[w] for w in ising.graph.neighbors(v)} for v in ising.vertex_order]
     degree = np.array([len(nb) for nb in nbrs], dtype=np.int64)
-    field = np.array([ising.h4[v] for v in ising.vertex_order], dtype=np.float64) / 4.0
-    a = np.array([pos[u] for u, _ in ising.j4], dtype=np.intp)
-    b = np.array([pos[v] for _, v in ising.j4], dtype=np.intp)
+    field = (degree - 2) / 4.0
+    a = np.array([pos[u] for u, _ in ising.edges], dtype=np.intp)
+    b = np.array([pos[v] for _, v in ising.edges], dtype=np.intp)
     common = np.array([len(nbrs[i] & nbrs[j]) for i, j in zip(a, b)], dtype=np.int64)
     # neighbours of a vertex besides one of them (the other endpoint of
     # an edge), and of exactly one endpoint of an edge

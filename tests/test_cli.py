@@ -8,7 +8,9 @@ import json
 import re
 import subprocess
 import sys
+import tarfile
 import time
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,12 @@ import pytest
 from profitcover import cli, oracle, pipeline, qaoa
 from profitcover.cli import CONFIG_KEYS, _parse_rules, main
 from profitcover.errors import ParseError
-from profitcover.instances import gen_erdos_renyi_connected, gen_regular, parse_gen
+from profitcover.instances import (
+    gen_erdos_renyi_connected,
+    gen_regular,
+    load_graph,
+    parse_gen,
+)
 from profitcover.pipeline import PipelineConfig
 from profitcover.postprocess import RefinedSolution
 
@@ -132,6 +139,12 @@ def test_run_name_override(tmp_path, capsys):
 
 def test_exit_2_on_bad_gen(capsys):
     assert run_cli("run", "--gen", "er:n=10") == 2
+
+
+def test_exit_2_on_a_format_with_gen(capsys):
+    assert run_cli("run", "--gen", "er:n=6,p=0.5,seed=1", "--format", "dimacs") == 2
+    captured = capsys.readouterr()
+    assert "format applies to input only" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("spec", ["er:n=1000000,p=0.001", "regular:n=1000000,d=3"])
@@ -454,8 +467,9 @@ def test_batch_missing_manifest(capsys):
     {"postprocess_rules": False},    # a removed key; refinement always runs the rules
     {"seed": -1},                    # not a Philox key
     {"gen": "regular:n=6,d=3,seed=-3"},  # the generator's seed is not a Philox key
+    {"format": "matrix_market"},     # a format reads files; gen builds a graph
 ], ids=["unknown-key", "layers-str", "skip-preprocess-str", "unknown-rule",
-        "postprocess-rules", "negative-seed", "negative-gen-seed"])
+        "postprocess-rules", "negative-seed", "negative-gen-seed", "format-with-gen"])
 def test_batch_bad_entry_exits_2_before_any_job(tmp_path, capsys, bad):
     manifest = _write_manifest(tmp_path, [
         {"gen": "er:n=6,p=0.5,seed=1", "solver": "exact"},
@@ -662,6 +676,91 @@ def test_report_digests_prints_the_same_digest_twice():
                            timeout=300).stdout for _ in range(2)]
     assert re.fullmatch(r"[0-9a-f]{64}\n", outs[0])
     assert outs[1] == outs[0]
+
+
+# 17 vertices, 39 edges, the size fetch_instances expects of farm: a
+# cycle, its chords of length 2 and five of length 5, labelled 1..17
+FARM_EDGES = ([(i, i % 17 + 1) for i in range(1, 18)]
+              + [(i, (i + 1) % 17 + 1) for i in range(1, 18)]
+              + [(i, i + 5) for i in range(1, 6)])
+
+
+def _zip_bytes(name, text):
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        zf.writestr("readme.txt", "not the graph\n")
+        zf.writestr(name, text)
+    return buf.getvalue()
+
+
+def _tar_gz_bytes(name, text):
+    buf = io.BytesIO()
+    data = text.encode()
+    with tarfile.open(fileobj=buf, mode="w:gz") as tf:
+        info = tarfile.TarInfo(name)
+        info.size = len(data)
+        tf.addfile(info, io.BytesIO(data))
+    return buf.getvalue()
+
+
+def _farm_payloads(edges):
+    """(source name, payload) of the graph in each form the script reads."""
+    mtx = ("%%MatrixMarket matrix coordinate pattern symmetric\n% farm\n"
+           f"17 17 {len(edges)}\n" + "".join(f"{v} {u}\n" for u, v in edges))
+    pairs = "".join(f"{u} {v}\n" for u, v in edges)
+    net = ("*Vertices 17\n" + "".join(f'{i} "v{i}"\n' for i in range(1, 18))
+           + "*Edges\n" + pairs)
+    csv_text = "# source,target\n" + "".join(f"{u},{v}\n" for u, v in edges)
+    return {
+        "zip-mtx": ("eco-farm.zip", _zip_bytes("eco-farm/eco-farm.mtx", mtx)),
+        "tar-gz-edges": ("farm.tar.gz", _tar_gz_bytes("farm/farm.edges", pairs)),
+        "pajek-net": ("farm.net", net.encode()),
+        "csv": ("farm.csv", csv_text.encode()),
+    }
+
+
+@pytest.fixture
+def fetch_instances(tmp_path, monkeypatch):
+    """The fetch script, writing under ``tmp_path`` and never downloading."""
+    script = _load_script("fetch_instances")
+
+    def no_download(url, timeout):
+        pytest.fail(f"the test downloaded {url}")
+
+    monkeypatch.setattr(script, "DATA_DIR", tmp_path / "instances")
+    monkeypatch.setattr(script, "download", no_download)
+    (tmp_path / "instances").mkdir()
+    return script
+
+
+@pytest.mark.parametrize("form", sorted(_farm_payloads(FARM_EDGES)))
+def test_fetch_installs_farm_from_each_form(fetch_instances, form):
+    source, payload = _farm_payloads(FARM_EDGES)[form]
+    message = fetch_instances.install("farm", payload, source)
+    assert message.startswith("wrote farm.edges")
+    g = load_graph(fetch_instances.DATA_DIR / "farm.edges")
+    assert (g.n, g.m) == (17, 39)
+
+
+@pytest.mark.parametrize("form", sorted(_farm_payloads(FARM_EDGES)))
+def test_fetch_refuses_a_payload_of_the_wrong_size(fetch_instances, form):
+    source, payload = _farm_payloads(FARM_EDGES[:-1])[form]
+    with pytest.raises(ValueError, match=r"\(17,38\), expected \(17, 39\)"):
+        fetch_instances.install("farm", payload, source)
+    assert list(fetch_instances.DATA_DIR.iterdir()) == []
+
+
+def test_fetch_main_installs_a_local_file(fetch_instances, tmp_path, capsys):
+    source, payload = _farm_payloads(FARM_EDGES)["zip-mtx"]
+    path = tmp_path / source
+    path.write_bytes(payload)
+    assert fetch_instances.main(["farm", "--file", f"farm={path}"]) == 0
+    assert "[ok]   farm: wrote farm.edges" in capsys.readouterr().out
+    g = load_graph(fetch_instances.DATA_DIR / "farm.edges")
+    assert (g.n, g.m) == (17, 39)
+    # a second run finds the file and keeps it
+    assert fetch_instances.main(["farm"]) == 0
+    assert "already present" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("args", [["--seed", "-1"], ["--layers", "-1"], ["--shots", "0"]],

@@ -183,3 +183,35 @@ def test_the_run_path_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def scripts_exercised(source: str) -> set[str]:
+    """Names a test module gives scripts: the argument of each
+    ``_load_script("<stem>")`` call, and each whole string ``"<stem>.py"``.
+    A file name inside a longer string, such as a message, is not one."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_load_script"
+                and node.args and isinstance(node.args[0], ast.Constant)):
+            found.add(node.args[0].value)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.endswith(".py")):
+            found.add(node.value.removesuffix(".py"))
+    return found
+
+
+def test_scripts_exercised_are_found():
+    source = ('a = _load_script("one")\nb = ROOT / "scripts" / "two.py"\n'
+              'HINT = "download it with scripts/three.py"\nf"run {x}/four.py"\n')
+    assert {"one", "two"} <= scripts_exercised(source)
+    assert not {"three", "four"} & scripts_exercised(source)
+
+
+def test_every_script_is_exercised_by_a_test():
+    """Each script under ``scripts/`` is loaded or run by some test, so a
+    change that breaks it fails the suite rather than its next user."""
+    exercised = set()
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        exercised |= scripts_exercised(path.read_text())
+    stems = [path.stem for path in sorted((ROOT / "scripts").glob("*.py"))]
+    assert [stem for stem in stems if stem not in exercised] == []

@@ -279,7 +279,7 @@ def _gathered_summary(probs, ising, opt_profit):
     """summarize_exact as it gathered the support for every distribution."""
     support = np.flatnonzero(probs > 0.0)
     return _summarize("exact", None, support, probs[support],
-                      ising.energies_vector()[support], ising.n, len(ising.j4),
+                      ising.energies_vector()[support], ising.n, ising.graph.m,
                       opt_profit)
 
 

@@ -2,8 +2,10 @@
 
 The load-bearing identity is energy(x) = -profit(x) for every bitstring,
 held exactly because all coefficients are quarter-integers. Tests verify
-it exhaustively against the plain profit definition and the frozen QUBO
-of ``frozen_qubo``, not against the package's own vectorized evaluator.
+the model's energy vector exhaustively against the plain profit
+definition and against the frozen QUBO and spin form of ``frozen_qubo``,
+which derive their coefficients from the graph independently of the
+model.
 """
 
 import itertools
@@ -23,7 +25,13 @@ from conftest import (
     complete_graph,
     random_gnp,
 )
-from frozen_qubo import build_qubo, index_of_bitstring, index_of_subset, subset_of_index
+from frozen_qubo import (
+    build_qubo,
+    build_spin_form,
+    index_of_bitstring,
+    index_of_subset,
+    subset_of_index,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +63,9 @@ def test_bits_length_mismatch():
     q = build_qubo(complete_graph(2))
     with pytest.raises(DomainError):
         q.value_of_bits("101")
-    m = build_ising(complete_graph(2))
+    spin = build_spin_form(complete_graph(2))
     with pytest.raises(DomainError):
-        m.energy_of_bits("1")
+        spin.energy_of_bits("1")
 
 
 # ---------------------------------------------------------------------------
@@ -100,25 +108,30 @@ def test_qubo_json_shape(k3):
 # Ising
 
 
+def _energy_of_bits(g, bits):
+    """The model's energy of one bitstring, checked against the frozen
+    spin form's."""
+    e = int(build_ising(g).energies_vector()[index_of_bitstring(bits)])
+    assert build_spin_form(g).energy_of_bits(bits) == e
+    return e
+
+
 def test_ising_k2_offset_and_energies(k2):
-    m = build_ising(k2)
-    assert m.offset == 0.25
-    assert m.energy_of_bits("00") == 0.0
-    assert m.energy_of_bits("10") == 0.0
-    assert m.energy_of_bits("01") == 0.0
-    assert m.energy_of_bits("11") == 1.0
+    assert build_ising(k2).offset == 0.25
+    assert _energy_of_bits(k2, "00") == 0
+    assert _energy_of_bits(k2, "10") == 0
+    assert _energy_of_bits(k2, "01") == 0
+    assert _energy_of_bits(k2, "11") == 1
 
 
 def test_ising_k3_110(k3):
-    m = build_ising(k3)
-    assert m.energy_of_bits("110") == -1.0
+    assert _energy_of_bits(k3, "110") == -1
 
 
 def test_ising_single_vertex():
     g = Graph([0], [])
-    m = build_ising(g)
-    assert m.energy_of_bits("0") == 0.0
-    assert m.energy_of_bits("1") == 1.0
+    assert _energy_of_bits(g, "0") == 0
+    assert _energy_of_bits(g, "1") == 1
 
 
 def test_ising_karate_offset():
@@ -130,9 +143,13 @@ def test_ising_karate_offset():
 
 def test_ising_couplings_match_edges(c4):
     m = build_ising(c4)
-    assert set(m.j4) == set(c4.edges)
-    assert all(c == 1 for c in m.j4.values())
-    assert m.h4 == {v: 0 for v in c4.vertices}  # deg 2 everywhere
+    assert m.graph is c4
+    assert (m.vertex_order, m.edges, m.n) == (c4.vertices, c4.edges, 4)
+    spin = build_spin_form(c4)
+    assert set(spin.j4) == set(m.edges)
+    assert all(c == 1 for c in spin.j4.values())
+    assert spin.h4 == {v: 0 for v in c4.vertices}  # deg 2 everywhere
+    assert spin.const4 / 4.0 == m.offset
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -140,25 +157,27 @@ def test_energy_is_negated_profit_exhaustive(seed):
     n = 3 + seed % 6
     g = random_gnp(n, 0.45, 1300 + seed)
     q = build_qubo(g)
-    m = build_ising(g)
+    spin = build_spin_form(g)
+    vec = build_ising(g).energies_vector()
     for bits_tuple in itertools.product("01", repeat=n):
         bits = "".join(bits_tuple)
         subset = {v for c, v in zip(bits, g.vertices) if c == "1"}
         prof = brute_profit(g, subset)
         assert q.value_of_bits(bits) == prof
-        e = m.energy_of_bits(bits)
+        e = spin.energy_of_bits(bits)
         assert e == -prof  # exact, no tolerance
         assert e == float(int(e * 4)) / 4  # quarter-integer grid
+        assert vec[index_of_bitstring(bits)] == -prof
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_energies_vector_matches_scalar(seed):
     g = random_gnp(3 + seed % 7, 0.5, 1400 + seed)
-    m = build_ising(g)
-    vec = m.energies_vector()
+    spin = build_spin_form(g)
+    vec = build_ising(g).energies_vector()
     assert vec.shape == (1 << g.n,)
     for idx in range(1 << g.n):
-        assert vec[idx] == m.energy(subset_of_index(idx, m.vertex_order))
+        assert vec[idx] == spin.energy(subset_of_index(idx, g.vertices))
 
 
 def _edge_loop_energies(m):
@@ -166,7 +185,7 @@ def _edge_loop_energies(m):
     idx = np.arange(1 << m.n, dtype=np.uint64)
     energy = np.bitwise_count(idx).astype(np.int64)
     pos = {v: j for j, v in enumerate(m.vertex_order)}
-    for u, v in m.j4:
+    for u, v in m.graph.edges:
         covered = ((idx >> np.uint64(pos[u])) | (idx >> np.uint64(pos[v]))) & np.uint64(1)
         energy -= covered.astype(np.int64)
     return energy.astype(np.int32)
@@ -214,5 +233,6 @@ def test_vertex_order_respected_for_sparse_labels():
     m = build_ising(g)
     assert m.vertex_order == (4, 7, 11)
     # bit 0 is vertex 4: selecting only vertex 4 covers edge (4,7)
-    assert m.energy_of_bits("100") == -(1 - 1)
-    assert m.energy({7}) == -(2 - 1)
+    assert _energy_of_bits(g, "100") == -(1 - 1)
+    assert m.energies_vector()[index_of_subset({7}, m.vertex_order)] == -(2 - 1)
+    assert build_spin_form(g).energy({7}) == -(2 - 1)

@@ -56,6 +56,7 @@ def test_config_rejects_a_count_that_is_not_an_int(field, value):
     ("reference_note", 5),          # would print into canonical JSON
     ("reference_note", b"note"),
     ("reference_note", ["note"]),
+    ("rules", ("sr", "sr")),        # two report texts for one run
 ])
 def test_config_rejects_bad_rules_and_notes(field, value):
     with pytest.raises(DomainError, match=field):

@@ -21,7 +21,7 @@ from profitcover import qaoa
 from profitcover.errors import CapacityError, DomainError
 from profitcover.instances import gen_erdos_renyi_connected, gen_regular
 from profitcover.graph import Graph
-from profitcover.model import IsingModel, build_ising
+from profitcover.model import build_ising
 from profitcover.qaoa import (
     FIXED_STARTS,
     AngleSchedule,
@@ -891,13 +891,14 @@ def _closed_form_one_pair(m, gamma, beta):
     time, on numpy scalars, as the reference for the batched form."""
     pos = {v: j for j, v in enumerate(m.vertex_order)}
     nbrs = [set() for _ in range(m.n)]
-    for u, v in m.j4:
+    for u, v in m.graph.edges:
         nbrs[pos[u]].add(pos[v])
         nbrs[pos[v]].add(pos[u])
     degree = np.array([len(nb) for nb in nbrs], dtype=np.int64)
-    field = np.array([m.h4[v] for v in m.vertex_order], dtype=np.float64) / 4.0
-    a = np.array([pos[u] for u, _ in m.j4], dtype=np.intp)
-    b = np.array([pos[v] for _, v in m.j4], dtype=np.intp)
+    # the profit model's fields, 4*h_v = deg(v) - 2
+    field = np.array([m.graph.degree(v) - 2 for v in m.vertex_order], dtype=np.float64) / 4.0
+    a = np.array([pos[u] for u, _ in m.graph.edges], dtype=np.intp)
+    b = np.array([pos[v] for _, v in m.graph.edges], dtype=np.intp)
     common = np.array([len(nbrs[i] & nbrs[j]) for i, j in zip(a, b)], dtype=np.int64)
     rest_a, rest_b = degree[a] - 1, degree[b] - 1
     one_side = rest_a + rest_b - 2 * common
@@ -966,16 +967,6 @@ def test_layer1_training_runs_one_mixer(monkeypatch):
     _, log, _ = train_layerwise(build_ising(gen_regular(12, 3, 4403)), 1)
     assert log.total_evals > 100
     assert len(calls) <= 1
-
-
-@pytest.mark.parametrize("coupling", [2, -1, 0])
-def test_depth1_rejects_couplings_other_than_a_quarter(coupling):
-    m = build_ising(cycle_graph(5))
-    other = IsingModel(m.vertex_order, m.h4, {e: coupling for e in m.j4}, m.const4)
-    with pytest.raises(DomainError, match="4\\*J_uv"):
-        depth1_objective(other)
-    with pytest.raises(DomainError):
-        train_layerwise(other, 1)
 
 
 @settings(max_examples=25, deadline=None)
