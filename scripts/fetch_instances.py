@@ -146,16 +146,25 @@ def download(url: str, timeout: float) -> bytes:
 
 
 def install(dataset: str, payload: bytes, source: str) -> str:
-    """Normalize, verify, and write one dataset; returns a status message."""
+    """Normalize, verify, and write one dataset; returns a status message.
+
+    The edge list is written and loaded under a temporary name in
+    DATA_DIR, and moved into place only once its (|V|, |E|) matches, so a
+    payload that fails to parse or to match leaves no file behind.
+    """
     expected, _ = DATASETS[dataset]
     member, text = extract_graph_text(payload, source, dataset)
     out = DATA_DIR / f"{dataset}.edges"
-    out.write_text(normalize(text, member))
-    g = load_graph(out)
-    if (g.n, g.m) != expected:
-        out.unlink()
-        raise ValueError(f"{source} ({member}) parsed to (|V|,|E|)=({g.n},{g.m}), "
-                         f"expected {expected}")
+    tmp = DATA_DIR / f".{dataset}.edges.tmp"
+    try:
+        tmp.write_text(normalize(text, member))
+        g = load_graph(tmp)
+        if (g.n, g.m) != expected:
+            raise ValueError(f"{source} ({member}) parsed to (|V|,|E|)=({g.n},{g.m}), "
+                             f"expected {expected}")
+        tmp.replace(out)
+    finally:
+        tmp.unlink(missing_ok=True)
     return f"wrote {out.name} from {source}: (|V|,|E|)={expected}"
 
 
@@ -163,11 +172,15 @@ def fetch(dataset: str, urls, local: Path | None, timeout: float) -> bool:
     expected, _ = DATASETS[dataset]
     existing = DATA_DIR / f"{dataset}.edges"
     if existing.exists():
-        g = load_graph(existing)
-        if (g.n, g.m) == expected:
-            print(f"[ok]   {dataset}: already present, (|V|,|E|)={expected}")
-            return True
-        print(f"[warn] {dataset}: existing file has (|V|,|E|)=({g.n},{g.m}), refetching")
+        try:
+            g = load_graph(existing)
+        except Exception as err:
+            print(f"[warn] {dataset}: existing file does not load ({err}), refetching")
+        else:
+            if (g.n, g.m) == expected:
+                print(f"[ok]   {dataset}: already present, (|V|,|E|)={expected}")
+                return True
+            print(f"[warn] {dataset}: existing file has (|V|,|E|)=({g.n},{g.m}), refetching")
     if local is not None:
         try:
             print(f"[ok]   {dataset}: {install(dataset, local.read_bytes(), str(local))}")

@@ -1,5 +1,10 @@
 """Undirected simple graphs with stable integer vertex labels.
 
+A Graph stores each edge once per endpoint and nothing else: the sorted
+vertex labels, one sorted neighbour tuple per vertex, and the edge count.
+The edge list is derived from the neighbour tuples when it is read, and
+every predicate below reads the neighbour tuples directly.
+
 Graphs are immutable after construction: every operation returns a new
 Graph. Vertex labels survive subgraph and complement operations unchanged,
 so a label table built at ingestion stays valid for any derived graph.
@@ -18,39 +23,39 @@ class Graph:
     """Undirected simple graph on integer vertex labels.
 
     Labels need not be dense: the reduction rules introduce fresh labels
-    for folded vertices. Neighbor lists are kept sorted so that greedy
-    tie-breaking and iteration order are deterministic.
+    for folded vertices. Stored: ``vertices`` (sorted), ``_adj`` (each
+    vertex's neighbours as a sorted tuple, in vertex order) and ``m``
+    (the edge count). Derived: ``edges``, rebuilt from ``_adj`` on every
+    read and deliberately not cached, so an edge is held only in its two
+    neighbour tuples. Sorted neighbour tuples keep greedy tie-breaking
+    and iteration order deterministic.
     """
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "_adj", "m")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
         vs = sorted(set(vertices))
-        vset = set(vs)
         adj: dict[int, set[int]] = {v: set() for v in vs}
-        eset: set[tuple[int, int]] = set()
         for u, v in edges:
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
-            if u not in vset or v not in vset:
+            if u not in adj or v not in adj:
                 raise DomainError(f"edge ({u},{v}) references unknown vertex")
-            e = (u, v) if u < v else (v, u)
-            if e in eset:
-                continue
-            eset.add(e)
             adj[u].add(v)
             adj[v].add(u)
         self.vertices: tuple[int, ...] = tuple(vs)
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(eset))
-        self._adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(adj[v])) for v in vs}
+        self._adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(nb)) for v, nb in adj.items()}
+        self.m: int = sum(map(len, self._adj.values())) // 2
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge once as (u, v) with u < v, in sorted order; built on each read."""
+        adj = self._adj
+        return tuple((u, v) for u in self.vertices for v in adj[u] if u < v)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         try:
@@ -71,16 +76,17 @@ class Graph:
 
     def induced_subgraph(self, keep: Iterable[int]) -> "Graph":
         keep_set = self.check_subset(keep)
-        edges = [(u, v) for u, v in self.edges if u in keep_set and v in keep_set]
-        return Graph(keep_set, edges)
+        adj = self._adj
+        return Graph(keep_set, ((u, v) for u in keep_set for v in adj[u]
+                                if u < v and v in keep_set))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, tuple(self._adj.values())))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -88,27 +94,25 @@ class Graph:
 
 def complement(g: Graph) -> Graph:
     """Complement graph on the same vertex set: uv is an edge iff it was not."""
-    present = set(g.edges)
     vs = g.vertices
-    edges = [
-        (vs[i], vs[j])
-        for i in range(len(vs))
-        for j in range(i + 1, len(vs))
-        if (vs[i], vs[j]) not in present
-    ]
-    return Graph(vs, edges)
+    rows = ((u, set(g._adj[u]), vs[i + 1 :]) for i, u in enumerate(vs))
+    return Graph(vs, ((u, w) for u, nb, later in rows for w in later if w not in nb))
 
 
 def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
-    """True iff every edge of g has at least one endpoint in s."""
+    """True iff every edge of g has at least one endpoint in s.
+
+    Equivalently: every vertex outside s has all its neighbours in s.
+    """
     fs = g.check_subset(s)
-    return all(u in fs or v in fs for u, v in g.edges)
+    return all(fs.issuperset(nb) for v, nb in g._adj.items() if v not in fs)
 
 
 def is_independent_set(g: Graph, s: Iterable[int]) -> bool:
     """True iff no two members of s share an edge of g."""
     fs = g.check_subset(s)
-    return not any(u in fs and v in fs for u, v in g.edges)
+    adj = g._adj
+    return all(fs.isdisjoint(adj[v]) for v in fs)
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
@@ -125,8 +129,7 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
 
 def covered_edges(g: Graph, s: Iterable[int]) -> int:
     """Number of edges with at least one endpoint in s."""
-    fs = g.check_subset(s)
-    return sum(1 for u, v in g.edges if u in fs or v in fs)
+    return g.m - len(uncovered_edges(g, s))
 
 
 def profit(g: Graph, s: Iterable[int]) -> int:
@@ -141,7 +144,9 @@ def profit(g: Graph, s: Iterable[int]) -> int:
 def uncovered_edges(g: Graph, s: Iterable[int]) -> list[tuple[int, int]]:
     """Edges with neither endpoint in s, in sorted order."""
     fs = g.check_subset(s)
-    return [(u, v) for u, v in g.edges if u not in fs and v not in fs]
+    adj = g._adj
+    return [(u, v) for u in g.vertices if u not in fs
+            for v in adj[u] if u < v and v not in fs]
 
 
 def is_connected(g: Graph) -> bool:

@@ -87,8 +87,7 @@ def _to_adj(g: Graph) -> Adj:
     return {v: set(g.neighbors(v)) for v in g.vertices}
 
 def _snapshot(adj: Adj) -> Graph:
-    edges = {(u, v) if u < v else (v, u) for u, nbs in adj.items() for v in nbs}
-    return Graph(adj.keys(), edges)
+    return Graph(adj.keys(), ((u, v) for u, nbs in adj.items() for v in nbs if u < v))
 
 
 def _remove_vertex(adj: Adj, v: int) -> None:

@@ -17,7 +17,7 @@ import pytest
 
 from profitcover import cli, oracle, pipeline, qaoa
 from profitcover.cli import CONFIG_KEYS, _parse_rules, main
-from profitcover.errors import ParseError
+from profitcover.errors import DomainError, ParseError
 from profitcover.instances import (
     gen_erdos_renyi_connected,
     gen_regular,
@@ -761,6 +761,29 @@ def test_fetch_main_installs_a_local_file(fetch_instances, tmp_path, capsys):
     # a second run finds the file and keeps it
     assert fetch_instances.main(["farm"]) == 0
     assert "already present" in capsys.readouterr().out
+
+
+def test_fetch_refuses_a_payload_that_does_not_load(fetch_instances):
+    """A comment-only payload loads as an empty vertex set; the install
+    raises and leaves neither the graph file nor its temporary."""
+    with pytest.raises(DomainError, match="empty vertex set"):
+        fetch_instances.install("farm", b"# nothing but a comment\n", "farm.txt")
+    assert list(fetch_instances.DATA_DIR.iterdir()) == []
+
+
+def test_fetch_replaces_an_existing_file_that_does_not_load(fetch_instances, tmp_path,
+                                                            capsys):
+    (fetch_instances.DATA_DIR / "farm.edges").write_text("# nothing but a comment\n")
+    source, payload = _farm_payloads(FARM_EDGES)["csv"]
+    path = tmp_path / source
+    path.write_bytes(payload)
+    assert fetch_instances.main(["farm", "--file", f"farm={path}"]) == 0
+    out = capsys.readouterr().out
+    assert "[warn] farm: existing file does not load" in out
+    assert "[ok]   farm: wrote farm.edges" in out
+    g = load_graph(fetch_instances.DATA_DIR / "farm.edges")
+    assert (g.n, g.m) == (17, 39)
+    assert [p.name for p in fetch_instances.DATA_DIR.iterdir()] == ["farm.edges"]
 
 
 @pytest.mark.parametrize("args", [["--seed", "-1"], ["--layers", "-1"], ["--shots", "0"]],

@@ -1,6 +1,8 @@
 """End-to-end pipeline runs compared against the exact oracle."""
 
+import collections
 import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from profitcover.errors import CapacityError, DomainError
 from profitcover.graph import (
     Graph,
+    complement,
     is_clique,
     is_independent_set,
     is_vertex_cover,
@@ -149,6 +152,36 @@ def test_maxcl_uses_complement():
     assert report.solution_size == 5  # K5 is its own max clique
     assert report.work_m == 0  # complement of K5 is edgeless
     assert is_clique(g, report.solution)
+
+
+def _tree_plus_quarter_chords(n, seed):
+    """A random tree on range(n) plus n/4 random chords, as the sparse
+    inputs that the kernel solves outright."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)]
+    return Graph(range(n), [(u, v) for u, v in edges if u != v])
+
+
+@pytest.mark.parametrize("problem", ["minvc", "maxis", "maxcl"])
+def test_a_run_never_reads_the_input_edge_list(problem, monkeypatch):
+    """A Graph derives ``edges`` on every read, so the run path reads the
+    input's adjacency only. maxcl works on the complement, so its input
+    is the complement of the sparse graph."""
+    sparse = _tree_plus_quarter_chords(1000, 1)
+    g = complement(sparse) if problem == "maxcl" else sparse
+    reads = collections.Counter()
+    edges = Graph.edges
+
+    def counted(self):
+        reads[id(self)] += 1
+        return edges.fget(self)
+
+    monkeypatch.setattr(Graph, "edges", property(counted))
+    report = run_pipeline(g, PipelineConfig(problem=problem, solver="exact"))
+    assert report.feasible and report.status == "solved_by_preprocessing"
+    assert reads[id(g)] == 0
+    assert g.edges == edges.fget(g) and reads[id(g)] == 1
 
 
 def test_karate_maxis_known_optimum():
