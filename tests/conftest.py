@@ -44,6 +44,18 @@ def random_gnp(n, p, seed):
     return Graph(range(n), edges)
 
 
+def tree_plus_chords(n, chords, seed):
+    """Edges of a seeded random tree on range(n) plus ``chords`` random
+    non-loop pairs, which may repeat a tree edge or each other."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    while len(edges) < n - 1 + chords:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.append((u, v))
+    return edges
+
+
 # ---------------------------------------------------------------------------
 # brute-force reference oracles (pure python, exponential, n <= ~14)
 

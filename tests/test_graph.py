@@ -1,7 +1,6 @@
 """Graph container, predicates, and the profit objective."""
 
 import gc
-import random
 import tracemalloc
 
 import pytest
@@ -21,7 +20,7 @@ from profitcover.graph import (
     uncovered_edges,
 )
 
-from conftest import brute_profit, complete_graph, cycle_graph, random_gnp
+from conftest import brute_profit, complete_graph, cycle_graph, random_gnp, tree_plus_chords
 from frozen_graph import (
     FrozenGraph,
     frozen_complement,
@@ -171,11 +170,11 @@ def graph_inputs(draw, labels=None):
         distinct = st.tuples(st.sampled_from(labels), st.sampled_from(labels)).filter(
             lambda e: e[0] != e[1])
         pairs = draw(st.lists(distinct, max_size=30))
+    if pairs:
         # repeat some pairs, some of them reversed
-        for i in draw(st.lists(st.integers(0, max(len(pairs) - 1, 0)), max_size=4)):
-            if pairs:
-                u, v = pairs[i]
-                pairs.append((v, u) if draw(st.booleans()) else (u, v))
+        for i in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=4)):
+            u, v = pairs[i]
+            pairs.append((v, u) if draw(st.booleans()) else (u, v))
     pairs = draw(st.permutations(pairs))
     foreign = st.integers(201, 205)
     vertex = st.sampled_from(labels) | foreign if labels else foreign
@@ -188,16 +187,13 @@ def graph_inputs(draw, labels=None):
     return vertices, pairs
 
 
-def _build(cls, vertices, pairs, as_generator):
-    """Graph from the inputs as lists, or as one-shot generators."""
-    if as_generator:
-        return cls((v for v in vertices), (e for e in pairs))
-    return cls(vertices, pairs)
-
-
 def _outcome(cls, vertices, pairs, as_generator):
+    """(graph, None) or (None, error) from the inputs as lists, or as
+    one-shot generators."""
+    if as_generator:
+        vertices, pairs = (v for v in vertices), (e for e in pairs)
     try:
-        return _build(cls, vertices, pairs, as_generator), None
+        return cls(vertices, pairs), None
     except DomainError as err:
         return None, err
 
@@ -295,17 +291,6 @@ def test_predicates_match_the_frozen_graph(inputs, data):
 # memory held per edge
 
 
-def _tree_plus_chords(n, chords, seed):
-    """A random tree on range(n) plus ``chords`` random non-loop pairs."""
-    rng = random.Random(seed)
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    while len(edges) < n - 1 + chords:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.append((u, v))
-    return edges
-
-
 def _held_bytes_per_edge(cls, vertices, edges):
     gc.collect()
     tracemalloc.start()
@@ -326,6 +311,6 @@ HELD_BYTES_PER_EDGE = 90
 
 def test_a_graph_holds_at_most_90_bytes_per_edge():
     vertices = list(range(3000))
-    edges = _tree_plus_chords(3000, 3000, seed=1)
+    edges = tree_plus_chords(3000, 3000, seed=1)
     assert _held_bytes_per_edge(Graph, vertices, edges) <= HELD_BYTES_PER_EDGE
     assert _held_bytes_per_edge(FrozenGraph, vertices, edges) > HELD_BYTES_PER_EDGE

@@ -2,7 +2,6 @@
 
 import collections
 import json
-import random
 import tracemalloc
 
 import numpy as np
@@ -36,6 +35,7 @@ from conftest import (
     path_graph,
     random_gnp,
     star_graph,
+    tree_plus_chords,
 )
 
 KARATE = "data/instances/karate.edges"
@@ -154,21 +154,13 @@ def test_maxcl_uses_complement():
     assert is_clique(g, report.solution)
 
 
-def _tree_plus_quarter_chords(n, seed):
-    """A random tree on range(n) plus n/4 random chords, as the sparse
-    inputs that the kernel solves outright."""
-    rng = random.Random(seed)
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)]
-    return Graph(range(n), [(u, v) for u, v in edges if u != v])
-
-
 @pytest.mark.parametrize("problem", ["minvc", "maxis", "maxcl"])
 def test_a_run_never_reads_the_input_edge_list(problem, monkeypatch):
     """A Graph derives ``edges`` on every read, so the run path reads the
     input's adjacency only. maxcl works on the complement, so its input
     is the complement of the sparse graph."""
-    sparse = _tree_plus_quarter_chords(1000, 1)
+    # a tree plus n/4 chords, as the sparse inputs the kernel solves outright
+    sparse = Graph(range(1000), tree_plus_chords(1000, 250, 1))
     g = complement(sparse) if problem == "maxcl" else sparse
     reads = collections.Counter()
     edges = Graph.edges
