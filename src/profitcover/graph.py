@@ -3,7 +3,9 @@
 A Graph stores each edge once per endpoint and nothing else: the sorted
 vertex labels, one sorted neighbour tuple per vertex, and the edge count.
 The edge list is derived from the neighbour tuples when it is read, and
-every predicate below reads the neighbour tuples directly.
+every predicate below reads the neighbour tuples directly. A label is one
+Python int object, held once: each neighbour entry is the vertex's own
+label object from ``vertices``, not the object an input edge pair carried.
 
 Graphs are immutable after construction: every operation returns a new
 Graph. Vertex labels survive subgraph and complement operations unchanged,
@@ -14,38 +16,63 @@ take a subset validate membership and raise DomainError on foreign labels.
 
 from __future__ import annotations
 
+from operator import countOf, index
 from typing import Iterable
 
 from .errors import DomainError
+
+
+def _as_label(x) -> int:
+    """x as a Python int; DomainError for a bool or a non-integral x."""
+    if not isinstance(x, bool):
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise DomainError(f"vertex label {x!r} is not an integer")
 
 
 class Graph:
     """Undirected simple graph on integer vertex labels.
 
     Labels need not be dense: the reduction rules introduce fresh labels
-    for folded vertices. Stored: ``vertices`` (sorted), ``_adj`` (each
-    vertex's neighbours as a sorted tuple, in vertex order) and ``m``
-    (the edge count). Derived: ``edges``, rebuilt from ``_adj`` on every
-    read and deliberately not cached, so an edge is held only in its two
-    neighbour tuples. Sorted neighbour tuples keep greedy tie-breaking
-    and iteration order deterministic.
+    for folded vertices. Integral labels (numpy integers among them) are
+    stored as Python int; a bool, float or str label raises DomainError.
+    Stored: ``vertices`` (sorted), ``_adj`` (each vertex's neighbours as a
+    sorted tuple, in vertex order) and ``m`` (the edge count). Derived:
+    ``edges``, rebuilt from ``_adj`` on every read and deliberately not
+    cached, so an edge is held only in its two neighbour tuples. Every
+    neighbour entry is (``is``) the vertex's own label object from
+    ``vertices``, so a graph holds one int object per vertex whatever
+    objects its edge pairs carried. Sorted neighbour tuples keep greedy
+    tie-breaking and iteration order deterministic.
     """
 
     __slots__ = ("vertices", "_adj", "m")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
-        vs = sorted(set(vertices))
-        adj: dict[int, set[int]] = {v: set() for v in vs}
+        vs = list(vertices)
+        # checked before deduplication, so a bool beside its equal int is refused
+        if countOf(map(type, vs), int) != len(vs):
+            vs = list(map(_as_label, vs))
+        vs = sorted(set(vs))
+        # each vertex's own label object, so that every neighbour entry
+        # refers to it rather than to the object an edge pair carried
+        label = {v: v for v in vs}
+        adj = {v: set() for v in vs}
         for u, v in edges:
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
-            if u not in adj or v not in adj:
-                raise DomainError(f"edge ({u},{v}) references unknown vertex")
-            adj[u].add(v)
-            adj[v].add(u)
+            try:
+                adj[u].add(label[v])
+            except KeyError:
+                raise DomainError(f"edge ({u},{v}) references unknown vertex") from None
+            adj[v].add(label[u])
+        for v, nb in adj.items():
+            adj[v] = tuple(sorted(nb))
         self.vertices: tuple[int, ...] = tuple(vs)
-        self._adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(nb)) for v, nb in adj.items()}
-        self.m: int = sum(map(len, self._adj.values())) // 2
+        self._adj: dict[int, tuple[int, ...]] = adj
+        self.m: int = sum(map(len, adj.values())) // 2
 
     @property
     def n(self) -> int:

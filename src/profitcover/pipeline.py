@@ -74,6 +74,8 @@ class PipelineConfig:
                 raise DomainError(f"{name} must be an int, got {value!r}")
         if self.depth < 0:
             raise DomainError("depth must be non-negative")
+        if self.max_qubits < 0:
+            raise DomainError("max_qubits must be non-negative")
         if self.shots < 1:
             raise DomainError("shots must be positive")
         check_seed(self.seed)

@@ -468,8 +468,10 @@ def test_batch_missing_manifest(capsys):
     {"seed": -1},                    # not a Philox key
     {"gen": "regular:n=6,d=3,seed=-3"},  # the generator's seed is not a Philox key
     {"format": "matrix_market"},     # a format reads files; gen builds a graph
+    {"max_qubits": -1},              # would fail only at the first statevector
 ], ids=["unknown-key", "layers-str", "skip-preprocess-str", "unknown-rule",
-        "postprocess-rules", "negative-seed", "negative-gen-seed", "format-with-gen"])
+        "postprocess-rules", "negative-seed", "negative-gen-seed", "format-with-gen",
+        "negative-max-qubits"])
 def test_batch_bad_entry_exits_2_before_any_job(tmp_path, capsys, bad):
     manifest = _write_manifest(tmp_path, [
         {"gen": "er:n=6,p=0.5,seed=1", "solver": "exact"},

@@ -1,12 +1,15 @@
 """Graph container, predicates, and the profit objective."""
 
 import gc
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from profitcover import instances
 from profitcover.errors import DomainError
 from profitcover.graph import (
     Graph,
@@ -19,6 +22,8 @@ from profitcover.graph import (
     profit,
     uncovered_edges,
 )
+from profitcover.instances import gen_erdos_renyi_connected, gen_regular, load_graph
+from profitcover.kernel import reduce
 
 from conftest import brute_profit, complete_graph, cycle_graph, random_gnp, tree_plus_chords
 from frozen_graph import (
@@ -47,6 +52,37 @@ def test_self_loop_rejected():
 def test_unknown_endpoint_rejected():
     with pytest.raises(DomainError):
         Graph(range(2), [(0, 5)])
+
+
+class _SubInt(int):
+    pass
+
+
+@pytest.mark.parametrize("make", [np.int64, np.int32, np.uint16, _SubInt, int],
+                         ids=["int64", "int32", "uint16", "int-subclass", "int"])
+def test_integral_labels_are_stored_as_python_ints(make):
+    pairs = [(0, 1), (1, 2), (2, 300), (300, 0)]
+    g = Graph([make(v) for v in (300, 2, 1, 0, 2)], [(make(u), make(v)) for u, v in pairs])
+    twin = Graph(range(301), pairs).induced_subgraph({0, 1, 2, 300})
+    assert g == twin and hash(g) == hash(twin)
+    assert g.vertices == (0, 1, 2, 300)
+    assert all(type(v) is int for v in g.vertices)
+    assert all(type(w) is int for v in g.vertices for w in g.neighbors(v))
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, 2.0, 1.5, np.float64(3.0), "a", "1",
+                                 None, 1j])
+def test_a_label_that_is_not_an_integer_is_refused(bad):
+    """A str label would fail inside reduce, a float one would print as 2.0
+    and a bool one would pass for 0 or 1."""
+    with pytest.raises(DomainError, match=re.escape(f"vertex label {bad!r} is not an integer")):
+        Graph([0, 1, bad], [(0, 1)])
+
+
+def test_a_bool_label_is_refused_beside_its_int():
+    for vertices in ([1, True], [True, 1], [0, False, 2]):
+        with pytest.raises(DomainError, match="is not an integer"):
+            Graph(vertices, [])
 
 
 def test_labels_survive_subgraph():
@@ -314,3 +350,128 @@ def test_a_graph_holds_at_most_90_bytes_per_edge():
     edges = tree_plus_chords(3000, 3000, seed=1)
     assert _held_bytes_per_edge(Graph, vertices, edges) <= HELD_BYTES_PER_EDGE
     assert _held_bytes_per_edge(FrozenGraph, vertices, edges) > HELD_BYTES_PER_EDGE
+
+
+def _held_bytes_per_edge_of_fresh_labels(cls):
+    """Bytes still traced per edge once the inputs, made inside the trace
+    from fresh int objects, are dropped: what the graph itself holds,
+    label objects included."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = cls(range(3000), tree_plus_chords(3000, 3000, seed=1))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return held / g.m
+
+
+# Counting the label objects too: a Graph whose neighbour entries are the
+# vertices' own labels holds 79.3 bytes per edge on the graph above; one
+# that kept the int objects its edge pairs carried held 129.5, and the
+# frozen Graph holds more. The bound leaves 20 % over the measurement.
+HELD_BYTES_PER_EDGE_WITH_LABELS = 95
+
+
+def test_a_graph_holds_each_label_once():
+    assert _held_bytes_per_edge_of_fresh_labels(Graph) <= HELD_BYTES_PER_EDGE_WITH_LABELS
+    assert _held_bytes_per_edge_of_fresh_labels(FrozenGraph) > HELD_BYTES_PER_EDGE_WITH_LABELS
+
+
+# ---------------------------------------------------------------------------
+# every construction path shares the vertices' own label objects
+
+
+def _fresh(v: int) -> int:
+    """An int equal to v that is not the object v (for v above 256)."""
+    return int(str(v))
+
+
+def _subdivided_regular() -> Graph:
+    """A 3-regular graph on 300 vertices with ten edges subdivided, so
+    that the degree-2 rule folds and leaves a residual."""
+    edges = list(gen_regular(300, 3, seed=1).edges)
+    pairs = edges[10:]
+    for w, (u, v) in enumerate(edges[:10], start=300):
+        pairs += [(u, w), (w, v)]
+    return Graph(range(310), pairs)
+
+
+def _reduced_with_folds() -> Graph:
+    kr = reduce(_subdivided_regular())
+    assert kr.folds and kr.reduced.n > 0
+    assert max(kr.reduced.vertices) >= 310  # a folded vertex survives
+    return kr.reduced
+
+
+def _ring_text(n: int, line, header: str = "") -> str:
+    """A cycle on 1..n with chords i -- i+7, written one edge a line."""
+    pairs = [(i, i % n + 1) for i in range(1, n + 1)] + [(i, i + 7) for i in range(1, n - 7, 3)]
+    return header.format(n=n, m=len(pairs)) + "".join(line.format(u, v) for u, v in pairs)
+
+
+def _loaded(tmp_path, name, text) -> Graph:
+    path = tmp_path / name
+    path.write_text(text)
+    g = load_graph(path)
+    assert g.n == 400
+    return g
+
+
+def _regular_by_stubs(monkeypatch) -> Graph:
+    monkeypatch.setattr(instances, "_PAIRING_ATTEMPTS", 0)
+    return gen_regular(300, 3, seed=1)
+
+
+def _regular_by_complement(monkeypatch) -> Graph:
+    """Both pairing routes fail on the dense spec; its sparse complement
+    is paired stub by stub."""
+    pair_stub_by_stub = instances._pair_stub_by_stub
+    sizes = []
+
+    def sparse_only(free, rng):
+        sizes.append(len(free))
+        return pair_stub_by_stub(free, rng) if len(free) <= 900 else None
+
+    monkeypatch.setattr(instances, "_PAIRING_ATTEMPTS", 0)
+    monkeypatch.setattr(instances, "_STUB_ATTEMPTS", 1)
+    monkeypatch.setattr(instances, "_pair_stub_by_stub", sparse_only)
+    g = gen_regular(300, 296, seed=1)
+    assert sizes == [300 * 296, 300 * 3]
+    return g
+
+
+def _fresh_graph() -> Graph:
+    return Graph(map(_fresh, range(300, 700)),
+                 [(_fresh(300 + u), _fresh(300 + v)) for u, v in tree_plus_chords(400, 300, 2)])
+
+
+LABEL_PATHS = {
+    "fresh-ints": lambda tmp_path, monkeypatch: _fresh_graph(),
+    "complement": lambda tmp_path, monkeypatch: complement(_fresh_graph()),
+    "induced-subgraph": lambda tmp_path, monkeypatch: _fresh_graph().induced_subgraph(
+        map(_fresh, range(300, 700, 2))),
+    "reduce-with-folds": lambda tmp_path, monkeypatch: _reduced_with_folds(),
+    "edge-list": lambda tmp_path, monkeypatch: _loaded(
+        tmp_path, "g.edges", _ring_text(400, "{} {}\n")),
+    "dimacs": lambda tmp_path, monkeypatch: _loaded(
+        tmp_path, "g.col", _ring_text(400, "e {} {}\n", "p edge {n} {m}\n")),
+    "matrix-market": lambda tmp_path, monkeypatch: _loaded(
+        tmp_path, "g.mtx", _ring_text(400, "{1} {0}\n",
+                                      "%%MatrixMarket matrix coordinate pattern symmetric\n"
+                                      "{n} {n} {m}\n")),
+    "regular-restart": lambda tmp_path, monkeypatch: gen_regular(300, 3, seed=1),
+    "regular-stub-by-stub": lambda tmp_path, monkeypatch: _regular_by_stubs(monkeypatch),
+    "regular-complement": lambda tmp_path, monkeypatch: _regular_by_complement(monkeypatch),
+    "erdos-renyi": lambda tmp_path, monkeypatch: gen_erdos_renyi_connected(300, 0.05, seed=1),
+}
+
+
+@pytest.mark.parametrize("path", LABEL_PATHS)
+def test_every_neighbour_entry_is_the_vertex_label(tmp_path, monkeypatch, path):
+    g = LABEL_PATHS[path](tmp_path, monkeypatch)
+    assert g.m > 0 and max(g.vertices) > 256  # above the interpreter's small-int cache
+    label = {v: v for v in g.vertices}
+    assert all(key is v for key, v in zip(g._adj, g.vertices))
+    assert all(label[w] is w for nb in g._adj.values() for w in nb)

@@ -80,12 +80,28 @@ def test_config_validation():
         PipelineConfig(solver="dwave")
     with pytest.raises(DomainError):
         PipelineConfig(depth=-1)
+    with pytest.raises(DomainError, match="max_qubits must be non-negative"):
+        PipelineConfig(max_qubits=-1)
     with pytest.raises(DomainError):
         PipelineConfig(shots=0)
     for seed in (-1, 2 ** 128):  # outside the Philox keys
         with pytest.raises(DomainError):
             PipelineConfig(seed=seed)
     PipelineConfig(seed=2 ** 128 - 1)
+
+
+def test_a_zero_qubit_limit_runs_what_the_kernel_solves():
+    report = run_pipeline(path_graph(6), PipelineConfig(max_qubits=0))
+    assert report.feasible and report.optimal and report.config.max_qubits == 0
+
+
+def test_numpy_integer_labels_run_like_their_range_twin():
+    """A run on np.int64 labels would reach its end and then fail to encode."""
+    g = Graph(np.arange(4), zip(np.arange(3), np.arange(1, 4)))
+    twin = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
+    assert g == twin and hash(g) == hash(twin)
+    config = PipelineConfig(solver="exact")
+    assert run_pipeline(g, config).canonical_json() == run_pipeline(twin, config).canonical_json()
 
 
 def test_edge_coloring_bounds():
