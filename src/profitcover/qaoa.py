@@ -75,7 +75,20 @@ and McMahon, arXiv:2012.03421), so ``depth1_objective`` evaluates <H>
 in O(n+m) instead of O(2^n), for a batch of angle pairs in one pass of
 a few dozen array operations; each value has the bits of the pair
 evaluated alone on numpy scalars. Layers 2 and up evaluate one phase
-and one mixer pass on the prefix state. After each trained layer, whichever
+and one mixer pass on the prefix state. Everything of such an
+evaluation that depends only on the layer is built once per layer by
+``_layer_objective``: its two buffers, their checks, the table's
+levels, and the step lists of views that the phase, the mixer and the
+squaring run through. An evaluation is then the table's one np.exp,
+the phase's slice loop, one ``_rx_power`` per block width, the mixer's
+matmuls, the squaring and one sum. ``apply_phase``, ``apply_mixer`` and
+``expectation`` build the same step lists for their single call and
+run them, so there is one implementation of each. Layer 1 of every run
+and of ``evolve`` starts from the uniform state without building it:
+the phase gathers exp(-i*gamma*E) into a new state and multiplies its
+float64 view by r = 2^(-n/2), which has the bytes of the phase of the
+uniform state, since r + 0j times a factor rounds to r*re, r*im.
+After each trained layer, whichever
 objective trained it, training squares the state once, records the
 layer's expectation from that probability vector and hands the vector
 to an optional ``each_layer(layer, probs)`` callback (which is how
@@ -102,7 +115,11 @@ their vectors in slices of ``CHUNK`` = 2^14 entries, so their
 temporaries (the phase's integer indices, the squared imaginary parts,
 the expectation's energies cast to float, the weighted slice) are
 128 KiB at most instead of one to one and a half states; the phase
-gathers its factors into its output. The
+gathers its factors into its output. The slices of the phase and the
+squaring are views fixed with their buffers, one step per slice:
+``_phase_steps`` and ``_square_steps`` check the buffers (contiguous
+complex vectors of 2^n amplitudes that do not overlap where they must
+not), and ``_mixer_steps`` does the same for each pass's views. The
 results are elementwise, so they do not depend on the slicing. On a
 2-core machine with a 2 MiB L2 per core, slices of 2^14 kept the phase
 as fast as the whole-array product at n=18-20 and made it about a
@@ -281,10 +298,77 @@ def _chunks(size: int):
     return (slice(i, i + CHUNK) for i in range(0, size, CHUNK))
 
 
+def _check_state(state, size: int, what: str) -> None:
+    """Refuse ``state`` unless it is a contiguous complex128 vector of
+    ``size`` amplitudes, which is what the step lists' views assume."""
+    if not (isinstance(state, np.ndarray) and state.dtype == np.complex128
+            and state.shape == (size,) and state.flags.c_contiguous):
+        got = (f"a {state.dtype} array of shape {state.shape}"
+               if isinstance(state, np.ndarray) else type(state).__name__)
+        raise DomainError(f"{what} must be a contiguous complex state of {size} "
+                          f"amplitudes, got {got}")
+
+
 def uniform_state(n: int) -> np.ndarray:
     state = np.empty(1 << n, dtype=np.complex128)
     state.fill(1.0 / np.sqrt(1 << n))
     return state
+
+
+def _phase_steps(state: np.ndarray | None, ising: IsingModel, out: np.ndarray,
+                 work: np.ndarray | None = None) -> Callable[[float], None]:
+    """The cost layer of ``ising`` from ``state`` into ``out``, as a
+    function of gamma.
+
+    The buffers are checked here, and the table's levels and each
+    ``CHUNK`` slice's views (input, output, energies, and the table
+    indices in ``work`` or in one slice-sized array) are built once, so
+    a call runs only the arithmetic. ``state`` None stands for the
+    uniform state: the factors are gathered alone and their float64
+    view multiplied by r = 2^(-n/2), which has the bytes of the phase of
+    ``uniform_state(n)`` because r + 0j times a factor rounds to r*re,
+    r*im.
+    """
+    size = 1 << ising.n
+    if state is not None:
+        _check_state(state, size, "the phase's input")
+    _check_state(out, size, "the phase's output")
+    if state is not None and np.may_share_memory(out, state):
+        raise DomainError("the phase cannot write over its input state")
+    if work is None:
+        index = np.empty(min(size, CHUNK), dtype=np.intp)
+    else:
+        _check_state(work, size, "the phase's work buffer")
+        if any(np.may_share_memory(work, a) for a in (state, out) if a is not None):
+            raise DomainError("the phase's work buffer overlaps its input or output")
+        index = work.view(np.intp)
+    energies = ising.energies_vector()
+    # energies lie in [-m, n]: E = 0..n index the table directly, and
+    # mode="wrap" sends E = -m..-1 to the m entries after them
+    levels = np.concatenate((np.arange(ising.n + 1), np.arange(-ising.graph.m, 0)))
+    picks = index[:min(size, CHUNK)]
+    steps = [(None if state is None else state[s], out[s], energies[s])
+             for s in _chunks(size)]
+    r = 1.0 / np.sqrt(size)
+    floats = out.view(np.float64)
+
+    def phase(gamma: float) -> None:
+        if gamma == 0.0:
+            if state is None:
+                out.fill(r)
+            else:
+                np.copyto(out, state)
+            return
+        table = np.exp(-1j * gamma * levels)
+        for src, dst, energy in steps:
+            np.copyto(picks, energy)
+            table.take(picks, mode="wrap", out=dst)
+            if src is not None:
+                np.multiply(src, dst, out=dst)
+        if state is None:
+            np.multiply(floats, r, out=floats)
+
+    return phase
 
 
 def apply_phase(state: np.ndarray, ising: IsingModel, gamma: float, *,
@@ -300,25 +384,16 @@ def apply_phase(state: np.ndarray, ising: IsingModel, gamma: float, *,
     slice-sized array.
     """
     if out is None:
-        out = np.empty_like(state)
-    elif np.may_share_memory(out, state):
-        raise DomainError("the phase cannot write over its input state")
-    if gamma == 0.0:
-        np.copyto(out, state)
-        return out
-    energies = ising.energies_vector()
-    # energies lie in [-m, n]: E = 0..n index the table directly, and
-    # mode="wrap" sends E = -m..-1 to the m entries after them
-    table = np.exp(-1j * gamma * np.concatenate(
-        (np.arange(ising.n + 1), np.arange(-ising.graph.m, 0))))
-    index = (np.empty(min(state.size, CHUNK), dtype=np.intp) if work is None
-             else work.view(np.intp))
-    for s in _chunks(state.size):
-        factors = out[s]
-        picks = index[:factors.size]
-        np.copyto(picks, energies[s])
-        table.take(picks, mode="wrap", out=factors)
-        np.multiply(state[s], factors, out=factors)
+        out = np.empty(1 << ising.n, dtype=np.complex128)
+    _phase_steps(state, ising, out, work)(gamma)
+    return out
+
+
+def _uniform_phased(ising: IsingModel, gamma: float) -> np.ndarray:
+    """``apply_phase(uniform_state(n), ising, gamma)`` in bytes, with no
+    uniform state built: the first layer of every run."""
+    out = np.empty(1 << ising.n, dtype=np.complex128)
+    _phase_steps(None, ising, out)(gamma)
     return out
 
 
@@ -345,11 +420,50 @@ def _rx_power(c: float, s: float, k: int) -> np.ndarray:
     bytes are the same.
     """
     picks = _BLOCK_PICKS[k]
-    rx = np.array([[c, -1j * s], [-1j * s, c]]).ravel()
+    # the flattened 2x2 RX, indexed as 2*r_j + q_j
+    rx = np.array((c, -1j * s, -1j * s, c))
     gate = rx[picks[0]]
     for j in range(1, k):
         gate = rx[picks[j]] * gate
     return gate
+
+
+def _mixer_steps(state: np.ndarray, n: int, work: np.ndarray,
+                 ) -> Callable[[float], np.ndarray]:
+    """RX(2*beta) on every qubit of ``state``, as a function of beta that
+    returns the mixed state.
+
+    The buffers are checked here, and each pass's width and its input
+    and output views, alternating between ``state`` and ``work``, are
+    built once, so a call runs ``_rx_power`` once per width and one
+    matmul per pass. It returns the buffer the last pass wrote, or
+    ``state`` when beta is a no-op.
+    """
+    size = 1 << n
+    # the passes rotate the index by n bits, so n must be the whole state
+    _check_state(state, size, "the mixer's state")
+    _check_state(work, size, "the mixer's second buffer")
+    if np.may_share_memory(work, state):
+        raise DomainError("the mixer's second buffer overlaps the state")
+    passes = []
+    src, dst = state, work
+    for q in range(0, n, MIXER_BLOCK):
+        k = min(MIXER_BLOCK, n - q)
+        passes.append((k, src.reshape(-1, 1 << k).T, dst.reshape(1 << k, -1)))
+        src, dst = dst, src
+    mixed = src
+
+    def mix(beta: float) -> np.ndarray:
+        c = np.cos(beta)
+        s = np.sin(beta)
+        if s == 0.0 and c == 1.0:
+            return state
+        block = _rx_power(c, s, MIXER_BLOCK)
+        for k, columns, rows in passes:
+            np.matmul(block if k == MIXER_BLOCK else _rx_power(c, s, k), columns, out=rows)
+        return mixed
+
+    return mix
 
 
 def apply_mixer(state: np.ndarray, n: int, beta: float, *,
@@ -364,35 +478,22 @@ def apply_mixer(state: np.ndarray, n: int, beta: float, *,
     (or beta is a no-op), the second buffer when it is odd, in which
     case ``state``'s contents are not kept.
     """
-    if state.shape != (1 << n,):
-        # the passes rotate the index by n bits, so n must be the whole state
-        raise DomainError(f"mixer needs a state of 2^{n} amplitudes, got {state.shape}")
-    if work is not None and np.may_share_memory(work, state):
-        raise DomainError("the mixer's second buffer overlaps the state")
-    c = np.cos(beta)
-    s = np.sin(beta)
-    if s == 0.0 and c == 1.0:
-        return state
-    block = _rx_power(c, s, MIXER_BLOCK)
-    src, dst = state, np.empty_like(state) if work is None else work
-    for q in range(0, n, MIXER_BLOCK):
-        k = min(MIXER_BLOCK, n - q)
-        gate = block if k == MIXER_BLOCK else _rx_power(c, s, k)
-        np.matmul(gate, src.reshape(-1, 1 << k).T, out=dst.reshape(1 << k, -1))
-        src, dst = dst, src
-    return src
+    return _mixer_steps(state, n, np.empty_like(state) if work is None else work)(beta)
 
 
 def evolve(ising: IsingModel, schedule: AngleSchedule,
            max_qubits: int = MAX_QUBITS) -> np.ndarray:
     """Statevector after the full alternating sequence, from |+...+>."""
     n = ising.n
-    # checked as at least one layer: a run builds the uniform state only
-    # from depth 1 on, and the caller squares the result beside it
+    # checked as at least one layer: a run builds a state only from
+    # depth 1 on, and the caller squares the result beside it
     check_memory(n, max_qubits, max(schedule.p, 1))
-    state = uniform_state(n)
+    if not schedule.p:
+        return uniform_state(n)
+    state = None
     for gamma, beta in zip(schedule.gammas, schedule.betas):
-        state = apply_phase(state, ising, gamma)
+        state = (_uniform_phased(ising, gamma) if state is None
+                 else apply_phase(state, ising, gamma))
         state = apply_mixer(state, n, beta)
     return state
 
@@ -406,32 +507,47 @@ def _float_buffers(size: int, work: np.ndarray | None = None,
     return floats[:size], floats[size:]
 
 
-def _square(state: np.ndarray, probs: np.ndarray, spare: np.ndarray,
-            weights: np.ndarray | None = None) -> np.ndarray:
-    """Writes real^2 + imag^2 of ``state``, times ``weights`` if given,
-    into ``probs`` and returns it. Each slice's imag^2, and its weights
-    cast to float, go through ``spare``: numpy's mixed-type multiply
-    would cast the int32 energies in a 64 KiB buffer of its own."""
-    if not np.iscomplexobj(state):
-        # squaring a probability vector again would otherwise pass silently
-        raise DomainError("expected a complex state, got a real array; "
-                          "train_layerwise returns probabilities already")
-    # np.square has the bits of x ** 2
-    np.square(state.real, out=probs)
+def _square_steps(state: np.ndarray, weights: np.ndarray | None = None,
+                  work: np.ndarray | None = None) -> Callable[[], np.ndarray]:
+    """real^2 + imag^2 of ``state``, times ``weights`` if given, as a
+    function that writes them into a float64 vector and returns it.
+
+    The buffers are checked here, and the vector, its spare slice
+    (``_float_buffers``, in the bytes of ``work`` if given) and each
+    ``CHUNK`` slice's views are built once. Each slice's imag^2, and its
+    weights cast to float, go through the spare: numpy's mixed-type
+    multiply would cast the int32 energies in a 64 KiB buffer of its own.
+    """
+    size = np.size(state if weights is None else weights)
+    _check_state(state, size, "the squared state")
+    if weights is not None and np.shape(weights) != (size,):
+        raise DomainError(f"weights must be a vector, got shape {np.shape(weights)}")
+    if work is not None:
+        _check_state(work, size, "the squaring's work buffer")
+        if np.may_share_memory(work, state):
+            raise DomainError("the squaring's work buffer overlaps the state")
+    probs, spare = _float_buffers(size, work)
+    real = state.real
     imag = state.imag
-    for s in _chunks(state.size):
-        chunk = probs[s]
-        part = spare[:chunk.size]
-        chunk += np.square(imag[s], out=part)
-        if weights is not None:
-            np.copyto(part, weights[s])
-            chunk *= part
-    return probs
+    steps = [(probs[s], imag[s], spare[:probs[s].size], None if weights is None else weights[s])
+             for s in _chunks(size)]
+
+    def square() -> np.ndarray:
+        # np.square has the bits of x ** 2
+        np.square(real, out=probs)
+        for chunk, part_imag, part, weight in steps:
+            chunk += np.square(part_imag, out=part)
+            if weight is not None:
+                np.copyto(part, weight)
+                chunk *= part
+        return probs
+
+    return square
 
 
 def probabilities(state: np.ndarray) -> np.ndarray:
     """|amplitude|^2 of every basis state, as real^2 + imag^2."""
-    return _square(state, *_float_buffers(state.size))
+    return _square_steps(state)()
 
 
 def expectation(state: np.ndarray, energies: np.ndarray, *,
@@ -443,8 +559,7 @@ def expectation(state: np.ndarray, energies: np.ndarray, *,
     state's shape whose contents are not kept, the probabilities and
     their spare slice are its bytes and nothing is allocated.
     """
-    probs = _square(state, *_float_buffers(state.size, work), energies)
-    return float(probs.sum())
+    return float(_square_steps(state, energies, work)().sum())
 
 
 def weighted_sum(probs: np.ndarray, values: np.ndarray) -> float:
@@ -758,21 +873,29 @@ def _layer_objective(ising: IsingModel, prefix: np.ndarray, energies: np.ndarray
 
     The phased state and one work buffer are allocated here once, so an
     evaluation allocates nothing of the state's size; they live as long
-    as the returned function. The work buffer holds the phase's table
-    indices and is then the mixer's second buffer; the mixer finishes in
-    one of the two, and the other holds the probability vector.
+    as the returned function. So are the step lists of one evaluation,
+    with their buffers checked once: the phase from the prefix into the
+    phased state, with its table indices in the work buffer; the mixer's
+    passes between the two; and the squaring of either place the mixer
+    can end in (the buffer its last pass writes, or the phased state
+    when beta is a no-op), with the probability vector in the other. An
+    evaluation runs only the arithmetic, the calls and operands of
+    ``apply_phase``, ``apply_mixer`` and ``expectation`` in their order,
+    so each value has their bits.
     """
-    n = ising.n
     phased = np.empty_like(prefix)
     work = np.empty_like(prefix)
+    phase = _phase_steps(prefix, ising, phased, work)
+    mix = _mixer_steps(phased, ising.n, work)
+    square_phased = _square_steps(phased, energies, work)
+    square_work = _square_steps(work, energies, phased)
 
     def values(gammas: np.ndarray, betas: np.ndarray) -> list[float]:
         out = []
         for gamma, beta in zip(gammas.tolist(), betas.tolist()):
-            apply_phase(prefix, ising, gamma, out=phased, work=work)
-            state = apply_mixer(phased, n, beta, work=work)
-            spare = work if state is phased else phased
-            out.append(expectation(state, energies, work=spare))
+            phase(gamma)
+            square = square_phased if mix(beta) is phased else square_work
+            out.append(float(square().sum()))
         return out
 
     return values
@@ -808,7 +931,7 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
     n = ising.n
     check_memory(n, max_qubits, p)
     energies = ising.energies_vector()
-    prefix = uniform_state(n) if p else None
+    prefix = None  # the uniform state, which the first layer's phase reads unbuilt
     gammas: list[float] = []
     betas: list[float] = []
     expectations: list[float] = []
@@ -828,7 +951,8 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
         (gamma, beta), value = min(candidates, key=lambda c: c[1])
         if not np.isfinite(value):
             raise TrainingError(f"layer {layer} expectation is not finite")
-        prefix = apply_phase(prefix, ising, gamma)
+        prefix = (_uniform_phased(ising, gamma) if prefix is None
+                  else apply_phase(prefix, ising, gamma))
         prefix = apply_mixer(prefix, n, beta)
         gammas.append(gamma)
         betas.append(beta)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -291,22 +292,57 @@ def test_phase_and_probabilities_allocate_one_output_and_a_slice():
 
 
 def test_layer_evaluation_reuses_its_buffers():
-    """A layer >= 2 evaluation writes into the phased state and the work
-    buffer allocated with the objective, and gives the values of fresh
-    buffers; allocating them per evaluation cost 1.5 states each time.
-    At n=16 the mixer's six passes end in the phased state, at n=15 its
-    five end in the work buffer, and the other buffer holds the
-    probabilities."""
-    gammas, betas = np.array([0.7, -2.4, 0.0]), np.array([0.3, 1.1, 0.0])
-    for n in (15, 16):
-        m = build_ising(random_gnp(n, 0.2, 5185 + n))
+    """A layer >= 2 evaluation runs the step lists built with the
+    objective, writing into the phased state and the work buffer
+    allocated with it, and every value has the bits of fresh
+    ``apply_phase``, ``apply_mixer`` and ``expectation`` calls;
+    allocating the buffers per evaluation cost 1.5 states each time.
+    n = 1, 2, 4, 5, 13 and 16 end the mixer with a pass of width 1 or 2;
+    its ceil(n/3) passes are odd at n = 1, 2, 13, 15 (ending in the work
+    buffer) and even at 4, 5, 12, 16 (ending in the phased state), and
+    the other buffer holds the probabilities; n = 15 and 16 span two
+    and four ``CHUNK`` slices. The angles include gamma = 0, beta = 0,
+    negative values and values above 2*pi. The allocation bound is
+    checked from n = 13 on, where S/16 is above the evaluation's 4 KiB
+    of small arrays (the table, the 8x8 blocks, the values)."""
+    gammas = np.array([0.7, -2.4, 0.0, 0.0, 7.9, -8.3, 1.3])
+    betas = np.array([0.3, 1.1, 0.0, -0.6, 0.0, 6.9, -7.2])
+    for n in (1, 2, 4, 5, 12, 13, 15, 16):
+        m = build_ising(random_gnp(n, 0.6 if n < 8 else 0.2, 5185 + n))
         energies = m.energies_vector()
-        prefix = _random_state(n, n - 10)
+        prefix = _random_state(n, 5190 + n)
         values = qaoa._layer_objective(m, prefix, energies)
         want = [expectation(apply_mixer(apply_phase(prefix, m, g), n, b), energies)
                 for g, b in zip(gammas.tolist(), betas.tolist())]
-        assert values(gammas, betas) == want, n
-        assert _peak_bytes(lambda: values(gammas, betas)) <= prefix.nbytes // 16, n
+        assert np.array(values(gammas, betas)).tobytes() == np.array(want).tobytes(), n
+        if n >= 13:
+            assert _peak_bytes(lambda: values(gammas, betas)) <= prefix.nbytes // 16, n
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 12, 13, 16, 18])
+def test_first_layer_phase_has_the_bytes_of_the_phased_uniform_state(n):
+    """The first layer gathers exp(-i*gamma*E) into a new state and
+    scales its float64 view by r = 2^(-n/2) with no uniform state built;
+    r + 0j times a factor rounds to r*re, r*im, so the bytes are those of
+    ``apply_phase(uniform_state(n), ...)``. gamma = 0 fills in r."""
+    for seed in range(2):
+        m = build_ising(random_gnp(n, 0.5, 5500 + 10 * n + seed))
+        uniform = uniform_state(n)
+        for gamma in (0.1, 0.77, 2.3, -1.1, 0.0, 7.9, -9.4):
+            want = apply_phase(uniform, m, gamma)
+            assert qaoa._uniform_phased(m, gamma).tobytes() == want.tobytes(), gamma
+            one_layer = AngleSchedule((gamma,), (0.4,))
+            assert evolve(m, one_layer).tobytes() == apply_mixer(want, n, 0.4).tobytes()
+
+
+def test_first_layer_builds_no_uniform_state(monkeypatch):
+    def no_state(n):
+        raise AssertionError("a uniform state was built")
+
+    monkeypatch.setattr(qaoa, "uniform_state", no_state)
+    m = build_ising(gen_regular(8, 3, 4404))
+    schedule, _, probs = train_layerwise(m, 2)
+    assert probs.tobytes() == probabilities(evolve(m, schedule)).tobytes()
 
 
 def test_phase_and_mixer_refuse_buffers_that_overlap_the_state():
@@ -316,6 +352,43 @@ def test_phase_and_mixer_refuse_buffers_that_overlap_the_state():
         apply_phase(state, m, 0.3, out=state)
     with pytest.raises(DomainError, match="overlaps"):
         apply_mixer(state, 5, 0.3, work=state)
+    with pytest.raises(DomainError, match="overlaps"):
+        apply_phase(state, m, 0.3, work=state)
+    with pytest.raises(DomainError, match="overlaps"):
+        expectation(state, m.energies_vector(), work=state)
+
+
+def _refuses(call):
+    """``call()`` raises DomainError naming the 2^8 amplitudes it wants,
+    with no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="complex state of 256 amplitudes"):
+            call()
+
+
+def test_phase_and_expectation_refuse_wrong_buffers():
+    """A state, ``out`` or ``work`` that is not a contiguous complex128
+    vector of the model's or the energies' 2^8 amplitudes is refused
+    before anything is written. numpy raised ValueError for a short one,
+    and a float ``out`` was half written under a ComplexWarning before a
+    UFuncTypeError."""
+    m = build_ising(random_gnp(8, 0.4, 5600))
+    energies = m.energies_vector()
+    state = _random_state(8, 1)
+    _refuses(lambda: apply_phase(uniform_state(7), m, 0.3))
+    _refuses(lambda: apply_phase(state, m, 0.3, out=np.empty(128, dtype=complex)))
+    _refuses(lambda: apply_phase(state, m, 0.3, work=np.empty(128, dtype=complex)))
+    out = np.zeros(256)
+    _refuses(lambda: apply_phase(state, m, 0.3, out=out))
+    assert not out.any()
+    _refuses(lambda: apply_phase(state.astype(np.complex64), m, 0.3))
+    _refuses(lambda: apply_phase(np.repeat(state, 2)[::2], m, 0.3))
+    _refuses(lambda: expectation(uniform_state(7), energies))
+    _refuses(lambda: expectation(state, energies, work=np.empty(128, dtype=complex)))
+    _refuses(lambda: apply_mixer(state, 8, 0.3, work=np.empty(256)))
+    # a no-op angle is checked too
+    _refuses(lambda: apply_phase(state, m, 0.0, out=np.empty(255, dtype=complex)))
 
 
 def test_sample_state_frees_its_draws_before_counting():
