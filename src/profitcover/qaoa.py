@@ -77,11 +77,11 @@ a few dozen array operations; each value has the bits of the pair
 evaluated alone on numpy scalars. Layers 2 and up evaluate one phase
 and one mixer pass on the prefix state. Everything of such an
 evaluation that depends only on the layer is built once per layer by
-``_layer_objective``: its two buffers, their checks, the table's
-levels, and the step lists of views that the phase, the mixer and the
-squaring run through. An evaluation is then the table's one np.exp,
-the phase's slice loop, one ``_rx_power`` per block width, the mixer's
-matmuls, the squaring and one sum. ``apply_phase``, ``apply_mixer`` and
+``_layer_objective``: its two buffers, the table's levels, and the
+step lists of views that the phase, the mixer and the expectation run
+through. An evaluation is then the table's one np.exp, the phase's
+slice loop, one ``_rx_power`` per block width, the mixer's matmuls and
+the expectation's slice loop. ``apply_phase``, ``apply_mixer`` and
 ``expectation`` build the same step lists for their single call and
 run them, so there is one implementation of each. Layer 1 of every run
 and of ``evolve`` starts from the uniform state without building it:
@@ -97,11 +97,13 @@ layer's vector is returned with the angles; a pipeline run samples and
 summarizes it, so the trained circuit is evolved once per run.
 
 Expectations use elementwise multiply plus np.sum (never a BLAS dot),
-keeping values bit-identical across thread counts. ``weighted_sum``
-gives the same bits as ``np.sum(probs * values)`` on a full 2^n vector
-without the product of half a state: numpy sums a contiguous array by
-halving it, so on a power-of-two length the sums of ``CHUNK`` slices,
-added in pairs, are the nodes of the same tree. Sampling inverts the
+keeping values bit-identical across thread counts. ``weighted_sum`` and
+``expectation`` sum each ``CHUNK`` slice's products and add the sums in
+pairs (``_tree_sum``): numpy sums a contiguous array by halving it, so
+on a power-of-two length these are the nodes of the same tree as
+``np.sum(probs * values)``. ``expectation`` squares each slice of the
+state as it goes (Häner and Steiger, arXiv:1704.01127) and writes no
+probability vector. Sampling inverts the
 cumulative distribution of the probability vector with a counter-based
 Philox generator, and the exact summary reads the same vector.
 
@@ -110,17 +112,18 @@ bytes a run holds at its peak, buffer by buffer, and ``check_memory``
 refuses, before any state exists, a run whose peak would not fit in
 the machine's physical memory.
 
-``apply_phase``, ``probabilities`` and ``weighted_sum`` work through
-their vectors in slices of ``CHUNK`` = 2^14 entries, so their
-temporaries (the phase's integer indices, the squared imaginary parts,
-the expectation's energies cast to float, the weighted slice) are
-128 KiB at most instead of one to one and a half states; the phase
-gathers its factors into its output. The slices of the phase and the
-squaring are views fixed with their buffers, one step per slice:
-``_phase_steps`` and ``_square_steps`` check the buffers (contiguous
-complex vectors of 2^n amplitudes that do not overlap where they must
-not), and ``_mixer_steps`` does the same for each pass's views. The
-results are elementwise, so they do not depend on the slicing. On a
+The simulator works through its vectors in slices of ``CHUNK`` = 2^14
+entries, so its temporaries (the phase's integer indices, the squared
+parts, the energies cast to float, the weighted slice) are 128 KiB at
+most instead of one to one and a half states; the phase gathers its
+factors into its output. The views of each slice of the phase and the
+expectation, and of each pass of the mixer, are fixed once by
+``_phase_steps``, ``_expectation_steps`` and ``_mixer_steps``. The
+states a caller passes in are checked; the buffers written are the
+simulator's own. In a layer's search the table indices and the
+expectation's two slices take the bytes of whichever state buffer is
+free, so the search holds three states and nothing more. The results
+are elementwise, so they do not depend on the slicing. On a
 2-core machine with a 2 MiB L2 per core, slices of 2^14 kept the phase
 as fast as the whole-array product at n=18-20 and made it about a
 quarter faster at n=22; slices of 2^16, whose temporaries and operands
@@ -240,7 +243,9 @@ def peak_bytes(n: int, depth: int, shots: int = 0) -> int:
     probability vector (S/2 and a spare slice) and whatever reads that
     vector: the weighted sum's buffers, or the exact summary of
     ``each_layer``. Through a layer >= 2 search it holds the prefix, the
-    phased state and the work buffer, 3 S.
+    phased state and the mixer's second buffer, 3 S; the phase's table
+    indices and the expectation's slices take the bytes of whichever of
+    the last two is free.
 
     The readout is the largest of four steps:
 
@@ -268,7 +273,7 @@ def peak_bytes(n: int, depth: int, shots: int = 0) -> int:
     size = 1 << n
     state = 16 * size
     chunk = 8 * min(size, CHUNK)
-    # training's vector has a spare slice (_float_buffers); depth 0's has none
+    # training's vector has a spare slice (probabilities); depth 0's has none
     probs = state // 2 + (chunk if depth else 0)
     exact = probs + max(size + state // 2, chunk + 8 * min(size, np.getbufsize()))
     train = max(2 * state + chunk, state + exact, 3 * state if depth > 1 else 0) if depth else 0
@@ -316,37 +321,29 @@ def uniform_state(n: int) -> np.ndarray:
 
 
 def _phase_steps(state: np.ndarray | None, ising: IsingModel, out: np.ndarray,
-                 work: np.ndarray | None = None) -> Callable[[float], None]:
-    """The cost layer of ``ising`` from ``state`` into ``out``, as a
-    function of gamma.
+                 scratch: np.ndarray | None = None) -> Callable[[float], None]:
+    """The cost layer of ``ising`` from ``state`` into ``out``, a new
+    complex vector of 2^n amplitudes, as a function of gamma.
 
-    The buffers are checked here, and the table's levels and each
-    ``CHUNK`` slice's views (input, output, energies, and the table
-    indices in ``work`` or in one slice-sized array) are built once, so
-    a call runs only the arithmetic. ``state`` None stands for the
-    uniform state: the factors are gathered alone and their float64
-    view multiplied by r = 2^(-n/2), which has the bytes of the phase of
+    The state is checked here, and the table's levels, the table indices'
+    slice (in the bytes of ``scratch``, an array of at least one slice
+    that no call needs kept, or in a new array) and each ``CHUNK``
+    slice's views (input, output, energies) are built once, so a call
+    runs only the arithmetic. ``state`` None stands for the uniform
+    state: the factors are gathered alone and their float64 view
+    multiplied by r = 2^(-n/2), which has the bytes of the phase of
     ``uniform_state(n)`` because r + 0j times a factor rounds to r*re,
     r*im.
     """
     size = 1 << ising.n
     if state is not None:
         _check_state(state, size, "the phase's input")
-    _check_state(out, size, "the phase's output")
-    if state is not None and np.may_share_memory(out, state):
-        raise DomainError("the phase cannot write over its input state")
-    if work is None:
-        index = np.empty(min(size, CHUNK), dtype=np.intp)
-    else:
-        _check_state(work, size, "the phase's work buffer")
-        if any(np.may_share_memory(work, a) for a in (state, out) if a is not None):
-            raise DomainError("the phase's work buffer overlaps its input or output")
-        index = work.view(np.intp)
+    chunk = min(size, CHUNK)
+    picks = np.empty(chunk, dtype=np.intp) if scratch is None else scratch.view(np.intp)[:chunk]
     energies = ising.energies_vector()
     # energies lie in [-m, n]: E = 0..n index the table directly, and
     # mode="wrap" sends E = -m..-1 to the m entries after them
     levels = np.concatenate((np.arange(ising.n + 1), np.arange(-ising.graph.m, 0)))
-    picks = index[:min(size, CHUNK)]
     steps = [(None if state is None else state[s], out[s], energies[s])
              for s in _chunks(size)]
     r = 1.0 / np.sqrt(size)
@@ -371,21 +368,15 @@ def _phase_steps(state: np.ndarray | None, ising: IsingModel, out: np.ndarray,
     return phase
 
 
-def apply_phase(state: np.ndarray, ising: IsingModel, gamma: float, *,
-                out: np.ndarray | None = None, work: np.ndarray | None = None,
-                ) -> np.ndarray:
-    """Diagonal cost layer of ``ising``, written to ``out`` (by default a
-    new array), which is returned.
+def apply_phase(state: np.ndarray, ising: IsingModel, gamma: float) -> np.ndarray:
+    """Diagonal cost layer of ``ising``, as a new state.
 
-    Each slice's phase factors are gathered into the output slice and the
-    state is multiplied into them, so ``out`` must not overlap the state.
-    ``work``, a complex array of the state's shape whose contents are not
-    kept, holds the slice's table indices; without it they take a
+    Each slice's phase factors are gathered into the new state's slice
+    and the state is multiplied into them; the table indices take a
     slice-sized array.
     """
-    if out is None:
-        out = np.empty(1 << ising.n, dtype=np.complex128)
-    _phase_steps(state, ising, out, work)(gamma)
+    out = np.empty(1 << ising.n, dtype=np.complex128)
+    _phase_steps(state, ising, out)(gamma)
     return out
 
 
@@ -428,23 +419,23 @@ def _rx_power(c: float, s: float, k: int) -> np.ndarray:
     return gate
 
 
+def _rotation(beta: float) -> tuple[float, float] | None:
+    """(cos beta, sin beta), or None where RX(2*beta) is the identity to the bit."""
+    c, s = np.cos(beta), np.sin(beta)
+    return None if s == 0.0 and c == 1.0 else (c, s)
+
+
 def _mixer_steps(state: np.ndarray, n: int, work: np.ndarray,
                  ) -> Callable[[float], np.ndarray]:
     """RX(2*beta) on every qubit of ``state``, as a function of beta that
     returns the mixed state.
 
-    The buffers are checked here, and each pass's width and its input
-    and output views, alternating between ``state`` and ``work``, are
-    built once, so a call runs ``_rx_power`` once per width and one
-    matmul per pass. It returns the buffer the last pass wrote, or
-    ``state`` when beta is a no-op.
+    Each pass's width and its input and output views, alternating
+    between ``state`` and ``work``, two contiguous complex vectors of
+    2^n amplitudes, are built once, so a call runs ``_rx_power`` once per
+    width and one matmul per pass. It returns the buffer the last pass
+    wrote, or ``state`` when beta is a no-op.
     """
-    size = 1 << n
-    # the passes rotate the index by n bits, so n must be the whole state
-    _check_state(state, size, "the mixer's state")
-    _check_state(work, size, "the mixer's second buffer")
-    if np.may_share_memory(work, state):
-        raise DomainError("the mixer's second buffer overlaps the state")
     passes = []
     src, dst = state, work
     for q in range(0, n, MIXER_BLOCK):
@@ -454,132 +445,140 @@ def _mixer_steps(state: np.ndarray, n: int, work: np.ndarray,
     mixed = src
 
     def mix(beta: float) -> np.ndarray:
-        c = np.cos(beta)
-        s = np.sin(beta)
-        if s == 0.0 and c == 1.0:
+        rotation = _rotation(beta)
+        if rotation is None:
             return state
-        block = _rx_power(c, s, MIXER_BLOCK)
+        block = _rx_power(*rotation, MIXER_BLOCK)
         for k, columns, rows in passes:
-            np.matmul(block if k == MIXER_BLOCK else _rx_power(c, s, k), columns, out=rows)
+            np.matmul(block if k == MIXER_BLOCK else _rx_power(*rotation, k), columns, out=rows)
         return mixed
 
     return mix
 
 
-def apply_mixer(state: np.ndarray, n: int, beta: float, *,
-                work: np.ndarray | None = None) -> np.ndarray:
+def apply_mixer(state: np.ndarray, n: int, beta: float) -> np.ndarray:
     """RX(2*beta) on every qubit, MIXER_BLOCK qubits per pass; returns
     the mixed state, which callers must use in place of ``state``.
 
-    ``work``, an array like the state whose contents are not kept, is the
-    second buffer; by default one is allocated. The passes alternate
-    between the two, and the result is the buffer the last one wrote:
-    ``state`` when the number of passes, ceil(n / MIXER_BLOCK), is even
-    (or beta is a no-op), the second buffer when it is odd, in which
-    case ``state``'s contents are not kept.
+    The passes alternate between the state and a second buffer of its
+    size, and the result is the buffer the last one wrote: ``state`` when
+    the number of passes, ceil(n / MIXER_BLOCK), is even, the second
+    buffer when it is odd, in which case ``state``'s contents are not
+    kept. A no-op beta returns ``state`` with no second buffer allocated.
     """
-    return _mixer_steps(state, n, np.empty_like(state) if work is None else work)(beta)
+    # the passes rotate the index by n bits, so n must be the whole state
+    _check_state(state, 1 << n, "the mixer's state")
+    if _rotation(beta) is None:
+        return state
+    return _mixer_steps(state, n, np.empty_like(state))(beta)
+
+
+def _apply_layer(state: np.ndarray | None, ising: IsingModel, gamma: float,
+                 beta: float) -> np.ndarray:
+    """The phase and the mixer of one layer on ``state``, None for the
+    uniform state, which is not built."""
+    phased = (_uniform_phased(ising, gamma) if state is None
+              else apply_phase(state, ising, gamma))
+    return apply_mixer(phased, ising.n, beta)
 
 
 def evolve(ising: IsingModel, schedule: AngleSchedule,
            max_qubits: int = MAX_QUBITS) -> np.ndarray:
     """Statevector after the full alternating sequence, from |+...+>."""
-    n = ising.n
     # checked as at least one layer: a run builds a state only from
     # depth 1 on, and the caller squares the result beside it
-    check_memory(n, max_qubits, max(schedule.p, 1))
+    check_memory(ising.n, max_qubits, max(schedule.p, 1))
     if not schedule.p:
-        return uniform_state(n)
+        return uniform_state(ising.n)
     state = None
     for gamma, beta in zip(schedule.gammas, schedule.betas):
-        state = (_uniform_phased(ising, gamma) if state is None
-                 else apply_phase(state, ising, gamma))
-        state = apply_mixer(state, n, beta)
+        state = _apply_layer(state, ising, gamma, beta)
     return state
 
 
-def _float_buffers(size: int, work: np.ndarray | None = None,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """A float64 vector of ``size`` entries and a spare of at least one
-    slice after it, in the bytes of ``work``, a complex array of ``size``
-    entries, or of one new array."""
-    floats = np.empty(size + min(size, CHUNK)) if work is None else work.view(np.float64)
-    return floats[:size], floats[size:]
-
-
-def _square_steps(state: np.ndarray, weights: np.ndarray | None = None,
-                  work: np.ndarray | None = None) -> Callable[[], np.ndarray]:
-    """real^2 + imag^2 of ``state``, times ``weights`` if given, as a
-    function that writes them into a float64 vector and returns it.
-
-    The buffers are checked here, and the vector, its spare slice
-    (``_float_buffers``, in the bytes of ``work`` if given) and each
-    ``CHUNK`` slice's views are built once. Each slice's imag^2, and its
-    weights cast to float, go through the spare: numpy's mixed-type
-    multiply would cast the int32 energies in a 64 KiB buffer of its own.
-    """
-    size = np.size(state if weights is None else weights)
-    _check_state(state, size, "the squared state")
-    if weights is not None and np.shape(weights) != (size,):
-        raise DomainError(f"weights must be a vector, got shape {np.shape(weights)}")
-    if work is not None:
-        _check_state(work, size, "the squaring's work buffer")
-        if np.may_share_memory(work, state):
-            raise DomainError("the squaring's work buffer overlaps the state")
-    probs, spare = _float_buffers(size, work)
-    real = state.real
-    imag = state.imag
-    steps = [(probs[s], imag[s], spare[:probs[s].size], None if weights is None else weights[s])
-             for s in _chunks(size)]
-
-    def square() -> np.ndarray:
-        # np.square has the bits of x ** 2
-        np.square(real, out=probs)
-        for chunk, part_imag, part, weight in steps:
-            chunk += np.square(part_imag, out=part)
-            if weight is not None:
-                np.copyto(part, weight)
-                chunk *= part
-        return probs
-
-    return square
-
-
 def probabilities(state: np.ndarray) -> np.ndarray:
-    """|amplitude|^2 of every basis state, as real^2 + imag^2."""
-    return _square_steps(state)()
+    """|amplitude|^2 of every basis state, as real^2 + imag^2; each
+    ``CHUNK`` slice's imag^2 goes through a spare slice allocated after
+    the vector."""
+    size = np.size(state)
+    _check_state(state, size, "the squared state")
+    floats = np.empty(size + min(size, CHUNK))
+    probs, spare = floats[:size], floats[size:]
+    np.square(state.real, out=probs)  # np.square has the bits of x ** 2
+    for s in _chunks(size):
+        part = probs[s]
+        part += np.square(state.imag[s], out=spare[:part.size])
+    return probs
 
 
-def expectation(state: np.ndarray, energies: np.ndarray, *,
-                work: np.ndarray | None = None) -> float:
-    """<H> via elementwise product and pairwise sum (thread-count stable).
+def _tree_sum(parts: list) -> float:
+    """The sums of the ``CHUNK`` slices of a vector of 2^n entries, added
+    in pairs: the top of numpy's pairwise tree, so the result has the
+    bits of ``np.sum`` of the whole vector."""
+    while len(parts) > 1:
+        parts = [a + b for a, b in zip(parts[0::2], parts[1::2])]
+    return float(parts[0])
 
-    The product overwrites the probability vector, so it needs no
-    temporary of half a state. With ``work``, a complex array of the
-    state's shape whose contents are not kept, the probabilities and
-    their spare slice are its bytes and nothing is allocated.
+
+def _tree_size(what: str, *vectors) -> int:
+    """The length of the ``vectors``, refused unless they share one power of two."""
+    size, shapes = np.size(vectors[0]), [np.shape(v) for v in vectors]
+    if size < 1 or size & (size - 1) or any(shape != (size,) for shape in shapes):
+        raise DomainError(f"{what} needs vectors of 2^n entries, got shapes {shapes}")
+    return size
+
+
+def _expectation_steps(state: np.ndarray, weights: np.ndarray,
+                       scratch: np.ndarray | None = None) -> Callable[[], float]:
+    """<H> under ``weights`` of ``state``'s current amplitudes, as a
+    function of no arguments.
+
+    The state is checked, and two slice buffers (in the bytes of
+    ``scratch``, an array of at least two slices that no call needs kept,
+    or in a new array) and each ``CHUNK`` slice's views are built once. A
+    call squares each slice into one buffer, weighs it by the slice's
+    weights cast to float in the other (numpy's mixed-type multiply
+    would cast them in a 64 KiB buffer of its own) and sums it, which
+    gives the bits of ``weighted_sum(probabilities(state), weights)``
+    with no probability vector written.
     """
-    return float(_square_steps(state, energies, work)().sum())
+    size = _tree_size("expectation", weights)
+    _check_state(state, size, "the expectation's state")
+    chunk = min(size, CHUNK)
+    floats = np.empty(2 * chunk) if scratch is None else scratch.view(np.float64)
+    products, spare = floats[:chunk], floats[chunk:2 * chunk]
+    steps = [(state.real[s], state.imag[s], weights[s]) for s in _chunks(size)]
+
+    def value() -> float:
+        sums = []
+        for real, imag, weight in steps:
+            part = np.square(real, out=products)  # np.square has the bits of x ** 2
+            part += np.square(imag, out=spare)
+            np.copyto(spare, weight)
+            part *= spare
+            sums.append(part.sum())
+        return _tree_sum(sums)
+
+    return value
+
+
+def expectation(state: np.ndarray, energies: np.ndarray) -> float:
+    """<H> of ``state`` in one fused pass over its slices, with the bits of
+    ``weighted_sum(probabilities(state), energies)``: elementwise
+    products and pairwise sums, never a BLAS dot (thread-count stable)."""
+    return _expectation_steps(state, energies)()
 
 
 def weighted_sum(probs: np.ndarray, values: np.ndarray) -> float:
     """``np.sum(probs * values)`` in bits, for a full vector of 2^n entries.
 
     Each ``CHUNK`` slice is multiplied into one slice-sized buffer and
-    summed; the slice sums are then added in pairs, which is the top of
-    numpy's pairwise tree only when the length is a power of two.
+    summed; ``_tree_sum`` adds the slice sums.
     """
-    size = probs.size
-    if size < 1 or size & (size - 1) or values.shape != probs.shape:
-        raise DomainError(f"weighted_sum needs two vectors of 2^n entries, got "
-                          f"shapes {probs.shape} and {values.shape}")
+    size = _tree_size("weighted_sum", probs, values)
     # a power of two is one short slice or a whole number of slices
     buf = np.empty(min(size, CHUNK))
-    parts = np.array([np.sum(np.multiply(probs[s], values[s], out=buf))
-                      for s in _chunks(size)])
-    while parts.size > 1:
-        parts = parts[0::2] + parts[1::2]
-    return float(parts[0])
+    return _tree_sum([np.sum(np.multiply(probs[s], values[s], out=buf)) for s in _chunks(size)])
 
 
 def expectation_value(ising: IsingModel, schedule: AngleSchedule,
@@ -709,8 +708,9 @@ def depth1_objective(ising: IsingModel):
     nbrs = [{pos[w] for w in ising.graph.neighbors(v)} for v in ising.vertex_order]
     degree = np.array([len(nb) for nb in nbrs], dtype=np.int64)
     field = (degree - 2) / 4.0
-    a = np.array([pos[u] for u, _ in ising.edges], dtype=np.intp)
-    b = np.array([pos[v] for _, v in ising.edges], dtype=np.intp)
+    edges = ising.edges  # each read rebuilds the sorted tuple
+    a = np.array([pos[u] for u, _ in edges], dtype=np.intp)
+    b = np.array([pos[v] for _, v in edges], dtype=np.intp)
     common = np.array([len(nbrs[i] & nbrs[j]) for i, j in zip(a, b)], dtype=np.int64)
     # neighbours of a vertex besides one of them (the other endpoint of
     # an edge), and of exactly one endpoint of an edge
@@ -871,31 +871,30 @@ def _layer_objective(ising: IsingModel, prefix: np.ndarray, energies: np.ndarray
     """<H> after one more layer on ``prefix``, as ``(gammas, betas) -> values``,
     one phase, mixer and expectation per pair.
 
-    The phased state and one work buffer are allocated here once, so an
-    evaluation allocates nothing of the state's size; they live as long
-    as the returned function. So are the step lists of one evaluation,
-    with their buffers checked once: the phase from the prefix into the
-    phased state, with its table indices in the work buffer; the mixer's
-    passes between the two; and the squaring of either place the mixer
-    can end in (the buffer its last pass writes, or the phased state
-    when beta is a no-op), with the probability vector in the other. An
-    evaluation runs only the arithmetic, the calls and operands of
-    ``apply_phase``, ``apply_mixer`` and ``expectation`` in their order,
-    so each value has their bits.
+    The phased state and the mixer's second buffer are allocated here
+    once, so an evaluation allocates nothing of the state's size; they
+    live as long as the returned function. So are the step lists of one
+    evaluation: the phase from the prefix into the phased state, with its
+    table indices in the second buffer, which the mixer's first pass
+    overwrites; the mixer's passes between the two; and the expectation
+    of either place the mixer can end in (the buffer its last pass
+    writes, or the phased state when beta is a no-op), with its slice
+    buffers in the other. An evaluation runs only the arithmetic, the
+    calls and operands of ``apply_phase``, ``apply_mixer`` and
+    ``expectation`` in their order, so each value has their bits.
     """
     phased = np.empty_like(prefix)
     work = np.empty_like(prefix)
     phase = _phase_steps(prefix, ising, phased, work)
     mix = _mixer_steps(phased, ising.n, work)
-    square_phased = _square_steps(phased, energies, work)
-    square_work = _square_steps(work, energies, phased)
+    expect_phased = _expectation_steps(phased, energies, work)
+    expect_work = _expectation_steps(work, energies, phased)
 
     def values(gammas: np.ndarray, betas: np.ndarray) -> list[float]:
         out = []
         for gamma, beta in zip(gammas.tolist(), betas.tolist()):
             phase(gamma)
-            square = square_phased if mix(beta) is phased else square_work
-            out.append(float(square().sum()))
+            out.append((expect_phased if mix(beta) is phased else expect_work)())
         return out
 
     return values
@@ -951,9 +950,7 @@ def train_layerwise(ising: IsingModel, p: int, *, max_qubits: int = MAX_QUBITS,
         (gamma, beta), value = min(candidates, key=lambda c: c[1])
         if not np.isfinite(value):
             raise TrainingError(f"layer {layer} expectation is not finite")
-        prefix = (_uniform_phased(ising, gamma) if prefix is None
-                  else apply_phase(prefix, ising, gamma))
-        prefix = apply_mixer(prefix, n, beta)
+        prefix = _apply_layer(prefix, ising, gamma, beta)
         gammas.append(gamma)
         betas.append(beta)
         evals.append(sum(nfev for _, _, nfev in runs))

@@ -142,16 +142,18 @@ def test_only_the_memory_check_reads_physical_memory():
     assert found == ["src/profitcover/qaoa.py check_memory"]
 
 
+def callee(call: ast.Call) -> str | None:
+    """The name a call calls, bare or as an attribute."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def dropped_calls(source: str, name: str) -> list[int]:
     """Lines of the expression statements that call ``name``, bare or as
     an attribute, and so drop what it returns."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-            func = node.value.func
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
-                found.append(node.lineno)
-    return sorted(found)
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                  and callee(node.value) == name)
 
 
 def test_dropped_calls_are_flagged():
@@ -170,6 +172,35 @@ def test_every_mixer_result_is_used():
              for path in sorted((ROOT / top).rglob("*.py"))
              for line in dropped_calls(path.read_text(), "apply_mixer")]
     assert found == []
+
+
+def unpassed_keywords(module: str, callers: list[str]) -> list[str]:
+    """Keyword-only parameters of the public top-level functions of the
+    source ``module`` that no call in the sources ``callers`` passes by
+    name to a function of that name, as ``function(keyword=)``."""
+    passed = {(callee(node), kw.arg) for source in callers for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Call) for kw in node.keywords}
+    return [f"{node.name}({arg.arg}=)" for node in ast.parse(module).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            for arg in node.args.kwonlyargs if (node.name, arg.arg) not in passed]
+
+
+def test_unpassed_keywords_are_flagged():
+    module = ("def f(a, *, b=1, c=2):\n    pass\ndef h(*, e=0):\n    pass\n"
+              "def _g(*, d=0):\n    pass\n")
+    callers = ["f(1, b=2)\n", "m.f(1, c=3)\nother(e=1)\nh(1, 2)\n"]
+    assert unpassed_keywords(module, callers) == ["h(e=)"]
+
+
+def test_every_simulator_keyword_is_passed():
+    """A keyword-only parameter of a public ``profitcover.qaoa`` function
+    is passed by some call in the package or its scripts. Buffer keywords
+    that only tests passed (``out=``, ``work=``) kept a second way into
+    the simulator's buffers alive; one that nothing passes is dead API."""
+    callers = [path.read_text() for top in ("src", "scripts")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    module = (ROOT / "src" / "profitcover" / "qaoa.py").read_text()
+    assert unpassed_keywords(module, callers) == []
 
 
 def test_the_run_path_imports_no_scipy():

@@ -110,7 +110,9 @@ def test_capacity_error_names_count():
     # the energies, the prefix beside the trained layer's probabilities
     # (1/2 and a spare slice of 1/128) and an exact summary of them
     (1, 1 / 4 + 1 + 1 / 2 + 1 / 128 + 1 / 16 + 1 / 2),
-    # the energies, the prefix, the phased state and the work buffer
+    # the energies, the prefix, the phased state and the mixer's second
+    # buffer, whose free one holds the table indices and the
+    # expectation's slices
     (2, 3 + 1 / 4),
     (5, 3 + 1 / 4),
 ])
@@ -293,15 +295,16 @@ def test_phase_and_probabilities_allocate_one_output_and_a_slice():
 
 def test_layer_evaluation_reuses_its_buffers():
     """A layer >= 2 evaluation runs the step lists built with the
-    objective, writing into the phased state and the work buffer
-    allocated with it, and every value has the bits of fresh
+    objective, writing into the phased state and the mixer's second
+    buffer allocated with it, and every value has the bits of fresh
     ``apply_phase``, ``apply_mixer`` and ``expectation`` calls;
     allocating the buffers per evaluation cost 1.5 states each time.
     n = 1, 2, 4, 5, 13 and 16 end the mixer with a pass of width 1 or 2;
-    its ceil(n/3) passes are odd at n = 1, 2, 13, 15 (ending in the work
-    buffer) and even at 4, 5, 12, 16 (ending in the phased state), and
-    the other buffer holds the probabilities; n = 15 and 16 span two
-    and four ``CHUNK`` slices. The angles include gamma = 0, beta = 0,
+    its ceil(n/3) passes are odd at n = 1, 2, 13, 15 (ending in the
+    second buffer) and even at 4, 5, 12, 16 (ending in the phased
+    state), and the expectation reads whichever one the mixer ended in,
+    with its slice buffers in the other; n = 15 and 16 span two and four
+    ``CHUNK`` slices. The angles include gamma = 0, beta = 0,
     negative values and values above 2*pi. The allocation bound is
     checked from n = 13 on, where S/16 is above the evaluation's 4 KiB
     of small arrays (the table, the 8x8 blocks, the values)."""
@@ -345,19 +348,6 @@ def test_first_layer_builds_no_uniform_state(monkeypatch):
     assert probs.tobytes() == probabilities(evolve(m, schedule)).tobytes()
 
 
-def test_phase_and_mixer_refuse_buffers_that_overlap_the_state():
-    m = build_ising(cycle_graph(5))
-    state = _random_state(5, 7)
-    with pytest.raises(DomainError, match="input state"):
-        apply_phase(state, m, 0.3, out=state)
-    with pytest.raises(DomainError, match="overlaps"):
-        apply_mixer(state, 5, 0.3, work=state)
-    with pytest.raises(DomainError, match="overlaps"):
-        apply_phase(state, m, 0.3, work=state)
-    with pytest.raises(DomainError, match="overlaps"):
-        expectation(state, m.energies_vector(), work=state)
-
-
 def _refuses(call):
     """``call()`` raises DomainError naming the 2^8 amplitudes it wants,
     with no warning on the way."""
@@ -368,27 +358,21 @@ def _refuses(call):
 
 
 def test_phase_and_expectation_refuse_wrong_buffers():
-    """A state, ``out`` or ``work`` that is not a contiguous complex128
-    vector of the model's or the energies' 2^8 amplitudes is refused
-    before anything is written. numpy raised ValueError for a short one,
-    and a float ``out`` was half written under a ComplexWarning before a
-    UFuncTypeError."""
+    """A state that is not a contiguous complex128 vector of the model's
+    or the energies' 2^8 amplitudes is refused before anything is
+    written; numpy raised ValueError for a short one."""
     m = build_ising(random_gnp(8, 0.4, 5600))
     energies = m.energies_vector()
     state = _random_state(8, 1)
     _refuses(lambda: apply_phase(uniform_state(7), m, 0.3))
-    _refuses(lambda: apply_phase(state, m, 0.3, out=np.empty(128, dtype=complex)))
-    _refuses(lambda: apply_phase(state, m, 0.3, work=np.empty(128, dtype=complex)))
-    out = np.zeros(256)
-    _refuses(lambda: apply_phase(state, m, 0.3, out=out))
-    assert not out.any()
     _refuses(lambda: apply_phase(state.astype(np.complex64), m, 0.3))
     _refuses(lambda: apply_phase(np.repeat(state, 2)[::2], m, 0.3))
     _refuses(lambda: expectation(uniform_state(7), energies))
-    _refuses(lambda: expectation(state, energies, work=np.empty(128, dtype=complex)))
-    _refuses(lambda: apply_mixer(state, 8, 0.3, work=np.empty(256)))
+    _refuses(lambda: expectation(state.astype(np.complex64), energies))
+    _refuses(lambda: apply_mixer(np.repeat(state, 2)[::2], 8, 0.3))
     # a no-op angle is checked too
-    _refuses(lambda: apply_phase(state, m, 0.0, out=np.empty(255, dtype=complex)))
+    _refuses(lambda: apply_phase(uniform_state(7), m, 0.0))
+    _refuses(lambda: apply_mixer(uniform_state(7), 8, 0.0))
 
 
 def test_sample_state_frees_its_draws_before_counting():
@@ -402,9 +386,8 @@ def test_sample_state_frees_its_draws_before_counting():
     assert peak <= 2.25 * probs.nbytes
 
 
-def _butterfly_mixer(state, n, beta, *, work=None):
-    """The qubit-by-qubit RX mixer the block mixer replaced, as a reference;
-    it needs no second buffer, so ``work`` is ignored."""
+def _butterfly_mixer(state, n, beta):
+    """The qubit-by-qubit RX mixer the block mixer replaced, as a reference."""
     c = np.cos(beta)
     s = np.sin(beta)
     if s == 0.0 and c == 1.0:
@@ -1105,17 +1088,20 @@ def test_mixer_returns_the_buffer_its_last_pass_wrote(n):
     state = _random_state(n, 5300 + n)
     want = _kron_mixer(state, n, 0.3123)
     even = -(-n // qaoa.MIXER_BLOCK) % 2 == 0
-    work = np.empty_like(state)
-    mine = state.copy()
-    got = apply_mixer(mine, n, 0.3123, work=work)
-    assert got is (mine if even else work)
-    assert got.tobytes() == want.tobytes()
     mine = state.copy()
     got = apply_mixer(mine, n, 0.3123)
     assert (got is mine) if even else not np.shares_memory(got, mine)
     assert got.tobytes() == want.tobytes()
     # a no-op beta leaves the state where it is, whatever the parity
-    assert apply_mixer(mine, n, 0.0, work=work) is mine
+    assert apply_mixer(mine, n, 0.0) is mine
+
+
+def test_a_noop_mixer_allocates_no_second_buffer():
+    """beta = 0 rotates nothing, so the state is returned before a
+    buffer of its size is allocated; any other beta allocates one."""
+    state = _random_state(16, 5)
+    assert _peak_bytes(lambda: apply_mixer(state, 16, 0.0)) < state.nbytes // 16
+    assert _peak_bytes(lambda: apply_mixer(state, 16, 0.3)) >= state.nbytes
 
 
 @pytest.mark.parametrize("n", [9, 10, 11])
@@ -1147,6 +1133,24 @@ def test_weighted_sum_has_the_bytes_of_the_full_product(n):
     values[0], values[-1] = -3 * n, n  # both signs at every n
     got = weighted_sum(probs, values)
     assert np.float64(got).tobytes() == np.sum(probs * values).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 19))
+def test_expectation_has_the_bytes_of_the_squared_state_summed(n):
+    """The fused pass squares, weighs and sums each ``CHUNK`` slice and
+    adds the slice sums in pairs; n up to 18 crosses CHUNK = 2^14. Its
+    value has the bytes of ``weighted_sum`` on the probability vector and
+    of the whole-array product summed, also for a state with zero
+    amplitudes."""
+    m = build_ising(random_gnp(n, 0.5, 5700 + n))
+    energies = m.energies_vector()
+    sparse = _random_state(n, 5750 + n)
+    sparse[::3] = 0
+    for state in (_random_state(n, 5720 + n), sparse):
+        probs = probabilities(state)
+        got = np.float64(expectation(state, energies)).tobytes()
+        assert got == np.float64(weighted_sum(probs, energies)).tobytes()
+        assert got == np.sum(probs * energies).tobytes()
 
 
 @pytest.mark.parametrize("size", [0, 3, 12, (1 << 14) + 1])
