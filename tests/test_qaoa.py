@@ -1157,6 +1157,8 @@ def test_expectation_has_the_bytes_of_the_squared_state_summed(n):
 def test_weighted_sum_rejects_a_length_off_the_tree(size):
     with pytest.raises(DomainError, match="2\\^n"):
         weighted_sum(np.ones(size), np.ones(size, dtype=np.int32))
+    with pytest.raises(DomainError, match="2\\^n"):
+        expectation(np.ones(size, dtype=np.complex128), np.ones(size, dtype=np.int32))
 
 
 def test_probabilities_rejects_a_probability_vector():
