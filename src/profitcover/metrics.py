@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DomainError
 from .model import IsingModel, bitstring_of_index
 from .qaoa import (
+    CHUNK,
     MAX_QUBITS,
     AngleSchedule,
     SampleDistribution,
@@ -209,8 +210,9 @@ def _summarize(kind: str, shots: int | None, indices: np.ndarray | None,
     best_idx = lex_min(energies == low)
     top_w = np.max(weights)
     likely_idx = lex_min(weights == top_w)
-    likely_profit = float(-int(energies[likely_idx if full
-                                        else np.searchsorted(indices, likely_idx)]))
+    # a key of the indices' dtype: a Python int would widen a uint32 index
+    likely_profit = float(-int(energies[likely_idx if full else np.searchsorted(
+        indices, indices.dtype.type(likely_idx))]))
 
     alpha = mass_opt = mass_90 = mass_80 = None
     if opt_profit is not None:
@@ -250,10 +252,19 @@ def _summarize(kind: str, shots: int | None, indices: np.ndarray | None,
 
 def summarize(dist: SampleDistribution, ising: IsingModel,
               opt_profit: int | None = None) -> DistributionSummary:
-    """Summary of a sampled (finite-shot) distribution."""
-    energies = ising.energies_vector()[dist.indices]
+    """Summary of a sampled (finite-shot) distribution.
+
+    The energies are gathered a ``CHUNK`` of indices at a time, so the
+    indices are never widened to intp whole; the largest index is checked
+    first, since the gather clips an index instead of raising."""
+    vector, indices = ising.energies_vector(), dist.indices
+    if indices.size and indices[-1] >= vector.size:
+        raise DomainError(f"basis index {indices[-1]} out of range for {ising.n} qubits")
+    energies = np.empty(indices.size, dtype=vector.dtype)
+    for s in range(0, indices.size, CHUNK):
+        vector.take(indices[s:s + CHUNK], out=energies[s:s + CHUNK], mode="clip")
     weights = dist.counts / dist.shots
-    return _summarize("sampled", dist.shots, dist.indices, weights,
+    return _summarize("sampled", dist.shots, indices, weights,
                       energies, ising.n, ising.graph.m, opt_profit)
 
 

@@ -24,10 +24,7 @@ product row-major moves those k qubits to the top of the index. After
 ceil(n/k) passes every qubit has moved by n places in total and is back
 where it started, so the mixer reads and writes the state ceil(n/k)
 times instead of n times, and each pass is one BLAS call. Two buffers
-take turns as input and output, and the mixer returns the one its last
-pass wrote: the caller's array when ceil(n/k) is even, the second
-buffer when it is odd, so the result is never copied back.
-The block itself is built by indexing, not by np.kron: entry (r, q) of
+take turns as input and output (see ``apply_mixer``). The block itself is built by indexing, not by np.kron: entry (r, q) of
 RX(2*beta)^{(x)k} is the product of the 2x2 entries RX[r_j, q_j] over
 the bits j of r and q, and ``_rx_power`` gathers those entries with
 index arrays computed once per k and multiplies them in kron's order,
@@ -59,42 +56,24 @@ most 40 calls, one per step, instead of one each.
 Every later layer runs one search, started from the previous layer's
 trained angles: optimal QAOA angles change smoothly with depth (Zhou et
 al., arXiv:1812.01041), so the grid restarts there mostly repeat work.
-The zero pair is also a candidate in every layer, and it is not
-evaluated: gamma=beta=0 is an exact no-op, so its value is the
-expectation before the layer, which training already holds. At layer 1
-that is the model's offset, which the closed form at (0, 0) gives bit
-for bit because each of its other terms carries a factor sin 0; at a
-later layer it is the previous layer's recorded expectation, which an
-evaluation at (0, 0) gives bit for bit because the phase copies the
-prefix, the mixer leaves it alone and ``expectation`` has the bits of
-``weighted_sum``. So the best expectation can never get worse as depth
-grows.
+The zero pair is also a candidate in every layer, not evaluated:
+gamma=beta=0 is an exact no-op, so its value is the expectation before
+the layer (the offset at layer 1), which an evaluation at (0, 0) would
+give bit for bit. So the best expectation never gets worse with depth.
 Layer 1 needs no statevector: at depth 1, <Z_u> and <Z_u Z_v> have
 closed forms local to the neighbourhoods of u and v (Ozaeta, van Dam
 and McMahon, arXiv:2012.03421), so ``depth1_objective`` evaluates <H>
 in O(n+m) instead of O(2^n), for a batch of angle pairs in one pass of
 a few dozen array operations; each value has the bits of the pair
 evaluated alone on numpy scalars. Layers 2 and up evaluate one phase
-and one mixer pass on the prefix state. Everything of such an
-evaluation that depends only on the layer is built once per layer by
-``_layer_objective``: its two buffers, the table's levels, and the
-step lists of views that the phase, the mixer and the expectation run
-through. An evaluation is then the table's one np.exp, the phase's
-slice loop, one ``_rx_power`` per block width, the mixer's matmuls and
-the expectation's slice loop. ``apply_phase``, ``apply_mixer`` and
-``expectation`` build the same step lists for their single call and
-run them, so there is one implementation of each. Layer 1 of every run
-and of ``evolve`` starts from the uniform state without building it:
-the phase gathers exp(-i*gamma*E) into a new state and multiplies its
-float64 view by r = 2^(-n/2), which has the bytes of the phase of the
-uniform state, since r + 0j times a factor rounds to r*re, r*im.
-After each trained layer, whichever
-objective trained it, training squares the state once, records the
-layer's expectation from that probability vector and hands the vector
-to an optional ``each_layer(layer, probs)`` callback (which is how
-``metrics.depth_sweep`` reads every depth) before dropping it. The last
-layer's vector is returned with the angles; a pipeline run samples and
-summarizes it, so the trained circuit is evolved once per run.
+and one mixer pass on the prefix state, through the buffers and step
+lists of views that ``_layer_objective`` builds once per layer;
+``apply_phase``, ``apply_mixer`` and ``expectation`` run the same step
+lists, so there is one implementation of each. Layer 1 of every run and
+of ``evolve`` phases the uniform state without building it
+(``_phase_steps``). Each trained layer's state is squared once, for
+training and ``each_layer`` to read (``train_layerwise``), and a
+pipeline run samples and summarizes the last layer's vector.
 
 Expectations use elementwise multiply plus np.sum (never a BLAS dot),
 keeping values bit-identical across thread counts. ``weighted_sum`` and
@@ -103,9 +82,10 @@ pairs (``_tree_sum``): numpy sums a contiguous array by halving it, so
 on a power-of-two length these are the nodes of the same tree as
 ``np.sum(probs * values)``. ``expectation`` squares each slice of the
 state as it goes (Häner and Steiger, arXiv:1704.01127) and writes no
-probability vector. Sampling inverts the
-cumulative distribution of the probability vector with a counter-based
-Philox generator, and the exact summary reads the same vector.
+probability vector. Sampling inverts the cumulative distribution of the
+probability vector with a counter-based Philox generator and counts the
+sorted picks a block at a time into uint32 arrays of one entry a run
+(``count_runs``); the exact summary reads the same vector.
 
 Memory is what limits the width of a run. ``peak_bytes`` gives the
 bytes a run holds at its peak, buffer by buffer, and ``check_memory``
@@ -115,15 +95,9 @@ the machine's physical memory.
 The simulator works through its vectors in slices of ``CHUNK`` = 2^14
 entries, so its temporaries (the phase's integer indices, the squared
 parts, the energies cast to float, the weighted slice) are 128 KiB at
-most instead of one to one and a half states; the phase gathers its
-factors into its output. The views of each slice of the phase and the
-expectation, and of each pass of the mixer, are fixed once by
-``_phase_steps``, ``_expectation_steps`` and ``_mixer_steps``. The
-states a caller passes in are checked; the buffers written are the
-simulator's own. In a layer's search the table indices and the
-expectation's two slices take the bytes of whichever state buffer is
-free, so the search holds three states and nothing more. The results
-are elementwise, so they do not depend on the slicing. On a
+most instead of one to one and a half states, and the results, being
+elementwise, do not depend on the slicing. The states a caller passes
+in are checked; the buffers written are the simulator's own. On a
 2-core machine with a 2 MiB L2 per core, slices of 2^14 kept the phase
 as fast as the whole-array product at n=18-20 and made it about a
 quarter faster at n=22; slices of 2^16, whose temporaries and operands
@@ -156,6 +130,9 @@ CHUNK = 1 << 14
 # sorted draws that ``invert_cdf`` searches at a time, in the slice of the
 # cdf they span
 SAMPLE_BLOCK = 1 << 12
+
+# sorted picks that ``count_runs`` compares at a time
+COUNT_BLOCK = 1 << 15
 
 # Restart grid for the layer-1 search, covering the gamma period [0, pi)
 # and the beta period [0, pi/2) at their quarter points. Later layers
@@ -255,12 +232,13 @@ def peak_bytes(n: int, depth: int, shots: int = 0) -> int:
       casting the energies;
     * inverting the cdf, which is the probability vector itself, for 8
       bytes a draw and the picks of one ``SAMPLE_BLOCK``;
-    * counting, once the cdf is freed: the picks written over the draws
-      and, for r = min(shots, 2^n) runs at most, a one-byte mask a shot
-      with the r run starts, or the starts and the r indices;
+    * counting, once the cdf is freed: the picks written over the draws,
+      the indices and starts of r = min(shots, 2^n) runs at most, in
+      ``run_dtype`` (4 bytes each below 2^32), and a block's one-byte
+      mask with the int64 offsets of its run starts;
     * the sampled summary: the r indices and counts, the r energies and
-      weights, 28 bytes a run, with a one-byte mask a run, or numpy's
-      cast buffer for the weighted mean. Its masses' selected weights
+      weights (20 bytes a run in uint32), with a one-byte mask a run, or
+      numpy's cast buffer for the weighted mean. Its masses' selected weights
       are not counted: on a spread distribution, near shots = 2^n, r
       overcounts the runs by more than they take, and elsewhere another
       step is larger. Nor are the indices of runs tied on the best or
@@ -278,10 +256,11 @@ def peak_bytes(n: int, depth: int, shots: int = 0) -> int:
     exact = probs + max(size + state // 2, chunk + 8 * min(size, np.getbufsize()))
     train = max(2 * state + chunk, state + exact, 3 * state if depth > 1 else 0) if depth else 0
     runs = min(shots, size)
+    run = 2 * run_dtype(size - 1, shots).itemsize
     readout = max(exact,
                   probs + 8 * shots + 8 * min(shots, SAMPLE_BLOCK),
-                  8 * shots + max(shots + 8 * runs, 16 * runs),
-                  28 * runs + max(runs, 8 * min(runs, np.getbufsize())))
+                  8 * shots + run * runs + min(shots, COUNT_BLOCK) + 8 * min(runs, COUNT_BLOCK),
+                  (run + 12) * runs + max(runs, 8 * min(runs, np.getbufsize())))
     return state // 4 + max(train, readout)
 
 
@@ -594,8 +573,9 @@ class SampleDistribution:
     vertex_order: tuple[int, ...]
     shots: int
     seed: int
-    indices: np.ndarray  # sorted unique basis-state indices, int64
-    counts: np.ndarray  # matching positive counts, int64
+    # from count_runs, read-only and of run_dtype: uint32 unless wider is needed
+    indices: np.ndarray  # sorted unique basis-state indices
+    counts: np.ndarray  # matching positive counts
 
     def to_json_dict(self) -> dict:
         n = len(self.vertex_order)
@@ -640,30 +620,49 @@ def invert_cdf(cdf: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return picks
 
 
+def run_dtype(top: int, shots: int) -> np.dtype:
+    """The dtype of a distribution's indices and counts: uint32, wider only
+    where the largest index ``top`` or ``shots`` does not fit."""
+    return np.promote_types(np.uint32, np.min_scalar_type(max(top, shots)))
+
+
 def count_runs(picks: np.ndarray, vertex_order: tuple[int, ...],
                seed: int) -> SampleDistribution:
     """The distribution of the sorted int64 ``picks`` of ``invert_cdf``:
-    each distinct index is one run of equal picks. The mask of run
-    starts is freed once they are found, and the counts are written over
-    the starts."""
+    each distinct index is one run of equal picks.
+
+    Each ``COUNT_BLOCK`` of picks is compared with the picks one place
+    before it, so a run across a block edge stays one run. A first pass
+    counts the run starts, so that the read-only ``run_dtype`` indices
+    and counts are allocated at their length; a second writes each run's
+    index and start, and one subtraction turns the starts into counts."""
     shots = picks.size
-    first = np.empty(shots, dtype=bool)
-    first[0] = True
-    np.not_equal(picks[1:], picks[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    del first
-    indices = picks[starts]
+    changed = np.empty(min(shots, COUNT_BLOCK), dtype=bool)
+
+    def run_starts(s: int) -> np.ndarray:  # which picks of the block at s start a run
+        e = min(s + COUNT_BLOCK, shots)
+        return np.not_equal(picks[s:e], picks[s - 1:e - 1], out=changed[:e - s])
+
+    blocks = range(1, shots, COUNT_BLOCK)
+    indices = np.empty(1 + sum(np.count_nonzero(run_starts(s)) for s in blocks),
+                       run_dtype(int(picks[-1]), shots))
+    starts = np.empty_like(indices)
+    indices[0], starts[0], runs = picks[0], 0, 1
+    for s in blocks:
+        found = run_starts(s).nonzero()[0]
+        found += s
+        end = runs + found.size
+        starts[runs:end] = found
+        # each pick is read at its position before the position is overwritten
+        indices[runs:end] = picks.take(found, out=found, mode="clip")
+        runs = end
+        del found  # not held beside the next block's
     # numpy reads each start ahead of the one it overwrites, with no copy
     counts = starts
     np.subtract(starts[1:], starts[:-1], out=counts[:-1])
     counts[-1] = shots - starts[-1]
-    return SampleDistribution(
-        vertex_order=vertex_order,
-        shots=shots,
-        seed=seed,
-        indices=indices,
-        counts=counts,
-    )
+    indices.flags.writeable = counts.flags.writeable = False
+    return SampleDistribution(vertex_order, shots, seed, indices, counts)
 
 
 def sample_state(probs: np.ndarray, vertex_order: tuple[int, ...], shots: int,

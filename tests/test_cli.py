@@ -342,14 +342,14 @@ def test_run_checks_every_output_path_before_the_job(monkeypatch, tmp_path, caps
 def test_a_failed_run_leaves_no_output_file(monkeypatch, tmp_path, capsys):
     """The paths are checked before the job, and the check leaves no
     file behind for a run that then fails: 2^17 shots on 8 qubits need
-    1 182 720 bytes, above the 1 MiB patched in."""
+    1 086 464 bytes, above the 1 MiB patched in."""
     monkeypatch.setattr(qaoa, "physical_memory", lambda: 1 << 20)
     paths = [tmp_path / name for name in ("r.json", "k.json", "d.json")]
     assert run_cli("run", "--gen", "regular:n=8,d=3,seed=1", "--rules", "",
                    "--solver", "random", "--shots", str(1 << 17),
                    "--out", str(paths[0]), "--emit-kernel", str(paths[1]),
                    "--emit-distribution", str(paths[2])) == 3
-    assert "needs 1182720 bytes at its peak" in capsys.readouterr().err
+    assert "needs 1086464 bytes at its peak" in capsys.readouterr().err
     assert not any(path.exists() for path in paths)
 
 
@@ -515,8 +515,8 @@ def test_batch_default_names_match_run(tmp_path, capsys):
 
 
 def test_run_with_more_shots_than_memory_exits_3_before_the_oracle(monkeypatch, capsys):
-    """10^13 shots need 90 TB for the draws and the run mask: one line,
-    exit 3, and neither the oracle nor training runs."""
+    """10^13 shots need 80 TB for the draws: one line, exit 3, and neither
+    the oracle nor training runs."""
     monkeypatch.setattr(pipeline, "min_vertex_cover_exact", _no_job)
     monkeypatch.setattr(pipeline, "train_layerwise", _no_job)
     monkeypatch.setattr(qaoa, "physical_memory", lambda: 8 << 30)
@@ -524,20 +524,20 @@ def test_run_with_more_shots_than_memory_exits_3_before_the_oracle(monkeypatch, 
                    "--solver", "random", "--shots", "10000000000000") == 3
     err = capsys.readouterr().err
     assert err == ("capacity error: a run of 8 qubits at depth 0 with 10000000000000 shots "
-                   "needs 90000000003072 bytes at its peak, above the 8589934592 bytes of "
+                   "needs 80000000039936 bytes at its peak, above the 8589934592 bytes of "
                    "physical memory\n")
 
 
 def test_run_beyond_physical_memory_exits_3(monkeypatch, capsys):
     """The default run, depth 1 with 10^5 shots, on 12 qubits peaks at
-    949 152 bytes: refused one byte below, admitted at exactly that."""
+    914 688 bytes: refused one byte below, admitted at exactly that."""
     need = qaoa.peak_bytes(12, 1, 100_000)
-    assert need == 949_152
+    assert need == 914_688
     monkeypatch.setattr(qaoa, "physical_memory", lambda: need - 1)
     assert run_cli("run", "--gen", "regular:n=12,d=3,seed=1", "--rules", "") == 3
     assert capsys.readouterr().err == (
-        "capacity error: a run of 12 qubits at depth 1 with 100000 shots needs 949152 "
-        "bytes at its peak, above the 949151 bytes of physical memory\n")
+        "capacity error: a run of 12 qubits at depth 1 with 100000 shots needs 914688 "
+        "bytes at its peak, above the 914687 bytes of physical memory\n")
     monkeypatch.setattr(qaoa, "physical_memory", lambda: need)
     assert run_cli("run", "--gen", "regular:n=12,d=3,seed=1", "--rules", "") == 0
 
@@ -656,11 +656,13 @@ def test_peak_states_prints_one_row_per_run(capsys):
     assert peak_states.main(["--n", "8", "--depth", "0", "--depth", "1",
                              "--shots", "100"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["n", "depth", "import", "MiB", "above", "MiB", "states",
-                              "model", "run", "s"]
+    assert header.split() == ["n", "depth", "import", "MiB", "peak", "MiB", "above", "MiB",
+                              "states", "model", "run", "s"]
     assert [row.split()[:2] for row in rows] == [["8", "0"], ["8", "1"]]
-    assert all(float(row.split()[2]) > 0 for row in rows)
-    assert [row.split()[5] for row in rows] == [
+    for row in rows:
+        imported, peak, above = map(float, row.split()[2:5])
+        assert imported > 0 and abs(peak - imported - above) <= 0.1
+    assert [row.split()[6] for row in rows] == [
         f"{qaoa.peak_bytes(8, depth, 100) / (16 << 8):.2f}" for depth in (0, 1)]
 
 

@@ -325,31 +325,33 @@ def _oracle_must_not_run(g):
 
 @pytest.mark.parametrize("solver", ["random", "qaoa"])
 def test_shot_check_runs_before_the_oracle(monkeypatch, solver):
-    """Physical memory patched to 1 MiB: 2^17 shots on 8 qubits need 9
-    bytes each for the draws and the run mask, 8 for each of the at most
-    256 run starts, and the 1 KiB of energies, at depth 0 and at depth 1
-    alike, so the run stops before the oracle."""
+    """Physical memory patched to 1 MiB: 2^17 shots on 8 qubits need 8
+    bytes each for the draws, 32 KiB for a block's run mask, 16 for each
+    of the at most 256 runs (its index and start, and its offset in a
+    block) and the 1 KiB of energies, at depth 0 and at depth 1 alike, so
+    the run stops before the oracle."""
     monkeypatch.setattr(pipeline, "min_vertex_cover_exact", _oracle_must_not_run)
     monkeypatch.setattr(qaoa, "physical_memory", lambda: 1 << 20)
     config = PipelineConfig(solver=solver, rules=(), shots=1 << 17)
-    with pytest.raises(CapacityError, match="with 131072 shots needs 1182720 bytes "
+    with pytest.raises(CapacityError, match="with 131072 shots needs 1086464 bytes "
                                             r"at its peak, above the 1048576 bytes"):
         run_pipeline(gen_regular(8, 3, 1), config)
 
 
 def test_shot_check_admits_buffers_that_fit_exactly(monkeypatch):
-    """9 bytes a shot, 8 a run of 2^8 states and 4 for each state's energy
-    fill the patched memory exactly; one byte less is refused."""
+    """8 bytes a shot, a block's 32 KiB run mask, 16 bytes a run of 2^8
+    states and 4 for each state's energy fill the patched memory exactly;
+    one byte less is refused."""
     shots = 116_280
-    need = 9 * shots + 8 * 256 + 4 * 256
-    assert need == qaoa.peak_bytes(8, 0, shots) == 1_049_592
+    need = 8 * shots + (1 << 15) + 16 * 256 + 4 * 256
+    assert need == qaoa.peak_bytes(8, 0, shots) == 968_128
     monkeypatch.setattr(qaoa, "physical_memory", lambda: need)
     g = gen_regular(8, 3, 1)
     report = run_pipeline(g, PipelineConfig(solver="random", rules=(), shots=shots))
     assert report.sample_dist.shots == shots
     monkeypatch.setattr(qaoa, "physical_memory", lambda: need - 1)
-    with pytest.raises(CapacityError, match="with 116280 shots needs 1049592 bytes "
-                                            r"at its peak, above the 1049591 bytes"):
+    with pytest.raises(CapacityError, match="with 116280 shots needs 968128 bytes "
+                                            r"at its peak, above the 968127 bytes"):
         run_pipeline(g, PipelineConfig(solver="random", rules=(), shots=shots))
 
 
@@ -399,18 +401,18 @@ def test_peak_bytes_bounds_every_traced_peak():
 
 def test_a_readout_beyond_memory_is_refused_before_the_oracle(monkeypatch):
     """A random run at n=12 with 30 000 shots holds the energies, 8 bytes a
-    draw and 16 for each of the 2^12 runs, 321 920 bytes. Physical memory
-    patched to 305 536 bytes, which the shot buffers alone fit, stops it
-    before the oracle; patched to its peak, it runs and its traced peak
-    fits."""
+    draw, a block's one-byte mask of the 30 000 picks and 16 bytes for
+    each of the 2^12 runs, 351 920 bytes. Physical memory patched to
+    305 536 bytes, which the shot buffers alone fit, stops it before the
+    oracle; patched to its peak, it runs and its traced peak fits."""
     g = gen_regular(12, 3, 1)
     config = PipelineConfig(solver="random", rules=(), shots=30_000)
     need = qaoa.peak_bytes(12, 0, 30_000)
-    assert need == (4 << 12) + 8 * 30_000 + (16 << 12) == 321_920
+    assert need == (4 << 12) + 8 * 30_000 + 30_000 + (16 << 12) == 351_920
     monkeypatch.setattr(qaoa, "physical_memory", lambda: 305_536)
     exact = pipeline.min_vertex_cover_exact
     monkeypatch.setattr(pipeline, "min_vertex_cover_exact", _oracle_must_not_run)
-    with pytest.raises(CapacityError, match="needs 321920 bytes at its peak, "
+    with pytest.raises(CapacityError, match="needs 351920 bytes at its peak, "
                                             "above the 305536 bytes"):
         run_pipeline(g, config)
     monkeypatch.setattr(pipeline, "min_vertex_cover_exact", exact)
@@ -439,7 +441,7 @@ def test_a_depth_1_run_below_four_states_is_admitted(monkeypatch):
 def test_in_place_readout_samples_as_sample_state(solver, depth):
     """The run turns its probability vector into the cdf in place and
     writes the picks over the draws; sample_state on the same trained
-    vector gives the same int64 indices and counts."""
+    vector gives the same uint32 indices and counts."""
     g = gen_regular(12, 3, 4)
     config = PipelineConfig(solver=solver, depth=depth, rules=(), shots=20_000, seed=6)
     report = run_pipeline(g, config)
@@ -447,17 +449,53 @@ def test_in_place_readout_samples_as_sample_state(solver, depth):
     probs = qaoa.train_layerwise(ising, report.schedule.p)[2]
     want = qaoa.sample_state(probs, ising.vertex_order, config.shots, config.seed)
     got = report.sample_dist
-    assert got.indices.dtype == got.counts.dtype == np.int64
+    assert got.indices.dtype == got.counts.dtype == np.uint32
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.counts, want.counts)
 
 
+def test_a_report_distribution_is_read_only():
+    """A report's indices and counts refuse writes, so a caller cannot edit
+    the counts that --emit-distribution prints."""
+    config = PipelineConfig(solver="random", rules=(), shots=500)
+    dist = run_pipeline(gen_regular(8, 3, 1), config).sample_dist
+    for runs in (dist.indices, dist.counts):
+        with pytest.raises(ValueError, match="read-only"):
+            runs[0] = 0
+
+
+@pytest.mark.parametrize("n,shots", [(12, 1000), (12, 1 << 14), (16, 1 << 16)])
+def test_a_report_distribution_holds_8_bytes_a_run(n, shots):
+    """The indices and counts of a random run are uint32 arrays of their
+    own, exactly one entry a run: 8 bytes a run, where they took 16."""
+    config = PipelineConfig(solver="random", rules=(), shots=shots, seed=2)
+    dist = run_pipeline(gen_regular(n, 3, 1), config).sample_dist
+    for runs in (dist.indices, dist.counts):
+        assert runs.base is None and runs.dtype == np.uint32
+    assert dist.indices.nbytes + dist.counts.nbytes == 8 * dist.indices.size
+
+
+def test_a_sampling_job_peaks_while_it_inverts_the_cdf():
+    """The uniform-sampling job of the benchmark (a random run at n=20 with
+    10^6 shots) holds the most while it inverts the cdf: the energies
+    (4 bytes a state), the cdf (8 a state), the draws (8 a shot) and the
+    picks of one block. Counting its about 645 000 runs and summarizing
+    them stay below that, with the int64 copy of the indices that the
+    summary's search once made."""
+    n, shots = 20, 1_000_000
+    config = PipelineConfig(solver="random", rules=(), shots=shots, seed=1)
+    g = gen_regular(n, 3, 3)
+    invert = (4 << n) + (8 << n) + 8 * shots + 8 * qaoa.SAMPLE_BLOCK
+    assert _traced_peak(lambda: run_pipeline(g, config)) <= invert + PYTHON_SLACK
+
+
 def test_random_run_readout_peak():
     """A random-solver run at n=16 with 2^16 shots peaks in the readout,
-    at 2.91 probability vectors: the energies (half a vector), the picks
-    written over the draws, and the starts and indices of about 0.63*2^16
-    runs. Sampling from a second cdf with separate picks, beside the
-    probabilities and a negated copy of the energies, peaked at 4.54."""
+    at 2.59 probability vectors, while it inverts the cdf: the energies
+    (half a vector), the cdf and the draws. Counting the whole picks into
+    int64 starts and indices of about 0.63*2^16 runs peaked at 2.91, and
+    sampling from a second cdf with separate picks, beside the
+    probabilities and a negated copy of the energies, at 4.54."""
     g = gen_regular(16, 3, 1)
     config = PipelineConfig(solver="random", rules=(), shots=1 << 16, seed=1)
     tracemalloc.start()

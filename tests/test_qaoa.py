@@ -41,6 +41,7 @@ from profitcover.qaoa import (
     weighted_sum,
 )
 
+import frozen_readout
 from conftest import cycle_graph, random_gnp, star_graph
 
 
@@ -124,8 +125,8 @@ def test_peak_bytes_of_training_and_the_exact_summary(depth, states):
 @pytest.mark.parametrize("shots,states", [
     # the exact summary: the energies, the probabilities, a mask, the weights
     (1 << 19, 1 + 5 / 16),
-    # the sampled summary: the energies, and 29 bytes a run for 2^20 runs
-    (1 << 20, 1 / 4 + 29 / 16),
+    # the sampled summary: the energies, and 21 bytes a run for 2^20 runs
+    (1 << 20, 1 / 4 + 21 / 16),
 ])
 def test_peak_bytes_of_the_readout(shots, states):
     assert qaoa.peak_bytes(20, 0, shots) == states * (16 << 20)
@@ -148,21 +149,14 @@ def test_memory_check_refuses_a_state_that_does_not_fit(monkeypatch):
         check_memory(20, 25, depth, shots)  # an unknown figure checks nothing
 
 
-@pytest.mark.parametrize("shots,need", [
-    # 2^16 shots, four for each of the 2^14 states: the energies (4 bytes
-    # a state), the picks (8 a shot), and the starts and indices of 2^14
-    # runs (16 a run)
-    (1 << 16, (4 << 14) + (8 << 16) + (16 << 14)),
-    # 2^17 shots: the run mask and the starts take as much as that
-    (1 << 17, (4 << 14) + (8 << 17) + (16 << 14)),
-    # 2^18 shots: the run mask (1 byte a shot) and the starts (8 a run)
-    (1 << 18, (4 << 14) + (8 << 18) + (1 << 18) + (8 << 14)),
-])
-def test_shot_check_states_the_larger_counting_peak(monkeypatch, shots, need):
+@pytest.mark.parametrize("shots", [1 << 16, 1 << 17, 1 << 18])
+def test_shot_check_states_the_larger_counting_peak(monkeypatch, shots):
     """On 14 qubits, with four to sixteen shots a state, counting is the
-    readout's largest step: the picks written over the draws, and the
-    larger of a one-byte mask a shot with 8 bytes a run start, or 8 bytes
-    a start and 8 an index, for at most min(shots, 2^14) runs."""
+    readout's largest step: beside the energies (4 bytes a state), the
+    picks written over the draws (8 a shot), the uint32 indices and
+    starts of at most 2^14 runs (8 a run), and a block's one-byte mask
+    (2^15 bytes) with the int64 offsets of its at most 2^14 run starts."""
+    need = (4 << 14) + 8 * shots + (8 << 14) + (1 << 15) + (8 << 14)
     assert qaoa.peak_bytes(14, 0, shots) == need
     monkeypatch.setattr(qaoa, "physical_memory", lambda: need)
     check_memory(14, 25, 0, shots)
@@ -377,13 +371,62 @@ def test_phase_and_expectation_refuse_wrong_buffers():
 
 def test_sample_state_frees_its_draws_before_counting():
     """With as many shots as states the cdf and the sorted draws, which
-    become the picks, are two probability vectors, and counting half as
-    many runs adds no more once the cdf is freed: 2.13 vectors at the
-    peak. Separate picks took 3, and the whole-array counting 4.2."""
+    become the picks, are two probability vectors: 2.07 vectors at the
+    peak, while the cdf is inverted. Counting, once the cdf is freed,
+    holds the picks, 8 bytes for each of about 0.63 * 2^16 runs and one
+    block's mask and offsets, about 2.0 vectors. Separate picks took 3,
+    the whole-array counting 4.2, and a count into arrays sized for 2^16
+    runs 2.29."""
     probs = probabilities(_random_state(16, 4))
     probs /= probs.sum()
     peak = _peak_bytes(lambda: sample_state(probs, tuple(range(16)), 1 << 16, 5))
-    assert peak <= 2.25 * probs.nbytes
+    assert peak <= 2.1 * probs.nbytes
+
+
+def _count_like_the_frozen_copy(picks, n):
+    """count_runs on ``picks`` against tests/frozen_readout.py: the same
+    values, in read-only arrays of the narrowest run dtype, uint32 unless
+    the largest index needs more, that own exactly their runs."""
+    got = qaoa.count_runs(picks, tuple(range(n)), 3)
+    want = frozen_readout.count_runs(picks, tuple(range(n)), 3)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.counts, want.counts)
+    assert got.shots == picks.size and got.counts.sum() == picks.size
+    wide = picks[-1] >= 1 << 32
+    assert got.indices.dtype == got.counts.dtype == (np.uint64 if wide else np.uint32)
+    for runs in (got.indices, got.counts):
+        assert runs.base is None and not runs.flags.writeable
+        assert runs.nbytes == runs.itemsize * want.indices.size
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3, 5, 8]),
+       st.lists(st.tuples(st.integers(1, 3), st.integers(1, 9)), min_size=1, max_size=40),
+       st.sampled_from([0, 7, (1 << 32) - 60]))
+def test_blocked_count_matches_the_frozen_count(block, runs, low):
+    """Any sorted picks, counted a few picks a block so that runs cross
+    block edges and shots are rarely a multiple of the block: gaps of 1
+    to 3 between run values, runs of 1 to 9 picks, and values that reach
+    past uint32, which widens both arrays to uint64."""
+    gaps, lengths = zip(*runs)
+    picks = np.repeat(low + np.cumsum(gaps), lengths).astype(np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qaoa, "COUNT_BLOCK", block)
+        _count_like_the_frozen_copy(picks, 33)
+
+
+@pytest.mark.parametrize("picks", [
+    np.full(1, 5),  # one shot
+    np.full(qaoa.COUNT_BLOCK + 3, 9),  # one run across a block edge
+    np.arange(2 * qaoa.COUNT_BLOCK + 1),  # every pick distinct
+    np.repeat(np.arange(5000), 15),  # runs across two block edges
+    np.repeat(np.arange(3), qaoa.COUNT_BLOCK),  # runs that start on a block's last pick
+], ids=["one-shot", "one-run", "all-distinct", "runs-of-15", "edge-runs"])
+def test_count_at_the_block_size_matches_the_frozen_count(picks):
+    """The same at the package's block size. Blocks start at pick 1, the
+    first pick that can start a run besides pick 0, so a run of one block's
+    length from pick 0 ends one pick before the first block does."""
+    _count_like_the_frozen_copy(picks.astype(np.int64), 17)
 
 
 def _butterfly_mixer(state, n, beta):
@@ -1221,5 +1264,5 @@ def test_sample_state_counts_runs_like_unique(probs, shots):
     assert qaoa.SAMPLE_BLOCK == 4096
     d = sample_state(probs, tuple(range(len(probs))), shots=shots, seed=11)
     indices, counts = _unique_picks(probs, shots, 11)
-    assert d.indices.dtype == d.counts.dtype == np.int64
+    assert d.indices.dtype == d.counts.dtype == np.uint32
     assert np.array_equal(d.indices, indices) and np.array_equal(d.counts, counts)
