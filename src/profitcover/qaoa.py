@@ -24,7 +24,8 @@ product row-major moves those k qubits to the top of the index. After
 ceil(n/k) passes every qubit has moved by n places in total and is back
 where it started, so the mixer reads and writes the state ceil(n/k)
 times instead of n times, and each pass is one BLAS call. Two buffers
-take turns as input and output (see ``apply_mixer``). The block itself is built by indexing, not by np.kron: entry (r, q) of
+take turns as input and output (see ``apply_mixer``). The block itself
+is built by indexing, not by np.kron: entry (r, q) of
 RX(2*beta)^{(x)k} is the product of the 2x2 entries RX[r_j, q_j] over
 the bits j of r and q, and ``_rx_power`` gathers those entries with
 index arrays computed once per k and multiplies them in kron's order,
